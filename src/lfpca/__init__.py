@@ -16,14 +16,14 @@ from .design import (CovariateScale, DesignReport, StudyDesign, Subject,
                      validate_design, write_metadata)
 from .errors import IdentifiabilityError, LfpcaError, NumericalError, ValidationError
 from .fit import (FitResult, FittedModel, IntrinsicBasis, VarianceTable, decompose_intrinsic,
-                  estimate_sigma2, fit_panel, lift, load_model, save_model, select_orders,
+                  estimate_sigma2, fit_panel, load_model, save_model, select_orders,
                   variance_explained)
 from .gram import (IntrinsicDecomposition, accumulate_gram, eigen_gram, left_vectors,
                    truncated_rank)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
 from .panel import (DataPanel, PanelWriter, center_panel, default_slice_count, panel_from_csv,
-                    panel_to_csv, read_panel, write_panel)
+                    panel_to_csv, read_panel, stream, write_panel)
 from .simulate import (EvaluationResult, GroundTruth, ScenarioSpec, aligned_sq_distance,
                        curve_bases, default_eigenvalues, evaluate, generate_from_model,
                        generate_scenario1, generate_scenario2, load_truth, save_truth)

@@ -21,12 +21,11 @@ from ._parallel import resolve_threads
 from .design import StudyDesign, apply_covariate_scaling
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition
-from .panel import DataPanel
+from .limits import BLUP_CONDITION_LIMIT
+from .panel import DataPanel, stream
 
 if TYPE_CHECKING:
     from .fit import FittedModel
-
-CONDITION_LIMIT = 1e10
 
 
 @dataclass
@@ -86,37 +85,28 @@ def panel_projections(model: "FittedModel", panel: DataPanel, threads: int | Non
     the lifted basis panels themselves, so saved models can score data
     without the training decomposition.
     """
-    threads = resolve_threads(threads)
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
-    bounds = list(zip(model.phi_w.row_starts, model.phi_w.row_starts[1:]))
     for phi in model.phi_x:
         if phi.row_starts != model.phi_w.row_starts:
             raise ValidationError("lifted basis panels disagree on slice layout")
-    q1 = model.q + 1
-    px = [np.zeros((model.n_x, panel.n)) for _ in range(q1)]
-    pw = np.zeros((model.n_w, panel.n))
-    gxx = np.zeros((q1, q1, model.n_x, model.n_x))
-    gxw = np.zeros((q1, model.n_x, model.n_w))
-    gww = np.zeros((model.n_w, model.n_w))
-    for a, b in bounds:
-        block = panel.read_rows(a, b)
+
+    def _project(rows, blocks, outs):
+        *xs, wb, block = blocks
         if not panel.centered:
-            block = block - model.mean[a:b, None]
-        xs = [phi.read_rows(a, b) for phi in model.phi_x]
-        wb = model.phi_w.read_rows(a, b)
-        for k in range(q1):
-            px[k] += xs[k].T @ block
-            gxw[k] += xs[k].T @ wb
-            for s in range(q1):
-                gxx[k, s] += xs[k].T @ xs[s]
-        pw += wb.T @ block
-        gww += wb.T @ wb
-    return Projections(x=px, w=pw), (gxx, gxw, gww)
+            block = block - model.mean[rows, None]
+        return ([x.T @ block for x in xs] + [wb.T @ block]
+                + [np.array([[a.T @ b for b in xs] for a in xs]),
+                   np.array([a.T @ wb for a in xs]), wb.T @ wb])
+
+    sums, _ = stream([*model.phi_x, model.phi_w, panel], _project,
+                     threads=resolve_threads(threads))
+    q1 = model.q + 1
+    return Projections(x=sums[:q1], w=sums[q1]), tuple(sums[q1 + 1:])
 
 
 def _solve_scores(model: "FittedModel", design: StudyDesign, proj: Projections,
-                  grams, cond_limit: float = CONDITION_LIMIT) -> ScorePanel:
+                  grams, cond_limit: float = BLUP_CONDITION_LIMIT) -> ScorePanel:
     """Per-subject normal equations; minimum-norm fallback when ill-conditioned."""
     gxx, gxw, gww = grams
     n_x, n_w = model.n_x, model.n_w
@@ -152,7 +142,7 @@ def _solve_scores(model: "FittedModel", design: StudyDesign, proj: Projections,
 
 
 def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
-                design: StudyDesign, cond_limit: float = CONDITION_LIMIT) -> ScorePanel:
+                design: StudyDesign, cond_limit: float = BLUP_CONDITION_LIMIT) -> ScorePanel:
     """Predicted scores for the training panel, all in the intrinsic space."""
     if decomp.r != model.r:
         raise ValidationError(f"decomposition rank {decomp.r} does not match model rank {model.r}")
@@ -164,7 +154,7 @@ def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
 
 def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
                     apply_scaling: bool = True, threads: int | None = None,
-                    cond_limit: float = CONDITION_LIMIT) -> ScorePanel:
+                    cond_limit: float = BLUP_CONDITION_LIMIT) -> ScorePanel:
     """Scores for new data under a saved model.
 
     The panel is centered with the model mean, and covariates are mapped
@@ -189,16 +179,15 @@ def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
     if not 0 <= visit_index < subj.n_visits:
         raise ValidationError(f"subject {subj.subject_id!r} has no visit {visit_index}")
     entry = scores.subjects[subject_index]
-    z = subj.z[visit_index]
-    out = model.mean.copy()
-    for k, phi in enumerate(model.phi_x):
-        coef = z[k] * entry.xi
-        for start, block in phi.iter_slices():
-            out[start:start + block.shape[0]] += block @ coef
-    zeta = entry.zeta[visit_index]
-    for start, block in model.phi_w.iter_slices():
-        out[start:start + block.shape[0]] += block @ zeta
-    return out
+    coefs = [z_k * entry.xi for z_k in subj.z[visit_index]] + [entry.zeta[visit_index]]
+
+    def _fitted(rows, blocks, outs):
+        outs[0][:] = model.mean[rows]
+        for block, coef in zip(blocks, coefs):
+            outs[0] += block @ coef
+
+    _, (fitted,) = stream([*model.phi_x, model.phi_w], _fitted, [(None, None)])
+    return fitted
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .fit import fit_panel, load_model, save_model, variance_explained
 from .gram import left_vectors
+from .limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
 from .panel import panel_from_csv, panel_to_csv, read_panel, write_panel
 from .simulate import (LATTICE_DIMS, ScenarioSpec, evaluate, generate_scenario1,
                        generate_scenario2, load_truth, save_truth)
@@ -70,9 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="spectrum mass used to auto-select component counts")
     fit.add_argument("--slices", type=int, default=None, help="processing slice count")
     fit.add_argument("--rank", default="auto", help="retained rank, integer or 'auto'")
-    fit.add_argument("--model", choices=["intercept-slope", "general"], default="general")
-    fit.add_argument("--backend", choices=["dense", "power"], default="dense")
-    fit.add_argument("--seed", type=int, default=0, help="seed for the power-iteration start block")
     fit.add_argument("--threads", type=int, default=None)
     fit.add_argument("--no-normalize", action="store_true",
                      help="skip covariate standardization")
@@ -135,30 +133,26 @@ def cmd_fit(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     threads = resolve_threads(args.threads)
-    result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
-                       var_threshold=args.var_threshold, order_threshold=args.order_threshold,
-                       normalize=not args.no_normalize, parameterization=args.model,
-                       backend=args.backend, seed=args.seed, threads=threads, workdir=outdir)
-    model = result.model
-
-    _write_eigenvalues(outdir / "eigenvalues.csv", model)
-    variance_explained(model).write_csv(outdir / "variance_explained.csv")
-    np.savetxt(outdir / "u.csv", result.decomposition.u, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "s.csv", result.decomposition.s, delimiter=",", fmt="%.17g")
-    write_scores_csv(result.scores, outdir / "scores.csv")
-    save_model(model, outdir)
-    if args.write_v:
-        centered = outdir / "centered.lfpb"
-        source = read_panel(centered, centered=True) if centered.is_file() else panel
-        if not source.centered:
-            from .panel import center_panel
-            source = center_panel(source)
-        left_vectors(source, result.decomposition, out_path=outdir / "v.lfpb", threads=threads)
-    if args.dump_h:
-        np.savetxt(outdir / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
-    centered = outdir / "centered.lfpb"
-    if centered.is_file():
-        centered.unlink()
+    centered = outdir / "centered.lfpb"  # written by fit_panel, removed on every exit
+    try:
+        result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
+                           var_threshold=args.var_threshold,
+                           order_threshold=args.order_threshold,
+                           normalize=not args.no_normalize, threads=threads, workdir=outdir)
+        model = result.model
+        _write_eigenvalues(outdir / "eigenvalues.csv", model)
+        variance_explained(model).write_csv(outdir / "variance_explained.csv")
+        np.savetxt(outdir / "u.csv", result.decomposition.u, delimiter=",", fmt="%.17g")
+        np.savetxt(outdir / "s.csv", result.decomposition.s, delimiter=",", fmt="%.17g")
+        write_scores_csv(result.scores, outdir / "scores.csv")
+        save_model(model, outdir)
+        if args.write_v:
+            left_vectors(read_panel(centered, centered=True), result.decomposition,
+                         out_path=outdir / "v.lfpb", threads=threads)
+        if args.dump_h:
+            np.savetxt(outdir / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
+    finally:
+        centered.unlink(missing_ok=True)
 
     manifest = {
         "command": "fit",
@@ -166,9 +160,9 @@ def cmd_fit(args) -> int:
         "config": {
             "nx": model.n_x, "nw": model.n_w, "rank": rank, "var_threshold": args.var_threshold,
             "order_threshold": args.order_threshold, "slices": panel.n_slices,
-            "model": args.model, "backend": args.backend, "seed": args.seed,
             "normalize": not args.no_normalize, "threads": threads,
-            "condition_limit_ff": 1e12, "condition_limit_blup": 1e10,
+            "condition_limit_ff": FF_CONDITION_LIMIT, "condition_limit_blup": BLUP_CONDITION_LIMIT,
+            "rank_eps": RANK_EPS,
         },
         "input_hashes": {args.data: _sha256(args.data), args.meta: _sha256(args.meta)},
         "timing_seconds": round(time.monotonic() - t0, 6),

@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-
-RANK_TOL = 1e-12
-CONDITION_LIMIT = 1e12
+from .limits import FF_CONDITION_LIMIT
 
 
 @dataclass
@@ -256,8 +254,8 @@ def validate_design(design: StudyDesign) -> DesignReport:
         cond = np.inf
     else:
         cond = float((sv[0] / sv[required - 1]) ** 2)  # condition number of F F'
-        if cond > CONDITION_LIMIT:
+        if cond > FF_CONDITION_LIMIT:
             failures.append(f"moment design matrix is numerically singular "
-                            f"(condition {cond:.2e} > {CONDITION_LIMIT:.0e})")
+                            f"(condition {cond:.2e} > {FF_CONDITION_LIMIT:.0e})")
     return DesignReport(failures=failures, rank=rank, required_rank=required,
                         condition_number=cond)

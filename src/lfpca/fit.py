@@ -13,14 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import ordered_map, resolve_threads
+from ._parallel import resolve_threads
 from .design import (CovariateScale, DesignReport, StudyDesign, normalize_covariates,
                      validate_design)
 from .errors import IdentifiabilityError, ValidationError
-from .gram import (IntrinsicDecomposition, accumulate_gram, eigen_gram, truncated_rank)
+from .gram import (IntrinsicDecomposition, accumulate_gram, eigen_gram, eigh_descending,
+                   fix_signs, truncated_rank)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
-from .panel import DataPanel, PanelWriter, center_panel, read_panel, write_panel
+from .panel import DataPanel, center_panel, read_panel, stream, write_panel
 
 ORDER_CAP = 30
 
@@ -48,32 +49,33 @@ class IntrinsicBasis:
         return self.clipped_x + self.clipped_w
 
 
-def _top_eigen(matrix: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    evals, evecs = np.linalg.eigh(matrix)
-    evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
+def _top_eigen(evals: np.ndarray, evecs: np.ndarray, count: int):
+    """Leading ``count`` pairs of a descending spectrum, sign-fixed and clipped at 0."""
     top, vecs = evals[:count], np.array(evecs[:, :count])
-    clipped = int(np.sum(top < 0))
-    top = np.maximum(top, 0.0)
-    idx = np.abs(vecs).argmax(axis=0)
-    flips = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    flips[flips == 0] = 1.0
-    vecs *= flips
-    return vecs, top, evals, clipped
+    fix_signs(vecs)
+    return vecs, np.maximum(top, 0.0), int(np.sum(top < 0))
 
 
-def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int, n_w: int) -> IntrinsicBasis:
+def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None,
+                        n_w: int | None = None, threshold: float = 0.9) -> IntrinsicBasis:
     """Top eigenpairs of the intrinsic covariances, descending, clipped at 0.
 
-    Eigenvector columns are sign-normalized so their largest-magnitude
-    entry is positive, which makes outputs reproducible across platforms.
+    One eigendecomposition per matrix; an order left as None is chosen from
+    its spectrum by :func:`select_orders` at ``threshold``. Eigenvector
+    columns are sign-normalized so their largest-magnitude entry is
+    positive, which makes outputs reproducible across platforms.
     """
-    dim_x, dim_w = cov.k_x.shape[0], cov.k_w.shape[0]
-    if not 1 <= n_x <= dim_x:
-        raise ValidationError(f"n_x must be in [1, {dim_x}], got {n_x}")
-    if not 1 <= n_w <= dim_w:
-        raise ValidationError(f"n_w must be in [1, {dim_w}], got {n_w}")
-    a_x, lam_x, spec_x, clip_x = _top_eigen(cov.k_x, n_x)
-    a_w, lam_w, spec_w, clip_w = _top_eigen(cov.k_w, n_w)
+    spec_x, vecs_x = eigh_descending(cov.k_x)
+    spec_w, vecs_w = eigh_descending(cov.k_w)
+    auto_x, auto_w = select_orders(spec_x, spec_w, threshold=threshold)
+    n_x = auto_x if n_x is None else n_x
+    n_w = auto_w if n_w is None else n_w
+    if not 1 <= n_x <= spec_x.size:
+        raise ValidationError(f"n_x must be in [1, {spec_x.size}], got {n_x}")
+    if not 1 <= n_w <= spec_w.size:
+        raise ValidationError(f"n_w must be in [1, {spec_w.size}], got {n_w}")
+    a_x, lam_x, clip_x = _top_eigen(spec_x, vecs_x, n_x)
+    a_w, lam_w, clip_w = _top_eigen(spec_w, vecs_w, n_w)
     return IntrinsicBasis(a_x=a_x, lambda_x=lam_x, a_w=a_w, lambda_w=lam_w,
                           spectrum_x=spec_x, spectrum_w=spec_w,
                           clipped_x=clip_x, clipped_w=clip_w)
@@ -103,23 +105,6 @@ def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int, n_w
         raise ValidationError(f"sigma2 estimator needs p > n_w, got p={p}, n_w={n_w}")
     surplus = cov.trace_w_raw - float(np.sum(lambda_w[:n_w]))
     return max(surplus / (p - n_w), 0.0)
-
-
-def lift(v: DataPanel, a: np.ndarray, out_path=None, threads: int = 1) -> DataPanel:
-    """Phi = V A, computed slice by slice on any p x r panel."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != v.n:
-        raise ValidationError(f"matrix must have {v.n} rows to lift this panel, got {a.shape}")
-    if out_path is None:
-        phi = np.empty((v.p, a.shape[1]))
-        for start, block in zip(v.row_starts,
-                                ordered_map(lambda it: it[1] @ a, v.iter_slices(), threads)):
-            phi[start:start + block.shape[0]] = block
-        return DataPanel.from_array(phi, n_slices=v.n_slices)
-    with PanelWriter(out_path, v.p, a.shape[1], row_starts=v.row_starts) as writer:
-        for block in ordered_map(lambda it: it[1] @ a, v.iter_slices(), threads):
-            writer.write_slice(block)
-    return read_panel(out_path)
 
 
 @dataclass
@@ -232,7 +217,6 @@ class FitResult:
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
               n_w: int | None = None, rank: int | None = None, var_threshold: float = 0.9999,
               order_threshold: float = 0.9, normalize: bool = True,
-              parameterization: str = "general", backend: str = "dense", seed: int = 0,
               threads: int | None = None, workdir=None) -> FitResult:
     """Run the full pipeline: center, SVD via the Gram matrix, moment
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
@@ -266,25 +250,16 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
         mean = centered.mean
 
     gram = accumulate_gram(centered, threads=threads)
-    decomp_full = eigen_gram(gram, backend=backend,
-                             rank=rank if backend == "power" else None, seed=seed)
+    decomp_full = eigen_gram(gram)
     orders = (n_x, n_w) if (n_x is not None and n_w is not None) else None
     r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold,
                        model_orders=orders)
     decomp = decomp_full.truncate(r)
 
-    mom = compute_weights(build_design_matrix(design, parameterization))
+    mom = compute_weights(build_design_matrix(design))
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
-
-    if n_x is None or n_w is None:
-        spec_x = np.linalg.eigvalsh(covs.k_x)[::-1]
-        spec_w = np.linalg.eigvalsh(covs.k_w)[::-1]
-        auto_x, auto_w = select_orders(spec_x, spec_w, threshold=order_threshold)
-        n_x = n_x if n_x is not None else auto_x
-        n_w = n_w if n_w is not None else auto_w
-    if n_x > (design.q + 1) * r or n_w > r:
-        raise ValidationError(f"orders (n_x={n_x}, n_w={n_w}) exceed the retained rank r={r}")
-    basis = decompose_intrinsic(covs, n_x, n_w)
+    basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
+    n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
 
     phi_x, phi_w = _lift_basis(centered, decomp, basis, design.q, workdir, threads)
@@ -308,38 +283,16 @@ def _lift_basis(centered: DataPanel, decomp: IntrinsicDecomposition, basis: Intr
     r = decomp.r
     proj = decomp.u / np.sqrt(decomp.s)
     mats = [proj @ basis.a_x[k * r:(k + 1) * r] for k in range(q + 1)] + [proj @ basis.a_w]
+    names = [f"phi_x_{k}.lfpb" for k in range(q + 1)] + ["phi_w.lfpb"]
 
-    if workdir is None:
-        outs = [np.empty((centered.p, m.shape[1])) for m in mats]
+    def _lift(rows, blocks, outs):
+        for m, out in zip(mats, outs):
+            np.matmul(blocks[0], m, out=out)
 
-        def _consume(start, blocks):
-            for out, blk in zip(outs, blocks):
-                out[start:start + blk.shape[0]] = blk
-
-        finish = lambda: tuple(DataPanel.from_array(o, n_slices=centered.n_slices) for o in outs)
-    else:
-        names = [workdir / f"phi_x_{k}.lfpb" for k in range(q + 1)] + [workdir / "phi_w.lfpb"]
-        writers = [PanelWriter(path, centered.p, m.shape[1], row_starts=centered.row_starts)
-                   for path, m in zip(names, mats)]
-
-        def _consume(start, blocks):
-            for writer, blk in zip(writers, blocks):
-                writer.write_slice(blk)
-
-        def finish():
-            for writer in writers:
-                writer.close()
-            return tuple(read_panel(path) for path in names)
-
-    def _lift_slice(item):
-        start, block = item
-        return start, [block @ m for m in mats]
-
-    for start, blocks in ordered_map(_lift_slice, centered.iter_slices(), threads):
-        _consume(start, blocks)
-        blocks = None
-    panels = finish()
-    return panels[:q + 1], panels[-1]
+    _, panels = stream([centered], _lift,
+                       [(m.shape[1], workdir / name if workdir is not None else None)
+                        for m, name in zip(mats, names)], threads)
+    return tuple(panels[:q + 1]), panels[-1]
 
 
 # ---------------------------------------------------------------------------

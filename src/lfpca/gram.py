@@ -8,19 +8,13 @@ in a second streamed pass. All heavy work is therefore linear in p.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .errors import NumericalError, ValidationError
-from .panel import DataPanel, PanelWriter, read_panel
-
-RANK_EPS = 1e-12
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 300
-POWER_OVERSAMPLE = 4
+from .limits import RANK_EPS
+from .panel import DataPanel, stream
 
 
 @dataclass
@@ -37,8 +31,6 @@ class IntrinsicDecomposition:
     s: np.ndarray
     r: int
     total_gram_trace: float
-    backend: str = "dense"
-    seed: int | None = None
 
     def truncate(self, rank: int) -> "IntrinsicDecomposition":
         if rank > self.r:
@@ -50,86 +42,44 @@ def accumulate_gram(panel: DataPanel, threads: int = 1) -> np.ndarray:
     """G = Y'Y as the ordered sum of per-slice contributions, symmetrized."""
     if not panel.centered:
         raise ValidationError("panel must be centered before Gram accumulation")
-    gram = np.zeros((panel.n, panel.n))
-    for part in ordered_map(lambda item: item[1].T @ item[1], panel.iter_slices(), threads):
-        if part.shape != gram.shape:
-            raise ValidationError(f"slice contributes {part.shape}, expected {gram.shape}")
-        gram += part
+    (gram,), _ = stream([panel], lambda rows, blocks, outs: (blocks[0].T @ blocks[0],),
+                        threads=threads)
     return (gram + gram.T) / 2
 
 
-def eigen_gram(gram: np.ndarray, backend: str = "dense", rank: int | None = None,
-               seed: int = 0) -> IntrinsicDecomposition:
+def eigen_gram(gram: np.ndarray) -> IntrinsicDecomposition:
     """Spectral decomposition of the Gram matrix, eigenvalues descending.
 
-    Eigenvalues below 1e-12 * max(s_1, 1) are treated as zero and their
-    directions dropped from the retained rank. The ``power`` backend runs
-    seeded block power iteration and returns only the leading ``rank``
-    eigenpairs; ``dense`` computes the full decomposition.
+    Eigenvalues at or below RANK_EPS * max(s_1, 1) are treated as zero and
+    their directions dropped from the retained rank.
     """
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValidationError(f"Gram matrix must be square, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise NumericalError("Gram matrix contains non-finite entries")
-    total_trace = float(np.trace(gram))
-    if backend == "dense":
-        evals, evecs = np.linalg.eigh(gram)
-        evals, evecs = evals[::-1], evecs[:, ::-1]
-        used_seed = None
-    elif backend == "power":
-        if rank is None:
-            raise ValidationError("power backend requires an explicit rank")
-        evals, evecs = _power_eigen(gram, rank, seed)
-        used_seed = seed
-    else:
-        raise ValidationError(f"unknown eigen backend {backend!r}")
-    floor = RANK_EPS * max(evals[0] if evals.size else 0.0, 1.0)
-    keep = evals > floor
+    evals, evecs = eigh_descending(gram)
+    keep = evals > RANK_EPS * max(evals[0] if evals.size else 0.0, 1.0)
     evals, evecs = evals[keep], evecs[:, keep]
-    if rank is not None and backend == "power":
-        evals, evecs = evals[:rank], evecs[:, :rank]
-    _fix_signs(evecs)
+    fix_signs(evecs)
     return IntrinsicDecomposition(u=evecs, s=evals, r=int(evals.size),
-                                  total_gram_trace=total_trace,
-                                  backend=backend, seed=used_seed)
+                                  total_gram_trace=float(np.trace(gram)))
 
 
-def _fix_signs(vectors: np.ndarray) -> None:
-    """Flip each column so its largest-magnitude entry is positive."""
+def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition, eigenvalues in descending order."""
+    evals, evecs = np.linalg.eigh(matrix)
+    return evals[::-1].copy(), evecs[:, ::-1]
+
+
+def fix_signs(vectors: np.ndarray) -> None:
+    """Flip each column in place so its largest-magnitude entry is positive."""
     if vectors.size == 0:
         return
     idx = np.abs(vectors).argmax(axis=0)
     flips = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     flips[flips == 0] = 1.0
     vectors *= flips
-
-
-def _power_eigen(gram: np.ndarray, rank: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block power iteration for the leading eigenpairs of a symmetric matrix."""
-    n = gram.shape[0]
-    if not 1 <= rank <= n:
-        raise ValidationError(f"power rank must be in [1, {n}], got {rank}")
-    block = min(n, rank + POWER_OVERSAMPLE)
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    evals = np.zeros(block)
-    for _ in range(POWER_MAX_ITER):
-        z = gram @ q
-        q, _ = np.linalg.qr(z)
-        small = q.T @ gram @ q
-        evals, w = np.linalg.eigh(small)
-        evals, w = evals[::-1], w[:, ::-1]
-        ritz = q @ w
-        resid = gram @ ritz[:, :rank] - ritz[:, :rank] * evals[:rank]
-        denom = np.maximum(np.abs(evals[:rank]), POWER_TOL * max(abs(evals[0]), 1.0))
-        if np.max(np.linalg.norm(resid, axis=0) / denom) <= POWER_TOL:
-            q = ritz
-            break
-        q = ritz
-    else:
-        warnings.warn("power iteration hit the iteration cap before reaching tolerance")
-    return evals, q
 
 
 def truncated_rank(s: np.ndarray, rank: int | None = None, var_threshold: float = 0.9999,
@@ -174,18 +124,6 @@ def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, rank: int | N
     if np.any(decomp.s[:r] <= 0):
         raise ValidationError("cannot form left vectors for non-positive singular values")
     proj = decomp.u[:, :r] / np.sqrt(decomp.s[:r])
-
-    def _lift(item):
-        _, block = item
-        return block @ proj
-
-    if out_path is None:
-        v = np.empty((panel.p, r))
-        for start, vl in zip(panel.row_starts, ordered_map(_lift, panel.iter_slices(), threads)):
-            v[start:start + vl.shape[0]] = vl
-        return DataPanel.from_array(v, n_slices=panel.n_slices)
-    with PanelWriter(out_path, panel.p, r, row_starts=panel.row_starts) as writer:
-        for vl in ordered_map(_lift, panel.iter_slices(), threads):
-            writer.write_slice(vl)
-            vl = None
-    return read_panel(out_path)
+    _, (v,) = stream([panel], lambda rows, blocks, outs: np.matmul(blocks[0], proj, out=outs[0]),
+                     [(r, out_path)], threads)
+    return v

@@ -1,0 +1,11 @@
+"""Numerical limits shared by the pipeline; ``lfpca fit`` echoes them in manifest.json."""
+
+# Largest condition number of the moment design product F F' that
+# validate_design and compute_weights accept.
+FF_CONDITION_LIMIT = 1e12
+# Largest condition number of a subject's score normal equations that is
+# solved directly; above it the minimum-norm least-squares solution is used
+# and the subject is flagged rank deficient.
+BLUP_CONDITION_LIMIT = 1e10
+# Gram eigenvalues at or below RANK_EPS * max(s_1, 1) count as zero.
+RANK_EPS = 1e-12

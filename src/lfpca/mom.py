@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .gram import IntrinsicDecomposition
+from .limits import FF_CONDITION_LIMIT
 
 if TYPE_CHECKING:
     from .design import StudyDesign
-
-CONDITION_LIMIT = 1e12
 
 
 @dataclass
@@ -46,18 +45,11 @@ class MomDesign:
         return (self.q + 1) ** 2 + 1
 
 
-def build_design_matrix(design: "StudyDesign", parameterization: str = "general") -> MomDesign:
-    """Build F for a validated design.
-
-    ``general`` forms covariate products Z_{ij1,k} Z_{ij2,s} for any q;
-    ``intercept-slope`` is the literal q=1 construction with columns
-    (1, T_{ij2}, T_{ij1}, T_{ij1} T_{ij2}, same-visit). The two agree
-    exactly for q = 1 and both are kept so each can check the other.
+def build_design_matrix(design: "StudyDesign") -> MomDesign:
+    """Build F for a validated design from the covariate products
+    Z_{ij1,k} Z_{ij2,s}; for q = 1 its columns are (1, T_{ij2}, T_{ij1},
+    T_{ij1} T_{ij2}, same-visit).
     """
-    if parameterization not in ("general", "intercept-slope"):
-        raise ValidationError(f"unknown parameterization {parameterization!r}")
-    if parameterization == "intercept-slope" and design.q != 1:
-        raise ValidationError("intercept-slope parameterization requires q = 1")
     q = design.q
     d = (q + 1) ** 2 + 1
     m = sum(j * j for j in design.visit_counts)
@@ -71,12 +63,8 @@ def build_design_matrix(design: "StudyDesign", parameterization: str = "general"
         offsets[i] = col
         for j1 in range(j_i):
             for j2 in range(j_i):
-                if parameterization == "intercept-slope":
-                    t1, t2 = z[j1, 1], z[j2, 1]
-                    f[:, col] = (1.0, t2, t1, t1 * t2, 1.0 if j1 == j2 else 0.0)
-                else:
-                    f[: d - 1, col] = np.outer(z[j1], z[j2]).ravel()
-                    f[d - 1, col] = 1.0 if j1 == j2 else 0.0
+                f[: d - 1, col] = np.outer(z[j1], z[j2]).ravel()
+                f[d - 1, col] = 1.0 if j1 == j2 else 0.0
                 pair_index.append((i, j1, j2))
                 col += 1
     offsets[-1] = col
@@ -88,7 +76,7 @@ def compute_weights(mom: MomDesign) -> MomDesign:
     f = mom.f
     ff = f @ f.T
     cond = np.linalg.cond(ff)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    if not np.isfinite(cond) or cond > FF_CONDITION_LIMIT:
         raise IdentifiabilityError(
             f"moment design matrix F F' is numerically singular (condition {cond:.2e}); "
             "run validate_design for a diagnosis")

@@ -21,14 +21,16 @@ matrix in row-major order; arbitrary row ranges can be read directly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .errors import ValidationError
 
 MAGIC = b"LFPB"
@@ -154,11 +156,12 @@ class PanelWriter:
         self._next += 1
 
     def close(self) -> None:
+        """Finish the file; an incomplete one is deleted and reported."""
+        self._fh.close()
         if self._next != len(self.row_starts) - 1:
-            self._fh.close()
+            self.path.unlink(missing_ok=True)
             raise ValidationError(f"panel file {self.path} incomplete: "
                                   f"{self._next} of {len(self.row_starts) - 1} slices written")
-        self._fh.close()
 
     def __enter__(self):
         return self
@@ -168,6 +171,7 @@ class PanelWriter:
             self.close()
         else:
             self._fh.close()
+            self.path.unlink(missing_ok=True)
 
 
 def write_panel(panel: DataPanel, path) -> None:
@@ -204,37 +208,78 @@ def read_panel(path, centered: bool = False, mean: np.ndarray | None = None) -> 
                      _path=path, _payload_offset=payload_offset)
 
 
+def stream(panels, fn, outputs=(), threads: int = 1):
+    """Run ``fn`` over aligned row slices of ``panels``: the one slice loop.
+
+    Slices follow the layout of ``panels[0]``. For each, rows [a, b) of every
+    panel are read in order in the calling thread and ``fn(rows, blocks,
+    outs)`` runs on the thread pool, where ``rows`` is ``slice(a, b)``.
+    ``outputs`` holds one ``(width, path)`` per row-block output; ``outs``
+    gives fn each one's rows [a, b) to fill in place, a (b - a) x width array
+    or, when width is None, a vector. Outputs with a path are written slice
+    by slice to an LFPB file, the others (vectors always) are kept in
+    memory. The arrays fn returns, if any, are summed in slice order, so no
+    result depends on ``threads``.
+
+    Returns ``(sums, outs)``: the summed arrays (None when fn returns None)
+    and each output as a vector, an in-memory DataPanel or the panel read
+    back from its file, in the layout of ``panels[0]``. On error every
+    output file is closed and deleted.
+    """
+    layout = panels[0]
+    memory = [np.empty(layout.p if width is None else (layout.p, width)) if path is None
+              else None for width, path in outputs]
+
+    def _slices():
+        for a, b in zip(layout.row_starts, layout.row_starts[1:]):
+            yield slice(a, b), [panel.read_rows(a, b) for panel in panels]
+
+    def _run(item):
+        rows, blocks = item
+        outs = [np.empty((rows.stop - rows.start, width)) if dest is None else dest[rows]
+                for dest, (width, _) in zip(memory, outputs)]
+        return outs, fn(rows, blocks, outs)
+
+    sums = None
+    with contextlib.ExitStack() as stack:
+        writers = {i: stack.enter_context(PanelWriter(path, layout.p, width,
+                                                      row_starts=layout.row_starts))
+                   for i, (width, path) in enumerate(outputs) if path is not None}
+        results = stack.enter_context(contextlib.closing(ordered_map(_run, _slices(), threads)))
+        for outs, parts in results:
+            for i, writer in writers.items():
+                writer.write_slice(outs[i])
+            if parts is not None:
+                sums = ([np.array(part, dtype=np.float64) for part in parts] if sums is None
+                        else [np.add(total, part, out=total) for total, part in zip(sums, parts)])
+            outs = parts = None  # keep at most the in-flight slices alive
+    return sums, [read_panel(path) if path is not None
+                  else dest if width is None
+                  else DataPanel(p=layout.p, n=width, row_starts=layout.row_starts, _array=dest)
+                  for dest, (width, path) in zip(memory, outputs)]
+
+
 def center_panel(panel: DataPanel, out_path=None, threads: int = 1) -> DataPanel:
     """Subtract the column-average from every column.
 
-    Two passes over the slices: one accumulating the mean, one subtracting
-    it. The output is array-backed when the input is and no ``out_path`` is
-    given; otherwise it is written to ``out_path`` (required for file-backed
-    input).
+    Two passes over the slices: one computing the mean, one subtracting it.
+    The output is array-backed when no ``out_path`` is given; otherwise it is
+    written to ``out_path`` (required for file-backed input).
     """
     if panel.centered:
         raise ValidationError("panel is already centered")
-    mean = np.empty(panel.p)
-    for start, block in panel.iter_slices():
-        mean[start:start + block.shape[0]] = block.sum(axis=1) / panel.n
-    block = None
-
-    if out_path is None and not panel.file_backed:
-        arr = panel.to_array() - mean[:, None]
-        return DataPanel.from_array(arr, n_slices=panel.n_slices, centered=True, mean=mean)
-    if out_path is None:
+    if out_path is None and panel.file_backed:
         raise ValidationError("centering a file-backed panel requires out_path")
-    from ._parallel import ordered_map
 
-    def _centered(item):
-        start, block = item
-        return block - mean[start:start + block.shape[0], None]
+    def _mean(rows, blocks, outs):
+        np.divide(blocks[0].sum(axis=1), panel.n, out=outs[0])
 
-    with PanelWriter(out_path, panel.p, panel.n, row_starts=panel.row_starts) as writer:
-        for block in ordered_map(_centered, panel.iter_slices(), threads):
-            writer.write_slice(block)
-            block = None  # keep at most two slices in flight
-    return read_panel(out_path, centered=True, mean=mean)
+    def _center(rows, blocks, outs):
+        np.subtract(blocks[0], mean[rows, None], out=outs[0])
+
+    _, (mean,) = stream([panel], _mean, [(None, None)], threads)
+    _, (centered,) = stream([panel], _center, [(panel.n, out_path)], threads)
+    return replace(centered, centered=True, mean=mean)
 
 
 def panel_to_csv(panel: DataPanel, path) -> None:

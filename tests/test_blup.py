@@ -22,6 +22,26 @@ def test_zero_data_gives_zero_scores(rng):
     assert np.abs(scores.zeta_matrix()).max() == 0.0
 
 
+def test_score_new_panel_threads_use_pool(rng, monkeypatch):
+    import lfpca._parallel as parallel
+    design = make_design(rng, n_subjects=6, visits=3)
+    arr = rng.standard_normal((60, design.n))
+    model = fit_panel(DataPanel.from_array(arr, n_slices=4), design, n_x=2, n_w=2).model
+    serial = score_new_panel(model, DataPanel.from_array(arr), design, threads=1)
+    pools = []
+
+    class RecordingPool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    threaded = score_new_panel(model, DataPanel.from_array(arr), design, threads=2)
+    assert pools == [2]
+    np.testing.assert_array_equal(threaded.xi_matrix(), serial.xi_matrix())
+    np.testing.assert_array_equal(threaded.zeta_matrix(), serial.zeta_matrix())
+
+
 def test_exact_model_data_recovers_scores(rng):
     # data built exactly from the fitted basis: the predictor is the exact
     # projection, so generating scores come back to machine precision

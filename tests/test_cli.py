@@ -67,6 +67,11 @@ def test_manifest_contents(tmp_path):
                                              str(sim / "rep_000" / "meta.csv")}
     for key in ("timing_seconds", "r", "clipped_count", "sigma2", "version"):
         assert key in manifest
+    from lfpca.limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
+    assert manifest["config"]["condition_limit_ff"] == FF_CONDITION_LIMIT
+    assert manifest["config"]["condition_limit_blup"] == BLUP_CONDITION_LIMIT
+    assert manifest["config"]["rank_eps"] == RANK_EPS
+    assert not {"model", "backend", "seed"} & set(manifest["config"])
 
 
 def test_simulate_identical_seeds_identical_trees(tmp_path):
@@ -224,6 +229,14 @@ def test_unknown_flag_exits_2(tmp_path):
     assert run("simulate", "--scenario", "1", "--frobnicate", "--out", str(tmp_path)) == 2
 
 
+def test_removed_fit_flags_exit_2(tmp_path):
+    sim = simulate_small(tmp_path, reps=1)
+    for flag in (("--model", "general"), ("--backend", "dense"), ("--seed", "0")):
+        assert run("fit", "--data", str(sim / "rep_000" / "panel.lfpb"),
+                   "--meta", str(sim / "rep_000" / "meta.csv"),
+                   "--out", str(tmp_path / "fit"), *flag) == 2
+
+
 # --- numeric precision and misc -------------------------------------------------
 
 def test_csv_values_round_trip_at_full_precision(tmp_path):
@@ -245,6 +258,13 @@ def test_threads_flag_matches_serial(tmp_path):
     threaded = fit_rep(tmp_path, sim, name="threaded", extra=("--threads", "4", "--slices", "5"))
     for artifact in ("u.csv", "s.csv", "scores.csv", "phi_w.lfpb"):
         assert (serial / artifact).read_bytes() == (threaded / artifact).read_bytes()
+    outputs = []
+    for threads in ("1", "4"):
+        outputs.append(tmp_path / f"scores_{threads}.csv")
+        assert run("scores", "--model", str(serial), "--data", str(sim / "rep_000" / "panel.lfpb"),
+                   "--meta", str(sim / "rep_000" / "meta.csv"), "--threads", threads,
+                   "--out", str(outputs[-1])) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_dump_h_and_write_v(tmp_path):
@@ -287,6 +307,7 @@ def test_fit_nonfinite_panel_exits_4(tmp_path, rng):
     code = run("fit", "--data", str(tmp_path / "nan.lfpb"), "--meta",
                str(tmp_path / "meta.csv"), "--out", str(tmp_path / "f"))
     assert code == 4
+    assert list((tmp_path / "f").glob("*.lfpb")) == []
 
 
 def test_simulate_default_shape_750_by_400(tmp_path):
@@ -337,11 +358,3 @@ def test_scenario2_cli_small_cohort(tmp_path):
     rows = [r for r in csv.DictReader(open(metrics))
             if r["kind"] == "aggregate" and r["family"] == "w"]
     assert len(rows) == 2
-
-
-def test_intercept_slope_model_flag_matches_general(tmp_path):
-    sim = simulate_small(tmp_path, reps=1)
-    general = fit_rep(tmp_path, sim, name="gen", extra=("--model", "general"))
-    literal = fit_rep(tmp_path, sim, name="lit", extra=("--model", "intercept-slope"))
-    for artifact in ("eigenvalues.csv", "s.csv", "scores.csv"):
-        assert (general / artifact).read_bytes() == (literal / artifact).read_bytes()

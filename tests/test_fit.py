@@ -3,8 +3,8 @@ import pytest
 
 from conftest import make_design
 from lfpca import (DataPanel, IdentifiabilityError, ValidationError, decompose_intrinsic,
-                   estimate_sigma2, fit_panel, left_vectors, lift, load_model, save_model,
-                   select_orders, variance_explained, write_panel, read_panel)
+                   estimate_sigma2, fit_panel, load_model, save_model, select_orders, stream,
+                   variance_explained, write_panel, read_panel)
 from lfpca.mom import IntrinsicCovariances
 from oracle import aligned_vec_err, oracle_fit, well_separated
 
@@ -107,29 +107,29 @@ def test_user_override_wins(rng):
 
 # --- lifting ---------------------------------------------------------------------
 
-def test_lift_identity_returns_v(rng):
-    arr = rng.standard_normal((20, 6))
-    arr -= arr.mean(axis=1, keepdims=True)
-    panel = DataPanel.from_array(arr, n_slices=3, centered=True)
-    from lfpca import accumulate_gram, eigen_gram
-    decomp = eigen_gram(accumulate_gram(panel))
-    v = left_vectors(panel, decomp)
-    phi = lift(v, np.eye(decomp.r))
-    np.testing.assert_array_equal(phi.to_array(), v.to_array())
-
-
-def test_lift_slice_count_invariance(rng):
+def test_lift_slice_count_invariance(rng, tmp_path):
+    # the lift Phi = Y A through stream, with the slice-ordered sum Y'Y alongside
     arr = rng.standard_normal((35, 8))
     a = rng.standard_normal((8, 3))
-    one = lift(DataPanel.from_array(arr, n_slices=1), a).to_array()
-    seven = lift(DataPanel.from_array(arr, n_slices=7), a).to_array()
-    assert np.abs(one - seven).max() <= 1e-14
 
+    def _lift(rows, blocks, outs):
+        np.matmul(blocks[0], a, out=outs[0])
+        return (blocks[0].T @ blocks[0],)
 
-def test_lift_rejects_mismatched_rows(rng):
-    panel = DataPanel.from_array(rng.standard_normal((10, 4)))
-    with pytest.raises(ValidationError):
-        lift(panel, np.zeros((5, 2)))
+    first = {}
+    for slices in (1, 7):
+        for threads in (1, 3):
+            for path in (None, tmp_path / f"phi_{slices}_{threads}.lfpb"):
+                (gram,), (phi,) = stream([DataPanel.from_array(arr, n_slices=slices)], _lift,
+                                         [(3, path)], threads)
+                assert phi.file_backed == (path is not None)
+                ref_phi, ref_gram = first.setdefault(slices, (phi.to_array(), gram))
+                # neither the thread count nor the sink changes a bit
+                np.testing.assert_array_equal(phi.to_array(), ref_phi)
+                np.testing.assert_array_equal(gram, ref_gram)
+    np.testing.assert_allclose(first[1][0], arr @ a, atol=1e-13)
+    assert np.abs(first[1][0] - first[7][0]).max() <= 1e-14
+    assert np.abs(first[1][1] - first[7][1]).max() <= 1e-12
 
 
 # --- full fit vs dense oracle -----------------------------------------------------
@@ -308,20 +308,6 @@ def test_fit_file_backed_requires_workdir(rng, tmp_path):
     res_mem = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
     np.testing.assert_allclose(res.model.phi_w.to_array(),
                                res_mem.model.phi_w.to_array(), atol=1e-12)
-
-
-def test_power_backend_fit_matches_dense(rng):
-    design = make_design(rng, n_subjects=10, visits=4)
-    arr = rng.standard_normal((120, design.n))
-    dense = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
-    power = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2,
-                      backend="power", rank=12, seed=4)
-    assert power.model.r == 12
-    # leading structure agrees with the dense path truncated to the same rank
-    truncated = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2, rank=12)
-    np.testing.assert_allclose(power.model.lambda_x, truncated.model.lambda_x, rtol=1e-6)
-    np.testing.assert_allclose(np.abs(power.model.phi_w.to_array()),
-                               np.abs(truncated.model.phi_w.to_array()), atol=1e-5)
 
 
 def test_thread_resolution_env(monkeypatch):

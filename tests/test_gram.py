@@ -95,20 +95,6 @@ def test_eigen_rejects_nonfinite():
         eigen_gram(gram)
 
 
-def test_power_backend_matches_dense(rng):
-    arr = rng.standard_normal((50, 12))
-    gram = arr.T @ arr
-    dense = eigen_gram(gram)
-    power = eigen_gram(gram, backend="power", rank=4, seed=3)
-    assert power.r == 4
-    np.testing.assert_allclose(power.s, dense.s[:4], rtol=1e-9)
-    for k in range(4):
-        dot = abs(power.u[:, k] @ dense.u[:, k])
-        assert dot > 1 - 1e-8
-    assert power.seed == 3
-    assert abs(power.total_gram_trace - dense.total_gram_trace) < 1e-10
-
-
 # --- rank policy -------------------------------------------------------------
 
 def test_truncated_rank_threshold_drops_zero():

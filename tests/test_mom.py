@@ -23,19 +23,13 @@ def test_columns_match_literal_formula():
     np.testing.assert_array_equal(f[:, 0], [1.0, -1.0, -1.0, 1.0, 1.0])
 
 
-def test_general_equals_intercept_slope_for_q1(rng):
-    design = make_design(rng, n_subjects=6, visits=[3, 4, 5, 3, 4, 3])
-    general = build_design_matrix(design, "general")
-    literal = build_design_matrix(design, "intercept-slope")
-    np.testing.assert_allclose(general.f, literal.f, atol=1e-15)
-    assert general.pair_index == literal.pair_index
-
-
 def test_matches_brute_force_construction(rng):
-    design = make_design(rng, n_subjects=5, visits=[3, 4, 3, 5, 4], q=2)
-    f = build_design_matrix(design).f
-    np.testing.assert_allclose(f, oracle_design_matrix([s.z for s in design.subjects]),
-                               atol=1e-15)
+    # q = 1 is the intercept/slope model, q = 2 adds a covariate
+    for q in (1, 2):
+        design = make_design(rng, n_subjects=5, visits=[3, 4, 3, 5, 4], q=q)
+        f = build_design_matrix(design).f
+        np.testing.assert_allclose(f, oracle_design_matrix([s.z for s in design.subjects]),
+                                   atol=1e-15)
 
 
 def test_pair_enumeration_is_row_major(rng):
@@ -125,21 +119,6 @@ def test_block_weight_column_mapping(rng):
     np.testing.assert_allclose(covs.x_block(1, 0), expected, atol=1e-12)
     # cross blocks are transposes of each other
     np.testing.assert_allclose(covs.x_block(1, 0), covs.x_block(0, 1).T, atol=1e-15)
-
-
-def test_q1_general_path_matches_intercept_slope(rng):
-    design = make_design(rng, n_subjects=6, visits=[3, 4, 3, 5, 4, 3])
-    arr = rng.standard_normal((25, design.n))
-    arr -= arr.mean(axis=1, keepdims=True)
-    panel = DataPanel.from_array(arr, centered=True)
-    gram = accumulate_gram(panel)
-    decomp = eigen_gram(gram)
-    out = {}
-    for param in ("general", "intercept-slope"):
-        mom = compute_weights(build_design_matrix(design, param))
-        out[param] = intrinsic_covariances(decomp, mom, design, gram=gram)
-    assert np.abs(out["general"].k_x - out["intercept-slope"].k_x).max() <= 1e-12
-    assert np.abs(out["general"].k_w - out["intercept-slope"].k_w).max() <= 1e-12
 
 
 def test_estimates_invariant_to_subject_order(rng):

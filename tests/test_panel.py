@@ -3,7 +3,7 @@ import pytest
 
 from lfpca import (DataPanel, ValidationError, center_panel, panel_from_csv, panel_to_csv,
                    read_panel, write_panel)
-from lfpca.panel import PanelWriter, default_slice_count, slice_starts
+from lfpca.panel import PanelWriter, default_slice_count, slice_starts, stream
 
 
 def test_slice_starts_cover_all_rows():
@@ -103,6 +103,25 @@ def test_center_file_backed_matches_memory(rng, tmp_path):
     in_mem = center_panel(DataPanel.from_array(arr, n_slices=4))
     np.testing.assert_array_equal(on_disk.to_array(), in_mem.to_array())
     np.testing.assert_array_equal(on_disk.mean, in_mem.mean)
+    threaded = center_panel(read_panel(tmp_path / "raw.lfpb"), out_path=tmp_path / "t.lfpb",
+                            threads=3)
+    np.testing.assert_array_equal(threaded.to_array(), in_mem.to_array())
+    assert threaded.centered and threaded.row_starts == on_disk.row_starts
+
+
+def test_stream_deletes_partial_outputs_on_error(rng, tmp_path):
+    panel = DataPanel.from_array(rng.standard_normal((12, 3)), n_slices=4)
+
+    def _fail_third(rows, blocks, outs):
+        if rows.start >= 6:
+            raise FloatingPointError("slice failed")
+        outs[0][:] = blocks[0]
+        outs[1][:] = blocks[0][:, 0]
+
+    for threads in (1, 2):
+        with pytest.raises(FloatingPointError):
+            stream([panel], _fail_third, [(3, tmp_path / "a.lfpb"), (None, None)], threads)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_converter_round_trip(rng, tmp_path):
