@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,26 +134,22 @@ def cmd_fit(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     threads = resolve_threads(args.threads)
-    centered = outdir / "centered.lfpb"  # written by fit_panel, removed on every exit
-    try:
-        result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
-                           var_threshold=args.var_threshold,
-                           order_threshold=args.order_threshold,
-                           normalize=not args.no_normalize, threads=threads, workdir=outdir)
-        model = result.model
-        _write_eigenvalues(outdir / "eigenvalues.csv", model)
-        variance_explained(model).write_csv(outdir / "variance_explained.csv")
-        np.savetxt(outdir / "u.csv", result.decomposition.u, delimiter=",", fmt="%.17g")
-        np.savetxt(outdir / "s.csv", result.decomposition.s, delimiter=",", fmt="%.17g")
-        write_scores_csv(result.scores, outdir / "scores.csv")
-        save_model(model, outdir)
-        if args.write_v:
-            left_vectors(read_panel(centered, centered=True), result.decomposition,
-                         out_path=outdir / "v.lfpb", threads=threads)
-        if args.dump_h:
-            np.savetxt(outdir / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
-    finally:
-        centered.unlink(missing_ok=True)
+    result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
+                       var_threshold=args.var_threshold,
+                       order_threshold=args.order_threshold,
+                       normalize=not args.no_normalize, threads=threads, workdir=outdir)
+    model = result.model
+    _write_eigenvalues(outdir / "eigenvalues.csv", model)
+    variance_explained(model).write_csv(outdir / "variance_explained.csv")
+    np.savetxt(outdir / "u.csv", result.decomposition.u, delimiter=",", fmt="%.17g")
+    np.savetxt(outdir / "s.csv", result.decomposition.s, delimiter=",", fmt="%.17g")
+    write_scores_csv(result.scores, outdir / "scores.csv")
+    save_model(model, outdir)
+    if args.write_v:
+        left_vectors(replace(panel, mean=model.mean), result.decomposition,
+                     out_path=outdir / "v.lfpb", threads=threads)
+    if args.dump_h:
+        np.savetxt(outdir / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
 
     manifest = {
         "command": "fit",

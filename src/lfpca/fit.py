@@ -222,9 +222,10 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
     per-subject score prediction.
 
-    When ``workdir`` is given (required for file-backed panels), the
-    centered panel and the lifted bases are streamed to files there and the
-    peak memory footprint stays at O(p/L * n + n^2).
+    When ``workdir`` is given (required for file-backed panels), the lifted
+    bases are streamed to files there and the peak memory footprint stays
+    at O(p/L * n + n^2). A file-backed panel is centered into a temporary
+    ``centered.lfpb`` in ``workdir``, deleted before returning or raising.
     """
     threads = resolve_threads(threads)
     if panel.n != design.n:
@@ -239,30 +240,36 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)
-    if panel.centered:
-        centered = panel
-        mean = panel.mean if panel.mean is not None else np.zeros(panel.p)
-    else:
-        if panel.file_backed and workdir is None:
+    temp = None  # the centered copy of a file-backed panel
+    if panel.file_backed and not panel.centered:
+        if workdir is None:
             raise ValidationError("fitting a file-backed panel requires a workdir")
-        out = workdir / "centered.lfpb" if workdir is not None and panel.file_backed else None
-        centered = center_panel(panel, out_path=out, threads=threads)
-        mean = centered.mean
+        temp = workdir / "centered.lfpb"
+    try:
+        if panel.centered:
+            centered = panel
+            mean = panel.mean if panel.mean is not None else np.zeros(panel.p)
+        else:
+            centered = center_panel(panel, out_path=temp, threads=threads)
+            mean = centered.mean
 
-    gram = accumulate_gram(centered, threads=threads)
-    decomp_full = eigen_gram(gram)
-    orders = (n_x, n_w) if (n_x is not None and n_w is not None) else None
-    r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold,
-                       model_orders=orders)
-    decomp = decomp_full.truncate(r)
+        gram = accumulate_gram(centered, threads=threads)
+        decomp_full = eigen_gram(gram)
+        orders = (n_x, n_w) if (n_x is not None and n_w is not None) else None
+        r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold,
+                           model_orders=orders)
+        decomp = decomp_full.truncate(r)
 
-    mom = compute_weights(build_design_matrix(design))
-    covs = intrinsic_covariances(decomp, mom, design, gram=gram)
-    basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
-    n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
-    sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
+        mom = compute_weights(build_design_matrix(design))
+        covs = intrinsic_covariances(decomp, mom, design, gram=gram)
+        basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
+        n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
+        sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
 
-    phi_x, phi_w = _lift_basis(centered, decomp, basis, design.q, workdir, threads)
+        phi_x, phi_w = _lift_basis(centered, decomp, basis, design.q, workdir, threads)
+    finally:
+        if temp is not None:
+            temp.unlink(missing_ok=True)
     model = FittedModel(p=panel.p, n=panel.n, q=design.q, r=r, n_x=n_x, n_w=n_w,
                         a_x=basis.a_x, a_w=basis.a_w,
                         lambda_x=basis.lambda_x, lambda_w=basis.lambda_w,

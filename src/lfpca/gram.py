@@ -113,17 +113,23 @@ def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, rank: int | N
                  out_path=None, threads: int = 1) -> DataPanel:
     """Left singular vectors V = Y U S^{-1/2}, streamed slice by slice.
 
-    Returned as a p x r panel in the same slice layout as the input;
-    written to ``out_path`` when given, else kept in memory.
+    An uncentered panel must carry its ``mean``, which is subtracted from
+    each slice as it is read. Returned as a p x r panel in the same slice
+    layout as the input; written to ``out_path`` when given, else kept in
+    memory.
     """
-    if not panel.centered:
-        raise ValidationError("panel must be centered")
+    if not panel.centered and panel.mean is None:
+        raise ValidationError("panel must be centered or carry its mean")
     r = decomp.r if rank is None else rank
     if r > decomp.r:
         raise ValidationError(f"requested rank {r} exceeds retained rank {decomp.r}")
     if np.any(decomp.s[:r] <= 0):
         raise ValidationError("cannot form left vectors for non-positive singular values")
     proj = decomp.u[:, :r] / np.sqrt(decomp.s[:r])
-    _, (v,) = stream([panel], lambda rows, blocks, outs: np.matmul(blocks[0], proj, out=outs[0]),
-                     [(r, out_path)], threads)
+
+    def _left(rows, blocks, outs):
+        block = blocks[0] if panel.centered else blocks[0] - panel.mean[rows, None]
+        np.matmul(block, proj, out=outs[0])
+
+    _, (v,) = stream([panel], _left, [(r, out_path)], threads)
     return v

@@ -6,7 +6,9 @@ to the design matrix F. Regressing the pairwise quadratics on those columns
 subject-level covariance blocks K^{ks} and the visit-level covariance K^W.
 The quadratics are never formed in p dimensions here: the same weights are
 applied to the low-dimensional vectors S^{1/2} U_ij, which is what makes
-the whole fit linear in p.
+the whole fit linear in p. Subjects with the same visit count J share the
+shape of their pair block, so F and the weighted products are built one
+visit-count group at a time, never one subject or one pair at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ class MomDesign:
         return (self.q + 1) ** 2 + 1
 
 
+def _visit_groups(design: "StudyDesign"):
+    """Subjects grouped by visit count: yields (J, subject indices, (G, J) columns)."""
+    counts = np.asarray(design.visit_counts)
+    for j in sorted(set(design.visit_counts)):  # np.unique would import numpy.ma, ~1 MB
+        idx = np.flatnonzero(counts == j)
+        yield int(j), idx, design.col_offsets[idx][:, None] + np.arange(j)
+
+
 def build_design_matrix(design: "StudyDesign") -> MomDesign:
     """Build F for a validated design from the covariate products
     Z_{ij1,k} Z_{ij2,s}; for q = 1 its columns are (1, T_{ij2}, T_{ij1},
@@ -52,22 +62,17 @@ def build_design_matrix(design: "StudyDesign") -> MomDesign:
     """
     q = design.q
     d = (q + 1) ** 2 + 1
-    m = sum(j * j for j in design.visit_counts)
-    f = np.empty((d, m))
-    pair_index = []
-    offsets = np.zeros(design.n_subjects + 1, dtype=np.int64)
-    col = 0
-    for i, subj in enumerate(design.subjects):
-        z = subj.z
-        j_i = subj.n_visits
-        offsets[i] = col
-        for j1 in range(j_i):
-            for j2 in range(j_i):
-                f[: d - 1, col] = np.outer(z[j1], z[j2]).ravel()
-                f[d - 1, col] = 1.0 if j1 == j2 else 0.0
-                pair_index.append((i, j1, j2))
-                col += 1
-    offsets[-1] = col
+    counts = np.asarray(design.visit_counts)
+    offsets = np.concatenate([[0], np.cumsum(counts * counts)]).astype(np.int64)
+    f = np.empty((d, int(offsets[-1])))
+    z_all = design.stacked_z()
+    for j, idx, cols in _visit_groups(design):
+        z = z_all[cols]  # (G, J, q+1)
+        pairs = (offsets[idx][:, None] + np.arange(j * j)).ravel()
+        f[:d - 1, pairs] = np.einsum("gak,gbs->gabks", z, z).reshape(pairs.size, d - 1).T
+        f[d - 1, pairs] = np.tile(np.eye(j).ravel(), idx.size)
+    pair_index = [(i, j1, j2) for i, j in enumerate(design.visit_counts)
+                  for j1 in range(j) for j2 in range(j)]
     return MomDesign(f=f, pair_index=pair_index, pair_offsets=offsets, q=q)
 
 
@@ -88,11 +93,14 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
                           design: "StudyDesign", gram: np.ndarray | None = None):
     """Covariance estimates in the r-dimensional singular basis.
 
-    Applies the pair weights to outer products of the coordinate vectors
-    S^{1/2} U_ij, accumulated subject by subject as small matrix products.
-    Raw traces are taken from the full Gram matrix when it is supplied, so
-    they keep the complete trace even when the rank was truncated;
-    otherwise they fall back to the traces of the accumulated matrices.
+    With coordinates C = S^{1/2} U' (r x n), weight column l of H gives
+    K_l = C W_l C', where W_l is the block-diagonal n x n matrix holding
+    each subject's J x J pair weights. W_l C' is formed one visit-count
+    group at a time and K_l is then a single r x n by n x r product written
+    into its block of k_x (or into k_w); W_l itself is never built.
+    Raw traces are sum(W_l * G) over the diagonal blocks, taken from the
+    full Gram matrix when it is supplied, so they keep the complete trace
+    even when the rank was truncated; otherwise from C'C.
     """
     if mom.h is None:
         raise ValidationError("moment design has no weights; call compute_weights first")
@@ -104,35 +112,44 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     q, r = mom.q, decomp.r
     d = mom.n_rows
     coords = np.sqrt(decomp.s)[:, None] * decomp.u.T  # (r, n)
-    k_x = np.zeros(((q + 1) * r, (q + 1) * r))
-    k_w = np.zeros((r, r))
-    trace_x = 0.0
-    trace_w = 0.0
-    for i in range(design.n_subjects):
-        cols = design.columns(i)
-        c_i = coords[:, cols]
-        j_i = design.subjects[i].n_visits
-        h_i = mom.h[mom.pair_offsets[i]:mom.pair_offsets[i + 1], :]
-        weights = h_i.reshape(j_i, j_i, d)
-        if gram is not None:
-            g_i = gram[cols, cols]
-        else:
-            g_i = c_i.T @ c_i
-        for k in range(q + 1):
-            for s in range(q + 1):
-                w = weights[:, :, s + k * (q + 1)]
-                k_x[k * r:(k + 1) * r, s * r:(s + 1) * r] += c_i @ w @ c_i.T
-                if k == s:
-                    trace_x += float(np.sum(w * g_i))
-        w = weights[:, :, d - 1]
-        k_w += c_i @ w @ c_i.T
-        trace_w += float(np.sum(w * g_i))
+    k_x, k_w, traces = _weighted_products(coords, mom, design, gram)
+    trace_x = float(np.trace(traces[:d - 1].reshape(q + 1, q + 1)))
+    trace_w = float(traces[d - 1])
     k_x = (k_x + k_x.T) / 2
     k_w = (k_w + k_w.T) / 2
     if not (np.all(np.isfinite(k_x)) and np.all(np.isfinite(k_w))):
         raise NumericalError("intrinsic covariance accumulation produced non-finite values")
     return IntrinsicCovariances(k_x=k_x, k_w=k_w, trace_x_raw=trace_x, trace_w_raw=trace_w,
                                 q=q, r=r)
+
+
+def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign",
+                       gram: np.ndarray | None):
+    """Unsymmetrized C W_l C' for every weight column l, in k_x blocks and
+    k_w, and sum(W_l * G) per column. Its (n, r) work arrays are freed on
+    return, before the caller's symmetrized copies set the peak memory."""
+    q, r = mom.q, coords.shape[0]
+    d = mom.n_rows
+    groups = []
+    traces = np.zeros(d)
+    for j, idx, cols in _visit_groups(design):
+        pairs = mom.pair_offsets[idx][:, None] + np.arange(j * j)
+        weights = mom.h[pairs].reshape(idx.size, j, j, d)
+        c_g = coords.T[cols]  # (G, J, r)
+        g_g = (gram[cols[:, :, None], cols[:, None, :]] if gram is not None
+               else c_g @ c_g.transpose(0, 2, 1))
+        traces += np.einsum("gabd,gab->d", weights, g_g)
+        groups.append((cols, weights, c_g))
+    k_x = np.empty(((q + 1) * r, (q + 1) * r))
+    k_w = np.empty((r, r))
+    t = np.empty((design.n, r))  # W_l C'
+    for l in range(d):
+        for cols, weights, c_g in groups:
+            t[cols] = weights[..., l] @ c_g
+        k, s = divmod(l, q + 1)
+        out = k_w if l == d - 1 else k_x[k * r:(k + 1) * r, s * r:(s + 1) * r]
+        np.matmul(coords, t, out=out)
+    return k_x, k_w, traces
 
 
 @dataclass

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 
 from conftest import make_design
-from lfpca import DataPanel, read_panel, read_scores_csv, write_metadata, write_panel
+from lfpca import (DataPanel, IntrinsicDecomposition, center_panel, left_vectors, read_panel,
+                   read_scores_csv, write_metadata, write_panel)
 from lfpca.cli import format_cell, main
 
 
@@ -275,6 +276,13 @@ def test_dump_h_and_write_v(tmp_path):
     assert v.p == 60
     arr = v.to_array()
     assert np.abs(arr.T @ arr - np.eye(arr.shape[1])).max() < 1e-8
+    # the same bits as the left vectors of the panel centered in memory
+    raw = read_panel(sim / "rep_000" / "panel.lfpb")
+    cen = center_panel(DataPanel.from_array(raw.to_array(), n_slices=raw.n_slices))
+    u = np.loadtxt(fit_dir / "u.csv", delimiter=",", ndmin=2)
+    s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
+    decomp = IntrinsicDecomposition(u=u, s=s, r=s.size, total_gram_trace=float(s.sum()))
+    np.testing.assert_array_equal(arr, left_vectors(cen, decomp).to_array())
 
 
 def test_convert_round_trip(tmp_path, rng):

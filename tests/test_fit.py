@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_design
-from lfpca import (DataPanel, IdentifiabilityError, ValidationError, decompose_intrinsic,
+from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
+                   decompose_intrinsic,
                    estimate_sigma2, fit_panel, load_model, save_model, select_orders, stream,
                    variance_explained, write_panel, read_panel)
 from lfpca.mom import IntrinsicCovariances
@@ -308,6 +309,23 @@ def test_fit_file_backed_requires_workdir(rng, tmp_path):
     res_mem = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
     np.testing.assert_allclose(res.model.phi_w.to_array(),
                                res_mem.model.phi_w.to_array(), atol=1e-12)
+
+
+def test_fit_file_backed_deletes_centered_copy(rng, tmp_path):
+    design = make_design(rng, n_subjects=6, visits=3)
+    arr = rng.standard_normal((24, design.n))
+    write_panel(DataPanel.from_array(arr, n_slices=3), tmp_path / "p.lfpb")
+    res = fit_panel(read_panel(tmp_path / "p.lfpb"), design, n_x=2, n_w=2,
+                    workdir=tmp_path / "ok")
+    assert sorted(f.name for f in (tmp_path / "ok").iterdir()) == [
+        "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb"]
+    assert res.model.phi_w.to_array().shape == (24, 2)
+    arr[5, 7] = np.nan
+    write_panel(DataPanel.from_array(arr, n_slices=3), tmp_path / "bad.lfpb")
+    with pytest.raises(NumericalError):
+        fit_panel(read_panel(tmp_path / "bad.lfpb"), design, n_x=2, n_w=2,
+                  workdir=tmp_path / "failed")
+    assert list((tmp_path / "failed").iterdir()) == []
 
 
 def test_thread_resolution_env(monkeypatch):

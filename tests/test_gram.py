@@ -167,6 +167,19 @@ def test_left_vectors_to_file(rng, tmp_path):
     np.testing.assert_array_equal(v_file.to_array(), v_mem.to_array())
 
 
+
+def test_left_vectors_centers_slices_of_panel_with_mean(rng, tmp_path):
+    arr = rng.standard_normal((20, 5)) + 3.0
+    write_panel(DataPanel.from_array(arr, n_slices=3), tmp_path / "raw.lfpb")
+    mean = arr.mean(axis=1)
+    cen = centered(arr - mean[:, None], n_slices=3)
+    decomp = eigen_gram(accumulate_gram(cen))
+    raw = read_panel(tmp_path / "raw.lfpb", mean=mean)
+    np.testing.assert_array_equal(left_vectors(raw, decomp).to_array(),
+                                  left_vectors(cen, decomp).to_array())
+    with pytest.raises(ValidationError, match="mean"):
+        left_vectors(read_panel(tmp_path / "raw.lfpb"), decomp)
+
 # --- memory scaling ----------------------------------------------------------
 
 def test_gram_memory_scales_with_slice_size(rng, tmp_path):

@@ -5,7 +5,7 @@ from conftest import make_design
 from lfpca import (DataPanel, IdentifiabilityError, StudyDesign, Subject, accumulate_gram,
                    build_design_matrix, compute_weights, eigen_gram, intrinsic_covariances,
                    left_vectors)
-from oracle import oracle_covariances, oracle_design_matrix
+from oracle import oracle_covariances, oracle_design_matrix, oracle_pair_columns
 
 
 def two_visit_subject(times):
@@ -104,6 +104,35 @@ def test_lifted_covariances_match_dense_oracle(rng):
     assert abs(covs.trace_x_raw - np.trace(k_x_oracle)) <= 1e-10
 
 
+def lifted(panel, decomp, covs):
+    """k_x and k_w lifted to voxel space through V = Y U S^{-1/2}."""
+    v = left_vectors(panel, decomp).to_array()
+    blocks = np.kron(np.eye(covs.q + 1), v)
+    return blocks @ covs.k_x @ blocks.T, v @ covs.k_w @ v.T
+
+
+def test_unbalanced_designs_match_dense_oracle(rng):
+    # J_i = 1 subjects contribute only same-visit pairs; every visit-count
+    # group must land in its own columns of W_l
+    visits = [1, 3, 2, 5, 1, 4]
+    for q in (1, 2):
+        for gram_exact in (True, False):
+            design = make_design(rng, n_subjects=len(visits), visits=visits, q=q)
+            z_list = [s.z for s in design.subjects]
+            mom = build_design_matrix(design)
+            np.testing.assert_allclose(mom.f, oracle_design_matrix(z_list), atol=1e-15)
+            assert [(design.column_of(i, j1), design.column_of(i, j2))
+                    for i, j1, j2 in mom.pair_index] == oracle_pair_columns(z_list)
+            arr, panel, decomp, covs = fit_covs(rng, 40, design, n_slices=2,
+                                                gram_exact=gram_exact)
+            k_x_oracle, k_w_oracle = oracle_covariances(arr, z_list)
+            lifted_x, lifted_w = lifted(panel, decomp, covs)
+            assert np.abs(lifted_x - k_x_oracle).max() <= 1e-10
+            assert np.abs(lifted_w - k_w_oracle).max() <= 1e-10
+            assert abs(covs.trace_x_raw - np.trace(k_x_oracle)) <= 1e-10
+            assert abs(covs.trace_w_raw - np.trace(k_w_oracle)) <= 1e-10
+
+
 def test_block_weight_column_mapping(rng):
     # The (k=1, s=0) block must use the third weight column, i.e. the one
     # attached to the T_{j1} row of the design matrix.
@@ -146,6 +175,32 @@ def test_estimates_invariant_to_subject_order(rng):
     lifted_p, trace_p = covs_of(arr_p, design_p)
     assert np.abs(lifted - lifted_p).max() <= 1e-10
     assert abs(trace - trace_p) <= 1e-10
+
+
+def test_unbalanced_estimates_invariant_to_subject_order(rng):
+    # visit-count groups reorder the sums, so a permuted design must agree
+    # up to rounding, not bit for bit
+    design = make_design(rng, n_subjects=6, visits=[1, 3, 2, 5, 1, 4], q=2)
+    arr = rng.standard_normal((30, design.n))
+    arr -= arr.mean(axis=1, keepdims=True)
+    perm = np.array([3, 0, 5, 2, 4, 1])
+    cols = np.concatenate([np.arange(design.columns(i).start, design.columns(i).stop)
+                           for i in perm])
+    design_p = StudyDesign([design.subjects[i] for i in perm])
+
+    def covs_of(a, d):
+        panel = DataPanel.from_array(a, centered=True)
+        gram = accumulate_gram(panel)
+        decomp = eigen_gram(gram)
+        covs = intrinsic_covariances(decomp, compute_weights(build_design_matrix(d)), d,
+                                     gram=gram)
+        return lifted(panel, decomp, covs), covs.trace_x_raw, covs.trace_w_raw
+
+    (lx, lw), tx, tw = covs_of(arr, design)
+    (lx_p, lw_p), tx_p, tw_p = covs_of(arr[:, cols], design_p)
+    assert np.abs(lx - lx_p).max() <= 1e-10
+    assert np.abs(lw - lw_p).max() <= 1e-10
+    assert abs(tx - tx_p) <= 1e-10 and abs(tw - tw_p) <= 1e-10
 
 
 def test_monte_carlo_unbiasedness(rng):
