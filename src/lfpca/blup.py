@@ -22,7 +22,7 @@ from .design import StudyDesign, apply_covariate_scaling
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition
 from .limits import BLUP_CONDITION_LIMIT
-from .panel import DataPanel, stream
+from .panel import DataPanel, center_panel, stream
 
 if TYPE_CHECKING:
     from .fit import FittedModel
@@ -81,9 +81,10 @@ def _basis_grams(model: "FittedModel"):
 def panel_projections(model: "FittedModel", panel: DataPanel, threads: int | None = None):
     """Streamed projections of (possibly new) data against the stored bases.
 
-    Returns (projections, grams) where the Gram blocks are accumulated from
-    the lifted basis panels themselves, so saved models can score data
-    without the training decomposition.
+    The data is read through a view centered by the model mean. Returns
+    (projections, grams) where the Gram blocks are accumulated from the
+    lifted basis panels themselves, so saved models can score data without
+    the training decomposition.
     """
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
@@ -93,13 +94,11 @@ def panel_projections(model: "FittedModel", panel: DataPanel, threads: int | Non
 
     def _project(rows, blocks, outs):
         *xs, wb, block = blocks
-        if not panel.centered:
-            block = block - model.mean[rows, None]
         return ([x.T @ block for x in xs] + [wb.T @ block]
                 + [np.array([[a.T @ b for b in xs] for a in xs]),
                    np.array([a.T @ wb for a in xs]), wb.T @ wb])
 
-    sums, _ = stream([*model.phi_x, model.phi_w, panel], _project,
+    sums, _ = stream([*model.phi_x, model.phi_w, center_panel(panel, model.mean)], _project,
                      threads=resolve_threads(threads))
     q1 = model.q + 1
     return Projections(x=sums[:q1], w=sums[q1]), tuple(sums[q1 + 1:])

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +145,7 @@ def cmd_fit(args) -> int:
     write_scores_csv(result.scores, outdir / "scores.csv")
     save_model(model, outdir)
     if args.write_v:
-        left_vectors(replace(panel, mean=model.mean), result.decomposition,
+        left_vectors(panel, result.decomposition,
                      out_path=outdir / "v.lfpb", threads=threads)
     if args.dump_h:
         np.savetxt(outdir / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")

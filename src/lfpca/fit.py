@@ -2,7 +2,8 @@
 
 The intrinsic covariance matrices live in the r-dimensional singular basis.
 Their eigenvectors A are lifted back to voxel space as Phi = V A without
-ever forming a p x p covariance: per slice, V^l A = Y^l (U S^{-1/2}) A.
+ever forming a p x p covariance: per slice of the raw rows,
+V^l A = Y^l (J U S^{-1/2} A), where J = I - 11'/n centers the columns.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from ._parallel import resolve_threads
 from .design import (CovariateScale, DesignReport, StudyDesign, normalize_covariates,
                      validate_design)
 from .errors import IdentifiabilityError, ValidationError
-from .gram import (IntrinsicDecomposition, accumulate_gram, eigen_gram, eigh_descending,
-                   fix_signs, truncated_rank)
+from .gram import (IntrinsicDecomposition, accumulate_gram, center_factor, eigen_gram,
+                   eigh_descending, fix_signs, truncated_rank)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
-from .panel import DataPanel, center_panel, read_panel, stream, write_panel
+from .panel import DataPanel, read_panel, stream, write_panel
 
 ORDER_CAP = 30
 
@@ -218,14 +219,14 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
               n_w: int | None = None, rank: int | None = None, var_threshold: float = 0.9999,
               order_threshold: float = 0.9, normalize: bool = True,
               threads: int | None = None, workdir=None) -> FitResult:
-    """Run the full pipeline: center, SVD via the Gram matrix, moment
+    """Run the full pipeline: SVD via the centered Gram matrix, moment
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
     per-subject score prediction.
 
-    When ``workdir`` is given (required for file-backed panels), the lifted
-    bases are streamed to files there and the peak memory footprint stays
-    at O(p/L * n + n^2). A file-backed panel is centered into a temporary
-    ``centered.lfpb`` in ``workdir``, deleted before returning or raising.
+    The panel is read twice, raw: once for the Gram matrix and the mean,
+    once for the lift; no centered copy is made. When ``workdir`` is given,
+    the lifted bases are streamed to files there, so the peak memory
+    footprint stays at O(p/L * n + n^2); otherwise they are kept in memory.
     """
     threads = resolve_threads(threads)
     if panel.n != design.n:
@@ -240,36 +241,21 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)
-    temp = None  # the centered copy of a file-backed panel
-    if panel.file_backed and not panel.centered:
-        if workdir is None:
-            raise ValidationError("fitting a file-backed panel requires a workdir")
-        temp = workdir / "centered.lfpb"
-    try:
-        if panel.centered:
-            centered = panel
-            mean = panel.mean if panel.mean is not None else np.zeros(panel.p)
-        else:
-            centered = center_panel(panel, out_path=temp, threads=threads)
-            mean = centered.mean
 
-        gram = accumulate_gram(centered, threads=threads)
-        decomp_full = eigen_gram(gram)
-        orders = (n_x, n_w) if (n_x is not None and n_w is not None) else None
-        r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold,
-                           model_orders=orders)
-        decomp = decomp_full.truncate(r)
+    gram, mean = accumulate_gram(panel, threads=threads)
+    decomp_full = eigen_gram(gram)
+    orders = (n_x, n_w) if (n_x is not None and n_w is not None) else None
+    r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold,
+                       model_orders=orders)
+    decomp = decomp_full.truncate(r)
 
-        mom = compute_weights(build_design_matrix(design))
-        covs = intrinsic_covariances(decomp, mom, design, gram=gram)
-        basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
-        n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
-        sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
+    mom = compute_weights(build_design_matrix(design))
+    covs = intrinsic_covariances(decomp, mom, design, gram=gram)
+    basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
+    n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
+    sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
 
-        phi_x, phi_w = _lift_basis(centered, decomp, basis, design.q, workdir, threads)
-    finally:
-        if temp is not None:
-            temp.unlink(missing_ok=True)
+    phi_x, phi_w = _lift_basis(panel, decomp, basis, design.q, workdir, threads)
     model = FittedModel(p=panel.p, n=panel.n, q=design.q, r=r, n_x=n_x, n_w=n_w,
                         a_x=basis.a_x, a_w=basis.a_w,
                         lambda_x=basis.lambda_x, lambda_w=basis.lambda_w,
@@ -284,11 +270,12 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
                      design=design, mom=mom, gram=gram, report=report)
 
 
-def _lift_basis(centered: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,
+def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,
                 q: int, workdir: Path | None, threads: int):
-    """One streamed pass producing every lifted family: Phi = Y (U S^{-1/2}) A."""
+    """One streamed pass over the raw rows producing every lifted family:
+    Phi = Y (J U S^{-1/2} A)."""
     r = decomp.r
-    proj = decomp.u / np.sqrt(decomp.s)
+    proj = center_factor(decomp.u / np.sqrt(decomp.s))
     mats = [proj @ basis.a_x[k * r:(k + 1) * r] for k in range(q + 1)] + [proj @ basis.a_w]
     names = [f"phi_x_{k}.lfpb" for k in range(q + 1)] + ["phi_w.lfpb"]
 
@@ -296,7 +283,7 @@ def _lift_basis(centered: DataPanel, decomp: IntrinsicDecomposition, basis: Intr
         for m, out in zip(mats, outs):
             np.matmul(blocks[0], m, out=out)
 
-    _, panels = stream([centered], _lift,
+    _, panels = stream([panel], _lift,
                        [(m.shape[1], workdir / name if workdir is not None else None)
                         for m, name in zip(mats, names)], threads)
     return tuple(panels[:q + 1]), panels[-1]

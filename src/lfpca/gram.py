@@ -1,9 +1,11 @@
 """Gram-matrix SVD of the centered panel with p-linear, out-of-core effort.
 
-The n x n Gram matrix G = Y'Y is accumulated slice by slice, its
-eigendecomposition G = U S U' gives the right singular vectors and squared
-singular values, and the left singular vectors V = Y U S^{-1/2} are formed
-in a second streamed pass. All heavy work is therefore linear in p.
+Centering is the right product Y J with J = I - 11'/n, so no centered copy
+is made. The centered Gram matrix G = J Y'Y J is accumulated slice by slice
+from the raw rows, its eigendecomposition G = U S U' gives the right
+singular vectors and squared singular values, and the left singular
+vectors V = Y (J U S^{-1/2}) are formed in a second streamed pass. All
+heavy work is therefore linear in p.
 """
 
 from __future__ import annotations
@@ -38,13 +40,30 @@ class IntrinsicDecomposition:
         return replace(self, u=self.u[:, :rank], s=self.s[:rank], r=rank)
 
 
-def accumulate_gram(panel: DataPanel, threads: int = 1) -> np.ndarray:
-    """G = Y'Y as the ordered sum of per-slice contributions, symmetrized."""
-    if not panel.centered:
-        raise ValidationError("panel must be centered before Gram accumulation")
-    (gram,), _ = stream([panel], lambda rows, blocks, outs: (blocks[0].T @ blocks[0],),
-                        threads=threads)
-    return (gram + gram.T) / 2
+def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, mean)``: the centered Gram matrix and the row means, in one pass.
+
+    Each row is shifted by its first column before the slice products are
+    summed; J removes the shift exactly, and without it a large mean would
+    cancel the signal in J Y'Y J. Non-finite input raises NumericalError
+    naming the slice's rows and the first bad row.
+    """
+    def _slice(rows, blocks, outs):
+        block = blocks[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.sum(block, axis=1, out=outs[0])
+        bad = np.flatnonzero(~np.isfinite(outs[0]))
+        if bad.size:
+            raise NumericalError(f"non-finite input in rows [{rows.start}, {rows.stop}), "
+                                 f"first at row {rows.start + int(bad[0])}")
+        shifted = block - block[:, :1]
+        return (shifted.T @ shifted,)
+
+    (gram,), (sums,) = stream([panel], _slice, [(None, None)], threads)
+    gram = (gram + gram.T) / 2
+    col = gram.mean(axis=0)
+    gram -= col[:, None] + col[None, :] - col.mean()
+    return gram, sums / panel.n
 
 
 def eigen_gram(gram: np.ndarray) -> IntrinsicDecomposition:
@@ -111,25 +130,28 @@ def truncated_rank(s: np.ndarray, rank: int | None = None, var_threshold: float 
 
 def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, rank: int | None = None,
                  out_path=None, threads: int = 1) -> DataPanel:
-    """Left singular vectors V = Y U S^{-1/2}, streamed slice by slice.
+    """Left singular vectors V = Y (J U S^{-1/2}) of the centered panel Y J.
 
-    An uncentered panel must carry its ``mean``, which is subtracted from
-    each slice as it is read. Returned as a p x r panel in the same slice
-    layout as the input; written to ``out_path`` when given, else kept in
-    memory.
+    Streamed over the raw rows; centering is folded into the n x r factor.
+    Returned as a p x r panel in the same slice layout as the input; written
+    to ``out_path`` when given, else kept in memory.
     """
-    if not panel.centered and panel.mean is None:
-        raise ValidationError("panel must be centered or carry its mean")
     r = decomp.r if rank is None else rank
     if r > decomp.r:
         raise ValidationError(f"requested rank {r} exceeds retained rank {decomp.r}")
     if np.any(decomp.s[:r] <= 0):
         raise ValidationError("cannot form left vectors for non-positive singular values")
-    proj = decomp.u[:, :r] / np.sqrt(decomp.s[:r])
+    proj = center_factor(decomp.u[:, :r] / np.sqrt(decomp.s[:r]))
 
     def _left(rows, blocks, outs):
-        block = blocks[0] if panel.centered else blocks[0] - panel.mean[rows, None]
-        np.matmul(block, proj, out=outs[0])
+        np.matmul(blocks[0], proj, out=outs[0])
 
     _, (v,) = stream([panel], _left, [(r, out_path)], threads)
     return v
+
+
+def center_factor(factor: np.ndarray) -> np.ndarray:
+    """J F, so raw rows times J F equal centered rows times F. Formed in C
+    order: the column means then do not depend on the caller's layout."""
+    factor = np.ascontiguousarray(factor)
+    return factor - factor.mean(axis=0)

@@ -57,15 +57,14 @@ def default_slice_count(p: int, n: int, slice_bytes: int = DEFAULT_SLICE_BYTES) 
 class DataPanel:
     """A p x n float64 matrix exposed as ordered row slices.
 
-    ``mean`` is the estimated column-average carried along after centering;
-    ``centered`` records whether it has been subtracted from every column.
+    ``mean`` is set only by :func:`center_panel`: when present, every read
+    path returns the stored rows minus it.
     """
 
     p: int
     n: int
     row_starts: list[int]
-    centered: bool = False
-    mean: np.ndarray | None = None
+    mean: np.ndarray | None = field(default=None, repr=False)
     _array: np.ndarray | None = field(default=None, repr=False)
     _path: Path | None = field(default=None, repr=False)
     _payload_offset: int = field(default=0, repr=False)
@@ -82,14 +81,12 @@ class DataPanel:
             raise ValidationError(f"mean must have shape ({self.p},), got {self.mean.shape}")
 
     @classmethod
-    def from_array(cls, values, n_slices: int = 1, centered: bool = False,
-                   mean: np.ndarray | None = None) -> "DataPanel":
+    def from_array(cls, values, n_slices: int = 1) -> "DataPanel":
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError(f"panel array must be 2-D, got shape {arr.shape}")
         p, n = arr.shape
-        return cls(p=p, n=n, row_starts=slice_starts(p, n_slices),
-                   centered=centered, mean=mean, _array=arr)
+        return cls(p=p, n=n, row_starts=slice_starts(p, n_slices), _array=arr)
 
     @property
     def n_slices(self) -> int:
@@ -104,14 +101,18 @@ class DataPanel:
         if not (0 <= start <= stop <= self.p):
             raise ValidationError(f"row range [{start}, {stop}) outside panel of {self.p} rows")
         if self._array is not None:
-            return self._array[start:stop]
-        count = (stop - start) * self.n
-        with open(self._path, "rb") as fh:
-            fh.seek(self._payload_offset + start * self.n * 8)
-            block = np.fromfile(fh, dtype="<f8", count=count)
-        if block.size != count:
-            raise ValidationError(f"short read from {self._path}: wanted {count} values")
-        return block.reshape(stop - start, self.n)
+            block = self._array[start:stop]
+        else:
+            count = (stop - start) * self.n
+            with open(self._path, "rb") as fh:
+                fh.seek(self._payload_offset + start * self.n * 8)
+                block = np.fromfile(fh, dtype="<f8", count=count)
+            if block.size != count:
+                raise ValidationError(f"short read from {self._path}: wanted {count} values")
+            block = block.reshape(stop - start, self.n)
+        if self.mean is not None:
+            block = block - self.mean[start:stop, None]
+        return block
 
     def iter_slices(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (start_row, block) for each slice, in ascending order."""
@@ -119,16 +120,11 @@ class DataPanel:
             yield a, self.read_rows(a, b)
 
     def with_slices(self, n_slices: int) -> "DataPanel":
-        """Same backing, re-partitioned into ``n_slices`` slices."""
-        return DataPanel(p=self.p, n=self.n, row_starts=slice_starts(self.p, n_slices),
-                         centered=self.centered, mean=self.mean,
-                         _array=self._array, _path=self._path,
-                         _payload_offset=self._payload_offset)
+        """Same backing and mean, re-partitioned into ``n_slices`` slices."""
+        return replace(self, row_starts=slice_starts(self.p, n_slices))
 
     def to_array(self) -> np.ndarray:
         """Materialize the full matrix (small panels / tests only)."""
-        if self._array is not None:
-            return self._array
         return self.read_rows(0, self.p)
 
 
@@ -181,7 +177,7 @@ def write_panel(panel: DataPanel, path) -> None:
             writer.write_slice(block)
 
 
-def read_panel(path, centered: bool = False, mean: np.ndarray | None = None) -> DataPanel:
+def read_panel(path) -> DataPanel:
     """Open an LFPB file as a lazily-read panel (no payload is loaded)."""
     path = Path(path)
     if not path.is_file():
@@ -204,8 +200,8 @@ def read_panel(path, centered: bool = False, mean: np.ndarray | None = None) -> 
     expected = payload_offset + p * n * 8
     if size != expected:
         raise ValidationError(f"{path}: payload size mismatch, expected {expected} bytes, found {size}")
-    return DataPanel(p=p, n=n, row_starts=row_starts, centered=centered, mean=mean,
-                     _path=path, _payload_offset=payload_offset)
+    return DataPanel(p=p, n=n, row_starts=row_starts, _path=path,
+                     _payload_offset=payload_offset)
 
 
 def stream(panels, fn, outputs=(), threads: int = 1):
@@ -259,27 +255,15 @@ def stream(panels, fn, outputs=(), threads: int = 1):
                   for dest, (width, path) in zip(memory, outputs)]
 
 
-def center_panel(panel: DataPanel, out_path=None, threads: int = 1) -> DataPanel:
-    """Subtract the column-average from every column.
+def center_panel(panel: DataPanel, mean) -> DataPanel:
+    """A view of ``panel`` whose rows read as the stored rows minus ``mean``.
 
-    Two passes over the slices: one computing the mean, one subtracting it.
-    The output is array-backed when no ``out_path`` is given; otherwise it is
-    written to ``out_path`` (required for file-backed input).
+    No pass, copy or file is made: ``read_rows``, ``iter_slices`` and
+    ``to_array`` subtract the mean from each block as it is read. Centering
+    a view again subtracts both means.
     """
-    if panel.centered:
-        raise ValidationError("panel is already centered")
-    if out_path is None and panel.file_backed:
-        raise ValidationError("centering a file-backed panel requires out_path")
-
-    def _mean(rows, blocks, outs):
-        np.divide(blocks[0].sum(axis=1), panel.n, out=outs[0])
-
-    def _center(rows, blocks, outs):
-        np.subtract(blocks[0], mean[rows, None], out=outs[0])
-
-    _, (mean,) = stream([panel], _mean, [(None, None)], threads)
-    _, (centered,) = stream([panel], _center, [(panel.n, out_path)], threads)
-    return replace(centered, centered=True, mean=mean)
+    mean = np.asarray(mean, dtype=np.float64)
+    return replace(panel, mean=mean if panel.mean is None else panel.mean + mean)
 
 
 def panel_to_csv(panel: DataPanel, path) -> None:

@@ -14,9 +14,14 @@ def fitted_model(rng, p=60, n_subjects=6, visits=3, n_x=2, n_w=2, q=1):
     return fit_panel(panel, design, n_x=n_x, n_w=n_w)
 
 
+def mean_panel(model, n):
+    """Every column equal to the model mean: exactly zero once centered."""
+    return DataPanel.from_array(np.tile(model.mean[:, None], (1, n)))
+
+
 def test_zero_data_gives_zero_scores(rng):
     res = fitted_model(rng)
-    zero = DataPanel.from_array(np.zeros((res.model.p, res.design.n)), centered=True)
+    zero = mean_panel(res.model, res.design.n)
     scores = score_new_panel(res.model, zero, res.design, apply_scaling=False)
     assert np.abs(scores.xi_matrix()).max() == 0.0
     assert np.abs(scores.zeta_matrix()).max() == 0.0
@@ -121,16 +126,13 @@ def test_rank_deficient_solve_is_flagged_not_fatal(rng):
     z = np.column_stack([np.ones(6), np.zeros(6) + 1.0])
     from lfpca import Subject
     design = StudyDesign([Subject("dup", z)])
-    panel = DataPanel.from_array(np.zeros((model.p, 6)), centered=True)
-    scores = score_new_panel(model, panel, design, apply_scaling=False)
+    scores = score_new_panel(model, mean_panel(model, 6), design, apply_scaling=False)
     assert scores.subjects[0].rank_deficient or np.abs(scores.subjects[0].xi).max() == 0.0
 
 
 def test_reconstruct_zero_scores_returns_mean(rng):
     res = fitted_model(rng)
-    scores = score_new_panel(res.model,
-                             DataPanel.from_array(np.zeros((res.model.p, res.design.n)),
-                                                  centered=True),
+    scores = score_new_panel(res.model, mean_panel(res.model, res.design.n),
                              res.design, apply_scaling=False)
     rec = reconstruct(res.model, scores, res.design, 0, 0)
     np.testing.assert_allclose(rec, res.model.mean, atol=1e-12)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from conftest import make_design
-from lfpca import (DataPanel, IntrinsicDecomposition, center_panel, left_vectors, read_panel,
+from lfpca import (DataPanel, IntrinsicDecomposition, left_vectors, read_panel,
                    read_scores_csv, write_metadata, write_panel)
 from lfpca.cli import format_cell, main
 
@@ -276,13 +276,16 @@ def test_dump_h_and_write_v(tmp_path):
     assert v.p == 60
     arr = v.to_array()
     assert np.abs(arr.T @ arr - np.eye(arr.shape[1])).max() < 1e-8
-    # the same bits as the left vectors of the panel centered in memory
+    # the same bits as the left vectors of the panel held in memory, and the
+    # dense left vectors of the centered array
     raw = read_panel(sim / "rep_000" / "panel.lfpb")
-    cen = center_panel(DataPanel.from_array(raw.to_array(), n_slices=raw.n_slices))
+    mem = DataPanel.from_array(raw.to_array(), n_slices=raw.n_slices)
     u = np.loadtxt(fit_dir / "u.csv", delimiter=",", ndmin=2)
     s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
     decomp = IntrinsicDecomposition(u=u, s=s, r=s.size, total_gram_trace=float(s.sum()))
-    np.testing.assert_array_equal(arr, left_vectors(cen, decomp).to_array())
+    np.testing.assert_array_equal(arr, left_vectors(mem, decomp).to_array())
+    cen = mem.to_array() - mem.to_array().mean(axis=1, keepdims=True)
+    np.testing.assert_allclose(arr, cen @ (u / np.sqrt(s)), atol=1e-12)
 
 
 def test_convert_round_trip(tmp_path, rng):
@@ -306,7 +309,7 @@ def test_console_entry_point():
     assert "lfpca" in proc.stdout
 
 
-def test_fit_nonfinite_panel_exits_4(tmp_path, rng):
+def test_fit_nonfinite_panel_exits_4(tmp_path, rng, capsys):
     design = make_design(rng, n_subjects=6, visits=3)
     arr = rng.standard_normal((12, design.n))
     arr[3, 4] = np.nan
@@ -315,6 +318,7 @@ def test_fit_nonfinite_panel_exits_4(tmp_path, rng):
     code = run("fit", "--data", str(tmp_path / "nan.lfpb"), "--meta",
                str(tmp_path / "meta.csv"), "--out", str(tmp_path / "f"))
     assert code == 4
+    assert "first at row 3" in capsys.readouterr().err
     assert list((tmp_path / "f").glob("*.lfpb")) == []
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,10 @@ def fit_and_oracle(rng, p=40, n_subjects=6, visits=3, q=1, n_x=3, n_w=3, noise=1
 
 def test_fit_matches_dense_oracle(rng):
     res, ora = fit_and_oracle(rng)
-    model = res.model
+    assert_matches_oracle(res.model, ora)
+
+
+def assert_matches_oracle(model, ora):
     np.testing.assert_allclose(model.lambda_x, ora["lambda_x"], rtol=1e-8, atol=1e-12)
     np.testing.assert_allclose(model.lambda_w, ora["lambda_w"], rtol=1e-8, atol=1e-12)
     assert abs(model.trace_x - ora["trace_x"]) <= 1e-8 * abs(ora["trace_x"])
@@ -163,6 +168,24 @@ def test_fit_matches_dense_oracle(rng):
         if k < model.n_w:
             err = aligned_vec_err(ora["phi_w"][:, [k]], w_est[:, [k]])
             assert err[0] <= 1e-6
+
+
+def test_fit_large_mean_matches_dense_oracle(rng, tmp_path):
+    # a mean image 1e4 x the signal scale: without the per-row shift in the
+    # Gram pass, J Y'Y J cancels away about 1e-8 of the centered Gram
+    design = make_design(rng, n_subjects=6, visits=3)
+    grid = 2.0 ** -30  # signal and mean on one grid, so Y = mean + signal exactly
+    signal = np.round(rng.standard_normal((40, design.n)) / grid) * grid
+    signal[:, -1] = -signal[:, :-1].sum(axis=1)  # rows with mean exactly zero
+    arr = 1e4 * np.round(rng.uniform(1.0, 2.0, (40, 1)) / grid) * grid + signal
+    assert np.array_equal(arr - arr[:, :1] + signal[:, :1], signal)
+    ora = oracle_fit(signal, [s.z for s in design.subjects], 3, 3)
+    write_panel(DataPanel.from_array(arr), tmp_path / "p.lfpb")
+    for raw in (DataPanel.from_array(arr), read_panel(tmp_path / "p.lfpb")):
+        for slices in (1, 3):
+            res = fit_panel(raw.with_slices(slices), design, n_x=3, n_w=3, normalize=False)
+            assert_matches_oracle(res.model, ora)
+            np.testing.assert_allclose(res.model.mean, arr.mean(axis=1), rtol=1e-15)
 
 
 def test_lifted_eigenvectors_match_dense_eigensolver(rng):
@@ -298,14 +321,13 @@ def test_model_save_load_round_trip(rng, tmp_path):
     assert loaded.covariate_scaling == res.model.covariate_scaling
 
 
-def test_fit_file_backed_requires_workdir(rng, tmp_path):
+def test_fit_file_backed_without_workdir(rng, tmp_path):
     design = make_design(rng, n_subjects=6, visits=3)
     arr = rng.standard_normal((24, design.n))
     write_panel(DataPanel.from_array(arr), tmp_path / "p.lfpb")
-    panel = read_panel(tmp_path / "p.lfpb")
-    with pytest.raises(ValidationError, match="workdir"):
-        fit_panel(panel, design, n_x=2, n_w=2)
-    res = fit_panel(panel, design, n_x=2, n_w=2, workdir=tmp_path / "wd")
+    res = fit_panel(read_panel(tmp_path / "p.lfpb"), design, n_x=2, n_w=2)
+    assert not res.model.phi_w.file_backed
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.lfpb"]
     res_mem = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
     np.testing.assert_allclose(res.model.phi_w.to_array(),
                                res_mem.model.phi_w.to_array(), atol=1e-12)
@@ -326,6 +348,43 @@ def test_fit_file_backed_deletes_centered_copy(rng, tmp_path):
         fit_panel(read_panel(tmp_path / "bad.lfpb"), design, n_x=2, n_w=2,
                   workdir=tmp_path / "failed")
     assert list((tmp_path / "failed").iterdir()) == []
+
+
+def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):
+    # one pass for the Gram matrix and the mean, one for the lift
+    design = make_design(rng, n_subjects=6, visits=3)
+    path = tmp_path / "p.lfpb"
+    write_panel(DataPanel.from_array(rng.standard_normal((30, design.n))), path)
+    reads = np.zeros(30, dtype=int)
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        if self._path == path:
+            reads[start:stop] += 1
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    fit_panel(read_panel(path).with_slices(4), design, n_x=2, n_w=2, threads=2,
+              workdir=tmp_path / "wd")
+    np.testing.assert_array_equal(reads, 2)
+    assert sorted(f.name for f in (tmp_path / "wd").iterdir()) == [
+        "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb"]
+
+
+def test_fit_reports_nonfinite_input_row(rng, tmp_path):
+    # found in the Gram pass, before any output, with no numpy warning
+    design = make_design(rng, n_subjects=6, visits=3)
+    arr = rng.standard_normal((24, design.n))
+    arr[13, 5] = np.inf
+    write_panel(DataPanel.from_array(arr), tmp_path / "inf.lfpb")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, panel in (("mem", DataPanel.from_array(arr)),
+                            ("file", read_panel(tmp_path / "inf.lfpb"))):
+            workdir = tmp_path / name
+            with pytest.raises(NumericalError, match=r"rows \[8, 16\), first at row 13"):
+                fit_panel(panel.with_slices(3), design, n_x=2, n_w=2, workdir=workdir)
+            assert list(workdir.iterdir()) == []
 
 
 def test_thread_resolution_env(monkeypatch):

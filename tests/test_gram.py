@@ -3,50 +3,56 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfpca import (DataPanel, ValidationError, accumulate_gram, eigen_gram, left_vectors,
-                   truncated_rank, write_panel, read_panel)
+from lfpca import (DataPanel, IntrinsicDecomposition, ValidationError, accumulate_gram,
+                   center_panel, eigen_gram, left_vectors, truncated_rank, write_panel,
+                   read_panel)
 
 
-def centered(arr, n_slices=1):
-    return DataPanel.from_array(np.asarray(arr, dtype=float), n_slices=n_slices, centered=True)
+def panel(arr, n_slices=1):
+    return DataPanel.from_array(np.asarray(arr, dtype=float), n_slices=n_slices)
+
+
+def centered(arr):
+    """Dense oracle: every row minus its mean."""
+    arr = np.asarray(arr, dtype=float)
+    return arr - arr.mean(axis=1, keepdims=True)
+
+
+def gram_of(arr, n_slices=1):
+    return accumulate_gram(panel(arr, n_slices))[0]
 
 
 # --- Gram accumulation -------------------------------------------------------
 
 def test_gram_identity():
+    c = centered(np.eye(4))
     for n_slices in (1, 2, 4):
-        gram = accumulate_gram(centered(np.eye(4), n_slices))
-        np.testing.assert_array_equal(gram, np.eye(4))
+        gram, mean = accumulate_gram(panel(np.eye(4), n_slices))
+        np.testing.assert_array_equal(gram, c.T @ c)
+        np.testing.assert_array_equal(mean, np.full(4, 0.25))
 
 
 def test_gram_zero():
-    np.testing.assert_array_equal(accumulate_gram(centered(np.zeros((5, 3)))), np.zeros((3, 3)))
+    np.testing.assert_array_equal(gram_of(np.zeros((5, 3))), np.zeros((3, 3)))
 
 
 def test_gram_matches_dense_product(rng):
     arr = rng.standard_normal((6, 3))
-    gram = accumulate_gram(centered(arr, n_slices=2))
-    assert np.abs(gram - arr.T @ arr).max() <= 1e-12
+    gram = gram_of(arr, n_slices=2)
+    assert np.abs(gram - centered(arr).T @ centered(arr)).max() <= 1e-12
 
 
 def test_gram_invariant_to_slice_count(rng):
     arr = rng.standard_normal((40, 9))
-    grams = [accumulate_gram(centered(arr, n_slices=l)) for l in (1, 3, 7, 40)]
+    grams = [gram_of(arr, n_slices=l) for l in (1, 3, 7, 40)]
     for gram in grams[1:]:
         assert np.abs(gram - grams[0]).max() <= 1e-12
 
 
-def test_gram_requires_centered_flag(rng):
-    panel = DataPanel.from_array(rng.standard_normal((4, 3)))
-    with pytest.raises(ValidationError):
-        accumulate_gram(panel)
-
-
 def test_gram_trace_equals_frobenius(rng):
     arr = rng.standard_normal((12, 5))
-    gram = accumulate_gram(centered(arr))
-    decomp = eigen_gram(gram)
-    assert abs(decomp.total_gram_trace - np.sum(arr * arr)) < 1e-10
+    decomp = eigen_gram(gram_of(arr))
+    assert abs(decomp.total_gram_trace - np.sum(centered(arr) ** 2)) < 1e-10
     assert abs(decomp.total_gram_trace - decomp.s.sum()) < 1e-10  # full rank here
     assert decomp.total_gram_trace >= decomp.s.sum() - 1e-12
 
@@ -116,19 +122,19 @@ def test_truncated_rank_explicit_with_floor():
 # --- left singular vectors ---------------------------------------------------
 
 def test_left_vectors_identity():
-    panel = centered(np.eye(4))
-    decomp = eigen_gram(accumulate_gram(panel))
-    v = left_vectors(panel, decomp).to_array()
+    eye = panel(np.eye(4))
+    decomp = eigen_gram(accumulate_gram(eye)[0])
+    v = left_vectors(eye, decomp).to_array()
     recon = v @ np.diag(np.sqrt(decomp.s)) @ decomp.u.T
-    assert np.abs(recon - np.eye(4)).max() <= 1e-12
+    assert np.abs(recon - centered(np.eye(4))).max() <= 1e-12
 
 
 def test_left_vectors_full_rank_reconstruction(rng):
     arr = rng.standard_normal((50, 8))
     arr -= arr.mean(axis=1, keepdims=True)
-    panel = centered(arr, n_slices=3)
-    decomp = eigen_gram(accumulate_gram(panel))
-    v = left_vectors(panel, decomp).to_array()
+    data = panel(arr, n_slices=3)
+    decomp = eigen_gram(accumulate_gram(data)[0])
+    v = left_vectors(data, decomp).to_array()
     assert np.abs(v.T @ v - np.eye(decomp.r)).max() <= 1e-10
     recon = v @ (np.sqrt(decomp.s)[:, None] * decomp.u.T)
     assert np.linalg.norm(recon - arr) <= 1e-10 * np.linalg.norm(arr)
@@ -142,43 +148,46 @@ def test_left_vectors_rank_two_exact(rng):
     a, b = rng.standard_normal((40,)), rng.standard_normal((6,))
     c, d = rng.standard_normal((40,)), rng.standard_normal((6,))
     arr = np.outer(a, b) + np.outer(c, d)
-    panel = centered(arr, n_slices=4)
-    decomp = eigen_gram(accumulate_gram(panel))
+    data = panel(arr, n_slices=4)
+    decomp = eigen_gram(accumulate_gram(data)[0])
     assert decomp.r == 2
-    v = left_vectors(panel, decomp, rank=2).to_array()
+    v = left_vectors(data, decomp, rank=2).to_array()
     recon = v @ (np.sqrt(decomp.s[:2])[:, None] * decomp.u[:, :2].T)
-    assert np.linalg.norm(recon - arr) <= 1e-10 * np.linalg.norm(arr)
+    assert np.linalg.norm(recon - centered(arr)) <= 1e-10 * np.linalg.norm(centered(arr))
 
 
 def test_left_vectors_rejects_excess_rank(rng):
-    arr = rng.standard_normal((10, 4))
-    panel = centered(arr)
-    decomp = eigen_gram(accumulate_gram(panel))
+    data = panel(rng.standard_normal((10, 4)))
+    decomp = eigen_gram(accumulate_gram(data)[0])
     with pytest.raises(ValidationError):
-        left_vectors(panel, decomp, rank=decomp.r + 1)
+        left_vectors(data, decomp, rank=decomp.r + 1)
 
 
 def test_left_vectors_to_file(rng, tmp_path):
-    arr = rng.standard_normal((20, 5))
-    panel = centered(arr, n_slices=3)
-    decomp = eigen_gram(accumulate_gram(panel))
-    v_file = left_vectors(panel, decomp, out_path=tmp_path / "v.lfpb")
-    v_mem = left_vectors(panel, decomp)
+    data = panel(rng.standard_normal((20, 5)), n_slices=3)
+    decomp = eigen_gram(accumulate_gram(data)[0])
+    v_file = left_vectors(data, decomp, out_path=tmp_path / "v.lfpb")
+    v_mem = left_vectors(data, decomp)
     np.testing.assert_array_equal(v_file.to_array(), v_mem.to_array())
 
 
 
 def test_left_vectors_centers_slices_of_panel_with_mean(rng, tmp_path):
+    # raw rows times J U S^{-1/2} are centered rows times U S^{-1/2} for any
+    # U, not only one orthogonal to the ones vector; from a file, from
+    # memory, or through a view centered by the mean
     arr = rng.standard_normal((20, 5)) + 3.0
     write_panel(DataPanel.from_array(arr, n_slices=3), tmp_path / "raw.lfpb")
-    mean = arr.mean(axis=1)
-    cen = centered(arr - mean[:, None], n_slices=3)
-    decomp = eigen_gram(accumulate_gram(cen))
-    raw = read_panel(tmp_path / "raw.lfpb", mean=mean)
+    raw = read_panel(tmp_path / "raw.lfpb")
+    u = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    decomp = IntrinsicDecomposition(u=u, s=np.array([3.0, 2.0, 1.0]), r=3, total_gram_trace=6.0)
+    dense = centered(arr) @ (u / np.sqrt(decomp.s))
+    np.testing.assert_allclose(left_vectors(raw, decomp).to_array(), dense, atol=1e-13)
+    view = center_panel(raw, arr.mean(axis=1))
+    np.testing.assert_allclose(left_vectors(view, decomp).to_array(), dense, atol=1e-13)
     np.testing.assert_array_equal(left_vectors(raw, decomp).to_array(),
-                                  left_vectors(cen, decomp).to_array())
-    with pytest.raises(ValidationError, match="mean"):
-        left_vectors(read_panel(tmp_path / "raw.lfpb"), decomp)
+                                  left_vectors(panel(arr, 3), decomp).to_array())
+
 
 # --- memory scaling ----------------------------------------------------------
 
@@ -187,9 +196,9 @@ def test_gram_memory_scales_with_slice_size(rng, tmp_path):
     arr = rng.standard_normal((p, n))
     write_panel(DataPanel.from_array(arr, n_slices=slices), tmp_path / "p.lfpb")
     del arr
-    panel = read_panel(tmp_path / "p.lfpb", centered=True)
+    data = read_panel(tmp_path / "p.lfpb")
     tracemalloc.start()
-    accumulate_gram(panel)
+    accumulate_gram(data)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     dense_bytes = p * n * 8

@@ -72,8 +72,8 @@ def test_weights_are_minimum_norm_solutions(rng):
 def fit_covs(rng, p, design, n_slices=1, gram_exact=True):
     arr = rng.standard_normal((p, design.n))
     arr -= arr.mean(axis=1, keepdims=True)
-    panel = DataPanel.from_array(arr, n_slices=n_slices, centered=True)
-    gram = accumulate_gram(panel)
+    panel = DataPanel.from_array(arr, n_slices=n_slices)
+    gram, _ = accumulate_gram(panel)
     decomp = eigen_gram(gram)
     mom = compute_weights(build_design_matrix(design))
     covs = intrinsic_covariances(decomp, mom, design, gram=gram if gram_exact else None)
@@ -163,8 +163,8 @@ def test_estimates_invariant_to_subject_order(rng):
     arr_p = arr[:, cols]
 
     def covs_of(a, d):
-        panel = DataPanel.from_array(a, centered=True)
-        gram = accumulate_gram(panel)
+        panel = DataPanel.from_array(a)
+        gram, _ = accumulate_gram(panel)
         decomp = eigen_gram(gram)
         mom = compute_weights(build_design_matrix(d))
         covs = intrinsic_covariances(decomp, mom, d, gram=gram)
@@ -189,8 +189,8 @@ def test_unbalanced_estimates_invariant_to_subject_order(rng):
     design_p = StudyDesign([design.subjects[i] for i in perm])
 
     def covs_of(a, d):
-        panel = DataPanel.from_array(a, centered=True)
-        gram = accumulate_gram(panel)
+        panel = DataPanel.from_array(a)
+        gram, _ = accumulate_gram(panel)
         decomp = eigen_gram(gram)
         covs = intrinsic_covariances(decomp, compute_weights(build_design_matrix(d)), d,
                                      gram=gram)
@@ -222,12 +222,12 @@ def test_monte_carlo_unbiasedness(rng):
         zeta = np.sqrt(lam_w) * rng.standard_normal((design.n, 2))
         arr = basis_x @ xi[subj_of_col].T + basis @ zeta.T
         # intercept-only subject effect: identical across visits of a subject
-        panel = DataPanel.from_array(arr, centered=True)  # true mean is zero
-        gram = accumulate_gram(panel)
+        # true mean is zero: the uncentered Gram and left vectors, formed here
+        gram = arr.T @ arr
         decomp = eigen_gram(gram)
         mom = compute_weights(build_design_matrix(design))
         covs = intrinsic_covariances(decomp, mom, design, gram=gram)
-        v = left_vectors(panel, decomp).to_array()
+        v = arr @ (decomp.u / np.sqrt(decomp.s))
         acc += v @ covs.k_w @ v.T
     mean_est = acc / reps
     err = np.abs(mean_est - k_w_true).max()

@@ -65,48 +65,41 @@ def test_writer_rejects_wrong_shape_and_incomplete(tmp_path):
 
 def test_center_two_columns():
     panel = DataPanel.from_array(np.array([[1.0, 3.0], [1.0, 3.0]]))
-    centered = center_panel(panel)
+    centered = center_panel(panel, [2.0, 2.0])
     np.testing.assert_array_equal(centered.mean, [2.0, 2.0])
     np.testing.assert_array_equal(centered.to_array(), [[-1.0, 1.0], [-1.0, 1.0]])
-    assert centered.centered
+    np.testing.assert_array_equal(panel.to_array(), [[1.0, 3.0], [1.0, 3.0]])
+    assert panel.mean is None
 
 
 def test_center_zero_panel():
-    panel = DataPanel.from_array(np.zeros((3, 4)))
-    centered = center_panel(panel)
-    np.testing.assert_array_equal(centered.mean, np.zeros(3))
-    np.testing.assert_array_equal(centered.to_array(), np.zeros((3, 4)))
-
-
-def test_center_refuses_twice():
-    panel = DataPanel.from_array(np.zeros((2, 2)))
-    with pytest.raises(ValidationError):
-        center_panel(center_panel(panel))
-
-
-def test_center_invariant_to_slice_count(rng):
-    arr = rng.standard_normal((10, 6))
-    one = center_panel(DataPanel.from_array(arr, n_slices=1))
-    three = center_panel(DataPanel.from_array(arr, n_slices=3))
-    # oracle: plain in-memory centering
-    expected = arr - arr.mean(axis=1, keepdims=True)
-    np.testing.assert_array_equal(one.to_array(), three.to_array())
-    np.testing.assert_allclose(one.to_array(), expected, atol=1e-15)
-    row_sums = np.abs(one.to_array().sum(axis=1))
-    assert row_sums.max() <= 1e-8 * arr.shape[1] * np.abs(arr).max()
+    # a view of a view subtracts both means
+    mean = np.array([1.0, -2.0, 0.5])
+    once = center_panel(DataPanel.from_array(np.zeros((3, 4))), mean)
+    np.testing.assert_array_equal(once.to_array(), np.tile(-mean[:, None], (1, 4)))
+    np.testing.assert_array_equal(center_panel(once, -mean).to_array(), np.zeros((3, 4)))
 
 
 def test_center_file_backed_matches_memory(rng, tmp_path):
-    arr = rng.standard_normal((12, 5))
-    write_panel(DataPanel.from_array(arr, n_slices=4), tmp_path / "raw.lfpb")
-    on_disk = center_panel(read_panel(tmp_path / "raw.lfpb"), out_path=tmp_path / "c.lfpb")
-    in_mem = center_panel(DataPanel.from_array(arr, n_slices=4))
-    np.testing.assert_array_equal(on_disk.to_array(), in_mem.to_array())
-    np.testing.assert_array_equal(on_disk.mean, in_mem.mean)
-    threaded = center_panel(read_panel(tmp_path / "raw.lfpb"), out_path=tmp_path / "t.lfpb",
-                            threads=3)
-    np.testing.assert_array_equal(threaded.to_array(), in_mem.to_array())
-    assert threaded.centered and threaded.row_starts == on_disk.row_starts
+    # every read path of the view gives raw - mean, in memory and from a
+    # file, for any slicing; nothing is written and the raw panel is untouched
+    arr = rng.standard_normal((12, 5)) + 50.0
+    mean = arr.mean(axis=1)
+    expected = arr - mean[:, None]
+    write_panel(DataPanel.from_array(arr), tmp_path / "raw.lfpb")
+    for raw in (DataPanel.from_array(arr), read_panel(tmp_path / "raw.lfpb")):
+        for slices in (1, 3):
+            view = center_panel(raw.with_slices(slices), mean)
+            assert view.n_slices == slices and view.file_backed == raw.file_backed
+            np.testing.assert_array_equal(view.to_array(), expected)
+            np.testing.assert_array_equal(np.vstack([b for _, b in view.iter_slices()]),
+                                          expected)
+            np.testing.assert_array_equal(view.read_rows(4, 9), expected[4:9])
+            np.testing.assert_array_equal(view.with_slices(4).to_array(), expected)
+        np.testing.assert_array_equal(raw.to_array(), arr)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["raw.lfpb"]
+    with pytest.raises(ValidationError):
+        center_panel(DataPanel.from_array(arr), mean[:5])
 
 
 def test_stream_deletes_partial_outputs_on_error(rng, tmp_path):
