@@ -80,6 +80,19 @@ def test_center_zero_panel():
     np.testing.assert_array_equal(center_panel(once, -mean).to_array(), np.zeros((3, 4)))
 
 
+def test_center_invariant_to_slice_count(rng):
+    arr = rng.standard_normal((10, 6))
+    mean = arr.mean(axis=1)
+    one = center_panel(DataPanel.from_array(arr, n_slices=1), mean)
+    three = center_panel(DataPanel.from_array(arr, n_slices=3), mean)
+    # oracle: plain in-memory centering
+    expected = arr - arr.mean(axis=1, keepdims=True)
+    np.testing.assert_array_equal(one.to_array(), three.to_array())
+    np.testing.assert_allclose(one.to_array(), expected, atol=1e-15)
+    row_sums = np.abs(one.to_array().sum(axis=1))
+    assert row_sums.max() <= 1e-8 * arr.shape[1] * np.abs(arr).max()
+
+
 def test_center_file_backed_matches_memory(rng, tmp_path):
     # every read path of the view gives raw - mean, in memory and from a
     # file, for any slicing; nothing is written and the raw panel is untouched
