@@ -8,10 +8,14 @@ Exit codes are stable: 0 success, 2 validation/usage failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .fit import fit_panel, load_model, save_model, variance_explained
 from .gram import left_vectors
 from .limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
-from .panel import panel_from_csv, panel_to_csv, read_panel, write_panel
+from .panel import digest_panel, panel_from_csv, panel_to_csv, read_panel, write_panel
 from .simulate import (LATTICE_DIMS, ScenarioSpec, evaluate, generate_scenario1,
                        generate_scenario2, load_truth, save_truth)
 
@@ -126,51 +130,77 @@ def cmd_fit(args) -> int:
         raise ValidationError("--nx must be >= 1 (or omitted for auto)")
     if args.nw is not None and args.nw < 1:
         raise ValidationError("--nw must be >= 1 (or omitted for auto)")
-    panel = read_panel(args.data)
+    threads = _resolve_threads_flag(args.threads)
+    panel = digest_panel(read_panel(args.data))
     design = read_metadata(args.meta)
     if args.slices is not None:
         panel = panel.with_slices(args.slices)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    threads = resolve_threads(args.threads)
-    result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
-                       var_threshold=args.var_threshold,
-                       order_threshold=args.order_threshold,
-                       normalize=not args.no_normalize, threads=threads, workdir=outdir)
-    model = result.model
-    _write_eigenvalues(outdir / "eigenvalues.csv", model)
-    variance_explained(model).write_csv(outdir / "variance_explained.csv")
-    np.savetxt(outdir / "u.csv", result.decomposition.u, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "s.csv", result.decomposition.s, delimiter=",", fmt="%.17g")
-    write_scores_csv(result.scores, outdir / "scores.csv")
-    save_model(model, outdir)
-    if args.write_v:
-        left_vectors(panel, result.decomposition,
-                     out_path=outdir / "v.lfpb", threads=threads)
-    if args.dump_h:
-        np.savetxt(outdir / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
+    with _staged_dir(outdir) as stage:
+        result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
+                           var_threshold=args.var_threshold,
+                           order_threshold=args.order_threshold,
+                           normalize=not args.no_normalize, threads=threads, workdir=stage)
+        data_hash = panel.digest.hexdigest()
+        model, decomp = result.model, result.decomposition
+        _write_eigenvalues(stage / "eigenvalues.csv", model)
+        variance_explained(model).write_csv(stage / "variance_explained.csv")
+        np.savetxt(stage / "u.csv", decomp.u, delimiter=",", fmt="%.17g")
+        np.savetxt(stage / "s.csv", decomp.s, delimiter=",", fmt="%.17g")
+        write_scores_csv(result.scores, stage / "scores.csv")
+        save_model(model, stage)
+        if args.write_v:
+            left_vectors(panel, decomp, out_path=stage / "v.lfpb", threads=threads)
+        if args.dump_h:
+            np.savetxt(stage / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
 
-    manifest = {
-        "command": "fit",
-        "version": __version__,
-        "config": {
-            "nx": model.n_x, "nw": model.n_w, "rank": rank, "var_threshold": args.var_threshold,
-            "order_threshold": args.order_threshold, "slices": panel.n_slices,
-            "normalize": not args.no_normalize, "threads": threads,
-            "condition_limit_ff": FF_CONDITION_LIMIT, "condition_limit_blup": BLUP_CONDITION_LIMIT,
-            "rank_eps": RANK_EPS,
-        },
-        "input_hashes": {args.data: _sha256(args.data), args.meta: _sha256(args.meta)},
-        "timing_seconds": round(time.monotonic() - t0, 6),
-        "p": model.p, "n": model.n, "q": model.q, "r": model.r,
-        "clipped_count": model.clipped_count,
-        "sigma2": model.sigma2,
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        manifest = {
+            "command": "fit",
+            "version": __version__,
+            "config": {
+                "nx": model.n_x, "nw": model.n_w, "rank": rank,
+                "var_threshold": args.var_threshold,
+                "order_threshold": args.order_threshold, "slices": panel.n_slices,
+                "normalize": not args.no_normalize, "threads": threads,
+                "condition_limit_ff": FF_CONDITION_LIMIT,
+                "condition_limit_blup": BLUP_CONDITION_LIMIT, "rank_eps": RANK_EPS,
+            },
+            "input_hashes": {args.data: data_hash, args.meta: _sha256(args.meta)},
+            "timing_seconds": round(time.monotonic() - t0, 6),
+            "p": model.p, "n": model.n, "q": model.q, "r": model.r,
+            "clipped_count": model.clipped_count,
+            "sigma2": model.sigma2,
+            "design_condition_number": result.report.condition_number,
+            "rank_deficient_subjects": sum(1 for s in result.scores.subjects if s.rank_deficient),
+            "retained_mass": float(decomp.s.sum() / decomp.total_gram_trace),
+        }
+        with open(stage / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
     print(f"fit complete: r={model.r}, n_x={model.n_x}, n_w={model.n_w}, "
           f"sigma2={model.sigma2:.6g}, out={outdir}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _staged_dir(outdir: Path):
+    """A temporary sibling directory of ``outdir`` whose files are moved
+    into ``outdir`` when the block ends without error. It is removed either
+    way, so a failed fit leaves ``outdir`` as it was."""
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
+    try:
+        yield stage
+        outdir.mkdir(exist_ok=True)
+        for path in stage.iterdir():
+            os.replace(path, outdir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _resolve_threads_flag(raw) -> int:
+    if raw is not None and raw < 1:
+        raise ValidationError(f"--threads must be >= 1 (or omitted), got {raw}")
+    return resolve_threads(raw)
 
 
 def _parse_rank(raw):
@@ -320,12 +350,13 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scores(args) -> int:
+    threads = _resolve_threads_flag(args.threads)
     model = load_model(args.model)
     panel = read_panel(args.data)
     design = read_metadata(args.meta)
     if panel.p != model.p:
         raise ValidationError(f"panel has p={panel.p}, model expects p={model.p}")
-    scores = score_new_panel(model, panel, design, threads=resolve_threads(args.threads))
+    scores = score_new_panel(model, panel, design, threads=threads)
     write_scores_csv(scores, args.out)
     print(f"scored {design.n_subjects} subject(s) -> {args.out}")
     return EXIT_OK

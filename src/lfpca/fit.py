@@ -229,6 +229,8 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     footprint stays at O(p/L * n + n^2); otherwise they are kept in memory.
     """
     threads = resolve_threads(threads)
+    if not 0 < order_threshold <= 1:
+        raise ValidationError(f"order_threshold must be in (0, 1], got {order_threshold}")
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
     report = validate_design(design)

@@ -22,6 +22,7 @@ matrix in row-major order; arbitrary row ranges can be read directly.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -58,13 +59,15 @@ class DataPanel:
     """A p x n float64 matrix exposed as ordered row slices.
 
     ``mean`` is set only by :func:`center_panel`: when present, every read
-    path returns the stored rows minus it.
+    path returns the stored rows minus it. ``digest`` is set only by
+    :func:`digest_panel`: when present, file reads feed it.
     """
 
     p: int
     n: int
     row_starts: list[int]
     mean: np.ndarray | None = field(default=None, repr=False)
+    digest: "ReadDigest | None" = field(default=None, repr=False)
     _array: np.ndarray | None = field(default=None, repr=False)
     _path: Path | None = field(default=None, repr=False)
     _payload_offset: int = field(default=0, repr=False)
@@ -110,6 +113,8 @@ class DataPanel:
             if block.size != count:
                 raise ValidationError(f"short read from {self._path}: wanted {count} values")
             block = block.reshape(stop - start, self.n)
+            if self.digest is not None:
+                self.digest.feed(start, block)
         if self.mean is not None:
             block = block - self.mean[start:stop, None]
         return block
@@ -264,6 +269,44 @@ def center_panel(panel: DataPanel, mean) -> DataPanel:
     """
     mean = np.asarray(mean, dtype=np.float64)
     return replace(panel, mean=mean if panel.mean is None else panel.mean + mean)
+
+
+class ReadDigest:
+    """SHA-256 of an LFPB file taken from the bytes its row reads return.
+
+    Seeded with the header and offset table; a block read from where the
+    digest stands (``start == rows``) is fed in as it was read from the
+    file, any other read is not. After one pass in row order it equals the
+    SHA-256 of the whole file, with no read of its own beyond the header.
+    Feed it from one thread: ``stream`` reads in the calling thread.
+    """
+
+    def __init__(self, panel: DataPanel):
+        with open(panel._path, "rb") as fh:
+            self._sha = hashlib.sha256(fh.read(panel._payload_offset))
+        self._path, self._p = panel._path, panel.p
+        self.rows = 0
+
+    def feed(self, start: int, block: np.ndarray) -> None:
+        if start == self.rows:
+            self._sha.update(memoryview(block))
+            self.rows += block.shape[0]
+
+    def hexdigest(self) -> str:
+        """The file's digest; raises unless every row was fed exactly once."""
+        if self.rows != self._p:
+            raise RuntimeError(f"digest of {self._path} has seen {self.rows} "
+                               f"of {self._p} rows in order")
+        return self._sha.hexdigest()
+
+
+def digest_panel(panel: DataPanel) -> DataPanel:
+    """A view of a file-backed panel whose reads take the SHA-256 of its
+    file (see :class:`ReadDigest`), available as ``view.digest``. Views made
+    from it (``with_slices``, :func:`center_panel`) share the digest."""
+    if not panel.file_backed:
+        raise ValidationError("only a file-backed panel has a file to digest")
+    return replace(panel, digest=ReadDigest(panel))
 
 
 def panel_to_csv(panel: DataPanel, path) -> None:

@@ -1,15 +1,19 @@
 import csv
 import filecmp
+import hashlib
 import json
 import re
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from conftest import make_design
-from lfpca import (DataPanel, IntrinsicDecomposition, left_vectors, read_panel,
-                   read_scores_csv, write_metadata, write_panel)
+from lfpca import (DataPanel, IntrinsicDecomposition, fit_panel, left_vectors, load_model,
+                   read_metadata, read_panel, read_scores_csv, validate_design,
+                   write_metadata, write_panel)
+from lfpca import cli
 from lfpca.cli import format_cell, main
 
 
@@ -73,6 +77,125 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["condition_limit_blup"] == BLUP_CONDITION_LIMIT
     assert manifest["config"]["rank_eps"] == RANK_EPS
     assert not {"model", "backend", "seed"} & set(manifest["config"])
+    # diagnostics the fit computes: design conditioning, scoring, spectrum mass
+    design = read_metadata(sim / "rep_000" / "meta.csv")
+    assert manifest["design_condition_number"] == validate_design(design).condition_number
+    assert manifest["rank_deficient_subjects"] == 0
+    arr = read_panel(sim / "rep_000" / "panel.lfpb").to_array()
+    total = np.sum((arr - arr.mean(axis=1, keepdims=True)) ** 2)
+    s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
+    assert manifest["retained_mass"] == pytest.approx(s.sum() / total, rel=1e-10)
+    assert 0.9999 - 1e-12 <= manifest["retained_mass"] <= 1 + 1e-12
+
+
+def test_manifest_data_hash_is_sha256_of_file(tmp_path):
+    # taken from the Gram pass's reads at any slicing and thread count; the
+    # lift and --write-v read the rows again without feeding it
+    sim = simulate_small(tmp_path, reps=1)
+    data, meta = tmp_path / "panel3.lfpb", sim / "rep_000" / "meta.csv"
+    write_panel(read_panel(sim / "rep_000" / "panel.lfpb").with_slices(3), data)
+    want = {str(data): hashlib.sha256(data.read_bytes()).hexdigest(),
+            str(meta): hashlib.sha256(meta.read_bytes()).hexdigest()}
+    runs = [("--slices", s, "--threads", t) for s in ("1", "3", "7") for t in ("1", "2")]
+    runs.append(("--write-v", "--slices", "7", "--threads", "2"))
+    for i, extra in enumerate(runs):
+        out = tmp_path / f"fit{i}"
+        assert run("fit", "--data", str(data), "--meta", str(meta), "--nx", "4", "--nw", "4",
+                   "--out", str(out), *extra) == 0
+        assert json.loads((out / "manifest.json").read_text())["input_hashes"] == want, extra
+
+
+def _rchar():
+    """Bytes this process has passed through read calls, or None off Linux."""
+    try:
+        with open("/proc/self/io") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("rchar:"))
+    except OSError:
+        return None
+
+
+def test_fit_reads_each_data_row_twice(tmp_path, rng, monkeypatch):
+    # the Gram pass (which also hashes) and the lift; nothing else reads the payload
+    design = make_design(rng, n_subjects=6, visits=3)
+    p = 20000
+    arr = rng.standard_normal((p, design.n))
+    data, meta = tmp_path / "p.lfpb", tmp_path / "m.csv"
+    write_panel(DataPanel.from_array(arr, n_slices=3), data)
+    write_metadata(design, meta)
+    argv = ["fit", "--data", str(data), "--meta", str(meta), "--nx", "2", "--nw", "2",
+            "--slices", "5", "--threads", "2"]
+    assert run(*argv, "--out", str(tmp_path / "warm")) == 0  # imports, caches
+
+    reads = np.zeros(p, dtype=int)
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        if self._path == data:
+            reads[start:stop] += 1
+        return read_rows(self, start, stop)
+
+    hashed = []
+    sha256_file = cli._sha256
+
+    def recording(path):
+        hashed.append(str(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    monkeypatch.setattr(cli, "_sha256", recording)
+    before = _rchar()
+    assert run(*argv, "--out", str(tmp_path / "fit")) == 0
+    after = _rchar()
+    np.testing.assert_array_equal(reads, 2)
+    assert hashed == [str(meta)]
+    if before is not None:
+        payload = p * design.n * 8
+        assert 2 * payload <= after - before < 2.25 * payload
+
+    # only lfpca fit makes a digest
+    digests = []
+    sha256 = hashlib.sha256
+
+    def counting_sha256(*args):
+        digests.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
+    fit_panel(read_panel(data), design, n_x=2, n_w=2)
+    assert run("scores", "--model", str(tmp_path / "fit"), "--data", str(data),
+               "--meta", str(meta), "--out", str(tmp_path / "scores.csv")) == 0
+    assert digests == []
+    assert run(*argv, "--out", str(tmp_path / "again")) == 0
+    assert len(digests) == 2  # the data file and the metadata CSV
+
+
+def test_failed_refit_leaves_earlier_model(tmp_path, monkeypatch):
+    # outputs are staged in a sibling directory and moved into --out only
+    # after manifest.json is written
+    sim = simulate_small(tmp_path, reps=1)
+    fit_dir = fit_rep(tmp_path, sim)
+    before = {f.name: f.read_bytes() for f in fit_dir.iterdir()}
+    argv = ["fit", "--data", str(sim / "rep_000" / "panel.lfpb"),
+            "--meta", str(sim / "rep_000" / "meta.csv"), "--nx", "3", "--nw", "3",
+            "--out", str(fit_dir)]
+
+    def failing_save(model, outdir):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "save_model", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            run(*argv)
+    assert {f.name: f.read_bytes() for f in fit_dir.iterdir()} == before
+    assert [d.name for d in fit_dir.parent.iterdir()] == [fit_dir.name]
+    model = load_model(fit_dir)
+    assert model.n_x == 4 and model.phi_w.n == 4
+    # the same re-fit without the failure replaces the model
+    assert run(*argv) == 0
+    assert [d.name for d in fit_dir.parent.iterdir()] == [fit_dir.name]
+    model = load_model(fit_dir)
+    assert model.n_x == 3 and model.phi_w.n == 3
 
 
 def test_simulate_identical_seeds_identical_trees(tmp_path):
@@ -166,6 +289,27 @@ def test_nx_zero_exits_2(tmp_path):
                "--meta", str(sim / "rep_000" / "meta.csv"), "--nx", "0",
                "--out", str(tmp_path / "f"))
     assert code == 2
+
+
+def test_threads_below_one_exits_2(tmp_path):
+    sim = simulate_small(tmp_path, reps=1)
+    fit_dir = fit_rep(tmp_path, sim)
+    data, meta = str(sim / "rep_000" / "panel.lfpb"), str(sim / "rep_000" / "meta.csv")
+    for threads in ("0", "-2"):
+        assert run("fit", "--data", data, "--meta", meta, "--threads", threads,
+                   "--out", str(tmp_path / "f")) == 2
+        assert run("scores", "--model", str(fit_dir), "--data", data, "--meta", meta,
+                   "--threads", threads, "--out", str(tmp_path / "s.csv")) == 2
+    assert not (tmp_path / "f").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_order_threshold_outside_unit_interval_exits_2(tmp_path):
+    sim = simulate_small(tmp_path, reps=1)
+    for value in ("5.0", "0", "-0.5"):
+        assert run("fit", "--data", str(sim / "rep_000" / "panel.lfpb"),
+                   "--meta", str(sim / "rep_000" / "meta.csv"), "--order-threshold", value,
+                   "--out", str(tmp_path / "f")) == 2
+    assert not (tmp_path / "f").exists()
 
 
 def test_reps_zero_exits_2(tmp_path):
