@@ -9,8 +9,8 @@ the data in row slices.
 
 __version__ = "0.1.0"
 
-from .blup import (ScorePanel, SubjectScores, read_scores_csv, reconstruct, score_blups,
-                   score_new_panel, write_scores_csv)
+from .blup import (ScorePanel, read_scores_csv, reconstruct, score_blups, score_new_panel,
+                   write_scores_csv)
 from .design import (CovariateScale, DesignReport, StudyDesign, Subject,
                      apply_covariate_scaling, normalize_covariates, read_metadata,
                      validate_design, write_metadata)

@@ -1,12 +1,11 @@
 """Score prediction and reconstruction.
 
-Scores solve the per-subject normal equations of the fitted basis. Every
-matrix involved is low-dimensional: the Gram blocks reduce to products of
-the intrinsic eigenvector matrices (the lifted bases share the same
-orthonormal left factor), and the right-hand side needs only the
+Scores solve the per-subject normal equations of the fitted basis, stacked
+and solved one visit-count group at a time. Every matrix involved is
+low-dimensional: the Gram blocks reduce to products of the intrinsic
+eigenvector matrices, and the training right-hand side needs only the
 coordinates of each visit in the singular basis. Scoring new data under a
-saved model streams the projections against the stored lifted bases
-instead, one slice at a time.
+saved model streams only the projections against the stored lifted bases.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from .design import StudyDesign, apply_covariate_scaling
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition
 from .limits import BLUP_CONDITION_LIMIT
+from .mom import _visit_groups
 from .panel import DataPanel, center_panel, stream
 
 if TYPE_CHECKING:
@@ -29,28 +29,21 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class SubjectScores:
-    subject_id: str
-    xi: np.ndarray       # (n_x,)
-    zeta: np.ndarray     # (n_visits, n_w)
-    rank_deficient: bool
-
-
-@dataclass
 class ScorePanel:
-    subjects: list[SubjectScores]
-    n_x: int
-    n_w: int
+    """Scores in design order: a row of ``xi`` per subject, a row of ``zeta``
+    per visit (in column order), and the subjects solved by least squares."""
 
-    @property
-    def any_rank_deficient(self) -> bool:
-        return any(s.rank_deficient for s in self.subjects)
+    subject_ids: list[str]
+    visit_counts: list[int]
+    xi: np.ndarray              # (N, n_x)
+    zeta: np.ndarray            # (n, n_w)
+    rank_deficient: np.ndarray  # (N,) bool
 
     def xi_matrix(self) -> np.ndarray:
-        return np.vstack([s.xi for s in self.subjects])
+        return self.xi
 
     def zeta_matrix(self) -> np.ndarray:
-        return np.vstack([s.zeta for s in self.subjects])
+        return self.zeta
 
 
 @dataclass
@@ -69,91 +62,82 @@ def intrinsic_projections(model: "FittedModel", decomp: IntrinsicDecomposition) 
 
 
 def _basis_grams(model: "FittedModel"):
-    """Gram blocks of the lifted bases via the intrinsic coefficients."""
-    q1, r = model.q + 1, model.r
-    blocks = [model.x_coefficients(k) for k in range(q1)]
+    """Gram blocks of the lifted bases via the intrinsic coefficients:
+    Phi_k' Phi_s = A_k' V' V A_s = A_k' A_s."""
+    blocks = [model.x_coefficients(k) for k in range(model.q + 1)]
     gxx = np.array([[bk.T @ bs for bs in blocks] for bk in blocks])
     gxw = np.array([bk.T @ model.a_w for bk in blocks])
     gww = model.a_w.T @ model.a_w
     return gxx, gxw, gww
 
 
-def panel_projections(model: "FittedModel", panel: DataPanel, threads: int | None = None):
+def panel_projections(model: "FittedModel", panel: DataPanel,
+                      threads: int | None = None) -> Projections:
     """Streamed projections of (possibly new) data against the stored bases.
 
-    The data is read through a view centered by the model mean. Returns
-    (projections, grams) where the Gram blocks are accumulated from the
-    lifted basis panels themselves, so saved models can score data without
-    the training decomposition.
+    The data is read through a view centered by the model mean.
     """
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
-    for phi in model.phi_x:
-        if phi.row_starts != model.phi_w.row_starts:
-            raise ValidationError("lifted basis panels disagree on slice layout")
 
     def _project(rows, blocks, outs):
-        *xs, wb, block = blocks
-        return ([x.T @ block for x in xs] + [wb.T @ block]
-                + [np.array([[a.T @ b for b in xs] for a in xs]),
-                   np.array([a.T @ wb for a in xs]), wb.T @ wb])
+        *bases, block = blocks
+        return [b.T @ block for b in bases]
 
     sums, _ = stream([*model.phi_x, model.phi_w, center_panel(panel, model.mean)], _project,
                      threads=resolve_threads(threads))
-    q1 = model.q + 1
-    return Projections(x=sums[:q1], w=sums[q1]), tuple(sums[q1 + 1:])
+    return Projections(x=sums[:-1], w=sums[-1])
 
 
 def _solve_scores(model: "FittedModel", design: StudyDesign, proj: Projections,
-                  grams, cond_limit: float = BLUP_CONDITION_LIMIT) -> ScorePanel:
-    """Per-subject normal equations; minimum-norm fallback when ill-conditioned."""
+                  grams) -> ScorePanel:
+    """Per-subject normal equations, stacked and solved one visit-count group
+    at a time; minimum-norm least squares for the ill-conditioned ones."""
     gxx, gxw, gww = grams
     n_x, n_w = model.n_x, model.n_w
-    out = []
-    for i, subj in enumerate(design.subjects):
-        j_i = subj.n_visits
-        cols = design.columns(i)
-        z = subj.z
-        dim = n_x + j_i * n_w
-        m = np.zeros((dim, dim))
-        zz = z.T @ z
-        m[:n_x, :n_x] = np.einsum("ks,ksab->ab", zz, gxx)
-        xw = np.einsum("jk,kab->jab", z, gxw)
-        for j in range(j_i):
-            lo = n_x + j * n_w
-            m[:n_x, lo:lo + n_w] = xw[j]
-            m[lo:lo + n_w, :n_x] = xw[j].T
-            m[lo:lo + n_w, lo:lo + n_w] = gww
-        rhs = np.zeros(dim)
-        px_sub = np.stack([proj.x[k][:, cols] for k in range(model.q + 1)])
-        rhs[:n_x] = np.einsum("jk,kaj->a", z, px_sub)
-        rhs[n_x:] = proj.w[:, cols].T.ravel()
+    z_all = design.stacked_z()
+    px = np.stack(proj.x)  # (q+1, n_x, n)
+    xi = np.empty((design.n_subjects, n_x))
+    zeta = np.empty((design.n, n_w))
+    deficient = np.empty(design.n_subjects, dtype=bool)
+    for j, idx, cols in _visit_groups(design):
+        g = idx.size
+        z = z_all[cols]  # (G, J, q+1)
+        m = np.empty((g, n_x + j * n_w, n_x + j * n_w))
+        m[:, :n_x, :n_x] = np.einsum("gks,ksab->gab", z.transpose(0, 2, 1) @ z, gxx)
+        xw = np.einsum("gjk,kab->gajb", z, gxw).reshape(g, n_x, j * n_w)
+        m[:, :n_x, n_x:] = xw
+        m[:, n_x:, :n_x] = xw.transpose(0, 2, 1)
+        m[:, n_x:, n_x:] = np.kron(np.eye(j), gww)
+        rhs = np.concatenate([np.einsum("gjk,kagj->ga", z, px[:, :, cols]),
+                              proj.w[:, cols].transpose(1, 2, 0).reshape(g, j * n_w)], axis=1)
         cond = np.linalg.cond(m)
-        deficient = not np.isfinite(cond) or cond > cond_limit
-        if deficient:
-            omega = np.linalg.lstsq(m, rhs, rcond=None)[0]
-        else:
-            omega = np.linalg.solve(m, rhs)
-        out.append(SubjectScores(subject_id=subj.subject_id, xi=omega[:n_x],
-                                 zeta=omega[n_x:].reshape(j_i, n_w),
-                                 rank_deficient=deficient))
-    return ScorePanel(subjects=out, n_x=n_x, n_w=n_w)
+        bad = ~np.isfinite(cond) | (cond > BLUP_CONDITION_LIMIT)
+        omega = np.empty_like(rhs)
+        omega[~bad] = np.linalg.solve(m[~bad], rhs[~bad, :, None])[..., 0]
+        for k in np.flatnonzero(bad):
+            omega[k] = np.linalg.lstsq(m[k], rhs[k], rcond=None)[0]
+        xi[idx] = omega[:, :n_x]
+        zeta[cols.ravel()] = omega[:, n_x:].reshape(g * j, n_w)
+        deficient[idx] = bad
+    return ScorePanel(subject_ids=[s.subject_id for s in design.subjects],
+                      visit_counts=design.visit_counts, xi=xi, zeta=zeta,
+                      rank_deficient=deficient)
 
 
 def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
-                design: StudyDesign, cond_limit: float = BLUP_CONDITION_LIMIT) -> ScorePanel:
+                design: StudyDesign) -> ScorePanel:
     """Predicted scores for the training panel, all in the intrinsic space."""
     if decomp.r != model.r:
         raise ValidationError(f"decomposition rank {decomp.r} does not match model rank {model.r}")
     if decomp.u.shape[0] != design.n:
         raise ValidationError("decomposition and design disagree on the number of visits")
     return _solve_scores(model, design, intrinsic_projections(model, decomp),
-                         _basis_grams(model), cond_limit)
+                         _basis_grams(model))
 
 
 def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
-                    apply_scaling: bool = True, threads: int | None = None,
-                    cond_limit: float = BLUP_CONDITION_LIMIT) -> ScorePanel:
+                    apply_scaling: bool = True, threads: int | None = None) -> ScorePanel:
     """Scores for new data under a saved model.
 
     The panel is centered with the model mean, and covariates are mapped
@@ -165,8 +149,8 @@ def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
         raise ValidationError(f"design has q={design.q}, model was fitted with q={model.q}")
     if apply_scaling and model.covariate_scaling:
         design = apply_covariate_scaling(design, model.covariate_scaling)
-    proj, grams = panel_projections(model, panel, threads=threads)
-    return _solve_scores(model, design, proj, grams, cond_limit)
+    return _solve_scores(model, design, panel_projections(model, panel, threads=threads),
+                         _basis_grams(model))
 
 
 def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
@@ -174,11 +158,10 @@ def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
     """Fitted observation for one visit, assembled slice by slice."""
     if not 0 <= subject_index < design.n_subjects:
         raise ValidationError(f"no subject index {subject_index}")
-    subj = design.subjects[subject_index]
-    if not 0 <= visit_index < subj.n_visits:
-        raise ValidationError(f"subject {subj.subject_id!r} has no visit {visit_index}")
-    entry = scores.subjects[subject_index]
-    coefs = [z_k * entry.xi for z_k in subj.z[visit_index]] + [entry.zeta[visit_index]]
+    col = design.column_of(subject_index, visit_index)
+    xi = scores.xi[subject_index]
+    coefs = ([z_k * xi for z_k in design.subjects[subject_index].z[visit_index]]
+             + [scores.zeta[col]])
 
     def _fitted(rows, blocks, outs):
         outs[0][:] = model.mean[rows]
@@ -193,26 +176,30 @@ def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
 # scores CSV
 # ---------------------------------------------------------------------------
 
+SCORES_HEADER = ["subject_id", "score_type", "visit_index", "component", "value"]
+
+
 def write_scores_csv(scores: ScorePanel, path) -> None:
+    starts = np.concatenate([[0], np.cumsum(scores.visit_counts, dtype=np.int64)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject_id", "score_type", "visit_index", "component", "value"])
-        for subj in scores.subjects:
-            for c, v in enumerate(subj.xi):
-                writer.writerow([subj.subject_id, "xi", "", c, f"{v:.17g}"])
-            for j, row in enumerate(subj.zeta):
+        writer.writerow(SCORES_HEADER)
+        for i, sid in enumerate(scores.subject_ids):
+            for c, v in enumerate(scores.xi[i]):
+                writer.writerow([sid, "xi", "", c, f"{v:.17g}"])
+            for j, row in enumerate(scores.zeta[starts[i]:starts[i + 1]]):
                 for c, v in enumerate(row):
-                    writer.writerow([subj.subject_id, "zeta", j, c, f"{v:.17g}"])
+                    writer.writerow([sid, "zeta", j, c, f"{v:.17g}"])
 
 
 def read_scores_csv(path) -> ScorePanel:
+    """Read a scores CSV; no subject is flagged rank deficient."""
     xi: dict[str, dict[int, float]] = {}
     zeta: dict[str, dict[tuple[int, int], float]] = {}
-    order: list[str] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["subject_id", "score_type", "visit_index", "component", "value"]:
+        if header != SCORES_HEADER:
             raise ValidationError(f"unexpected scores header in {path}: {header}")
         for row in reader:
             if not row:
@@ -220,24 +207,16 @@ def read_scores_csv(path) -> ScorePanel:
             sid, kind, visit, comp, value = row
             if sid not in xi:
                 xi[sid], zeta[sid] = {}, {}
-                order.append(sid)
             if kind == "xi":
                 xi[sid][int(comp)] = float(value)
             elif kind == "zeta":
                 zeta[sid][(int(visit), int(comp))] = float(value)
             else:
                 raise ValidationError(f"unknown score_type {kind!r} in {path}")
-    subjects = []
-    n_x = n_w = 0
-    for sid in order:
-        xs = np.array([xi[sid][c] for c in sorted(xi[sid])])
-        keys = zeta[sid]
-        if keys:
-            j_max = max(k[0] for k in keys) + 1
-            c_max = max(k[1] for k in keys) + 1
-            zs = np.array([[keys[(j, c)] for c in range(c_max)] for j in range(j_max)])
-        else:
-            zs = np.zeros((0, 0))
-        subjects.append(SubjectScores(subject_id=sid, xi=xs, zeta=zs, rank_deficient=False))
-        n_x, n_w = xs.size, zs.shape[1] if zs.size else n_w
-    return ScorePanel(subjects=subjects, n_x=n_x, n_w=n_w)
+    ids = list(xi)
+    counts = [1 + max((j for j, _ in zeta[sid]), default=-1) for sid in ids]
+    zeta_values = [v for sid in ids for _, v in sorted(zeta[sid].items())]
+    return ScorePanel(subject_ids=ids, visit_counts=counts,
+                      xi=np.array([[v for _, v in sorted(xi[sid].items())] for sid in ids]),
+                      zeta=np.array(zeta_values).reshape(sum(counts), -1),
+                      rank_deficient=np.zeros(len(ids), dtype=bool))

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from .blup import score_new_panel, write_scores_csv
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .fit import fit_panel, load_model, save_model, variance_explained
-from .gram import left_vectors
+from .gram import DEFAULT_VAR_THRESHOLD, left_vectors
 from .limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
 from .panel import digest_panel, panel_from_csv, panel_to_csv, read_panel, write_panel
 from .simulate import (LATTICE_DIMS, ScenarioSpec, evaluate, generate_scenario1,
@@ -69,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--meta", required=True, help="metadata CSV")
     fit.add_argument("--nx", type=int, default=None, help="subject-level components (default: auto)")
     fit.add_argument("--nw", type=int, default=None, help="visit-level components (default: auto)")
-    fit.add_argument("--var-threshold", type=float, default=0.9999,
-                     help="spectrum mass kept when the rank is auto")
+    fit.add_argument("--var-threshold", type=float, default=None,
+                     help=f"spectrum mass kept when the rank is auto "
+                          f"(default {DEFAULT_VAR_THRESHOLD}); not with an integer --rank")
     fit.add_argument("--order-threshold", type=float, default=0.9,
                      help="spectrum mass used to auto-select component counts")
     fit.add_argument("--slices", type=int, default=None, help="processing slice count")
@@ -126,6 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_fit(args) -> int:
     t0 = time.monotonic()
     rank = _parse_rank(args.rank)
+    if rank is not None and args.var_threshold is not None:
+        raise ValidationError("--var-threshold applies only to --rank auto")
+    var_threshold = DEFAULT_VAR_THRESHOLD if args.var_threshold is None else args.var_threshold
     if args.nx is not None and args.nx < 1:
         raise ValidationError("--nx must be >= 1 (or omitted for auto)")
     if args.nw is not None and args.nw < 1:
@@ -138,7 +143,7 @@ def cmd_fit(args) -> int:
     outdir = Path(args.out)
     with _staged_dir(outdir) as stage:
         result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
-                           var_threshold=args.var_threshold,
+                           var_threshold=var_threshold,
                            order_threshold=args.order_threshold,
                            normalize=not args.no_normalize, threads=threads, workdir=stage)
         data_hash = panel.digest.hexdigest()
@@ -159,7 +164,7 @@ def cmd_fit(args) -> int:
             "version": __version__,
             "config": {
                 "nx": model.n_x, "nw": model.n_w, "rank": rank,
-                "var_threshold": args.var_threshold,
+                "var_threshold": var_threshold if rank is None else None,
                 "order_threshold": args.order_threshold, "slices": panel.n_slices,
                 "normalize": not args.no_normalize, "threads": threads,
                 "condition_limit_ff": FF_CONDITION_LIMIT,
@@ -171,7 +176,7 @@ def cmd_fit(args) -> int:
             "clipped_count": model.clipped_count,
             "sigma2": model.sigma2,
             "design_condition_number": result.report.condition_number,
-            "rank_deficient_subjects": sum(1 for s in result.scores.subjects if s.rank_deficient),
+            "rank_deficient_subjects": int(result.scores.rank_deficient.sum()),
             "retained_mass": float(decomp.s.sum() / decomp.total_gram_trace),
         }
         with open(stage / "manifest.json", "w") as fh:
@@ -181,16 +186,25 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+# Fit outputs that depend on the options or on q: an earlier fit's copy
+# that the current fit does not write is removed from --out.
+_OPTIONAL_OUTPUTS = re.compile(r"v\.lfpb|h\.csv|phi_x_\d+\.lfpb")
+
+
 @contextlib.contextmanager
 def _staged_dir(outdir: Path):
     """A temporary sibling directory of ``outdir`` whose files are moved
-    into ``outdir`` when the block ends without error. It is removed either
-    way, so a failed fit leaves ``outdir`` as it was."""
+    into ``outdir``, in place of an earlier fit's, when the block ends
+    without error. It is removed either way, so a failed fit leaves
+    ``outdir`` as it was."""
     outdir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
     try:
         yield stage
         outdir.mkdir(exist_ok=True)
+        for path in outdir.iterdir():
+            if _OPTIONAL_OUTPUTS.fullmatch(path.name) and not (stage / path.name).exists():
+                path.unlink()
         for path in stage.iterdir():
             os.replace(path, outdir / path.name)
     finally:
@@ -354,8 +368,6 @@ def cmd_scores(args) -> int:
     model = load_model(args.model)
     panel = read_panel(args.data)
     design = read_metadata(args.meta)
-    if panel.p != model.p:
-        raise ValidationError(f"panel has p={panel.p}, model expects p={model.p}")
     scores = score_new_panel(model, panel, design, threads=threads)
     write_scores_csv(scores, args.out)
     print(f"scored {design.n_subjects} subject(s) -> {args.out}")

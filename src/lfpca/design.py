@@ -83,12 +83,6 @@ class StudyDesign:
         """All covariate rows stacked in column order, shape (n, q+1)."""
         return np.vstack([s.z for s in self.subjects])
 
-    def subject_by_id(self, subject_id: str) -> int:
-        for i, s in enumerate(self.subjects):
-            if s.subject_id == subject_id:
-                return i
-        raise ValidationError(f"unknown subject_id {subject_id!r}")
-
 
 # ---------------------------------------------------------------------------
 # metadata CSV

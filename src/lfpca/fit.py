@@ -18,8 +18,8 @@ from ._parallel import resolve_threads
 from .design import (CovariateScale, DesignReport, StudyDesign, normalize_covariates,
                      validate_design)
 from .errors import IdentifiabilityError, ValidationError
-from .gram import (IntrinsicDecomposition, accumulate_gram, center_factor, eigen_gram,
-                   eigh_descending, fix_signs, truncated_rank)
+from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
+                   center_factor, eigen_gram, eigh_descending, fix_signs, truncated_rank)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
 from .panel import DataPanel, read_panel, stream, write_panel
@@ -216,7 +216,8 @@ class FitResult:
 
 
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
-              n_w: int | None = None, rank: int | None = None, var_threshold: float = 0.9999,
+              n_w: int | None = None, rank: int | None = None,
+              var_threshold: float = DEFAULT_VAR_THRESHOLD,
               order_threshold: float = 0.9, normalize: bool = True,
               threads: int | None = None, workdir=None) -> FitResult:
     """Run the full pipeline: SVD via the centered Gram matrix, moment
@@ -231,6 +232,8 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     threads = resolve_threads(threads)
     if not 0 < order_threshold <= 1:
         raise ValidationError(f"order_threshold must be in (0, 1], got {order_threshold}")
+    if not 0 < var_threshold <= 1:
+        raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
     report = validate_design(design)

@@ -18,6 +18,8 @@ from .errors import NumericalError, ValidationError
 from .limits import RANK_EPS
 from .panel import DataPanel, stream
 
+DEFAULT_VAR_THRESHOLD = 0.9999  # spectrum mass an automatic rank keeps
+
 
 @dataclass
 class IntrinsicDecomposition:
@@ -101,7 +103,8 @@ def fix_signs(vectors: np.ndarray) -> None:
     vectors *= flips
 
 
-def truncated_rank(s: np.ndarray, rank: int | None = None, var_threshold: float = 0.9999,
+def truncated_rank(s: np.ndarray, rank: int | None = None,
+                   var_threshold: float = DEFAULT_VAR_THRESHOLD,
                    model_orders: tuple[int, int] | None = None) -> int:
     """Number of singular directions to keep.
 

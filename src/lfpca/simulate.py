@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blup import ScorePanel, SubjectScores, read_scores_csv, write_scores_csv
+from .blup import ScorePanel, read_scores_csv, write_scores_csv
 from .design import StudyDesign, Subject, apply_covariate_scaling, normalize_covariates
 from .errors import ValidationError
 from .fit import FittedModel
@@ -336,8 +336,8 @@ def evaluate(truth: GroundTruth, model: FittedModel,
         _sign(sum(truth.phi_x[k][:, m] @ est_x[k][:, m] for k in range(model.q + 1)))
         for m in range(model.n_x)])
     sign_w = np.array([_sign(truth.phi_w[:, m] @ est_w[:, m]) for m in range(model.n_w)])
-    xi_hat = scores.xi_matrix() * sign_x
-    zeta_hat = scores.zeta_matrix() * sign_w
+    xi_hat = scores.xi * sign_x
+    zeta_hat = scores.zeta * sign_w
     result.score_errors["x"] = (truth.xi - xi_hat) / np.sqrt(truth.lambda_x)
     result.score_errors["w"] = (truth.zeta - zeta_hat) / np.sqrt(truth.lambda_w)
     for fam, err in result.score_errors.items():
@@ -376,13 +376,10 @@ def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
     for k, basis in enumerate(truth.phi_x):
         write_panel(DataPanel.from_array(basis), outdir / f"phi_x_{k}.lfpb")
     write_panel(DataPanel.from_array(truth.phi_w), outdir / "phi_w.lfpb")
-    subjects = []
-    for i, subj in enumerate(design.subjects):
-        subjects.append(SubjectScores(subject_id=subj.subject_id, xi=truth.xi[i],
-                                      zeta=truth.zeta[design.columns(i)],
-                                      rank_deficient=False))
-    write_scores_csv(ScorePanel(subjects=subjects, n_x=truth.n_x, n_w=truth.n_w),
-                     outdir / "scores.csv")
+    scores = ScorePanel(subject_ids=[s.subject_id for s in design.subjects],
+                        visit_counts=design.visit_counts, xi=truth.xi, zeta=truth.zeta,
+                        rank_deficient=np.zeros(design.n_subjects, dtype=bool))
+    write_scores_csv(scores, outdir / "scores.csv")
 
 
 def load_truth(truth_dir) -> GroundTruth:
@@ -404,7 +401,7 @@ def load_truth(truth_dir) -> GroundTruth:
     return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w,
                        lambda_x=np.array(manifest["lambda_x"]),
                        lambda_w=np.array(manifest["lambda_w"]),
-                       xi=scores.xi_matrix(), zeta=scores.zeta_matrix(),
+                       xi=scores.xi, zeta=scores.zeta,
                        sigma2=manifest["sigma2"], seed=manifest["seed"],
                        score_law=manifest["score_law"],
                        block_coords=manifest.get("block_coords"))

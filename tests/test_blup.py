@@ -63,17 +63,20 @@ def test_exact_model_data_recovers_scores(rng):
 
 def test_training_scores_match_dense_normal_equations(rng):
     # the intrinsic scoring path agrees with explicitly assembled
-    # p-dimensional normal equations on the centered training data
-    design = make_design(rng, n_subjects=5, visits=4)
-    arr = rng.standard_normal((100, design.n))
-    res = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
-    model = res.model
-    centered = arr - model.mean[:, None]
-    dense = oracle_scores([p.to_array() for p in model.phi_x], model.phi_w.to_array(),
-                          [s.z for s in res.design.subjects], centered)
-    for subj_scores, omega in zip(res.scores.subjects, dense):
-        got = np.concatenate([subj_scores.xi, subj_scores.zeta.ravel()])
-        assert np.abs(got - omega).max() <= 1e-9 * max(1.0, np.abs(omega).max())
+    # p-dimensional normal equations on the centered training data, for a
+    # balanced design and for one whose visit counts form several groups
+    for visits in (4, [1, 3, 2, 5, 1, 4]):
+        design = make_design(rng, n_subjects=5, visits=visits)
+        arr = rng.standard_normal((100, design.n))
+        res = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
+        model = res.model
+        centered = arr - model.mean[:, None]
+        dense = oracle_scores([p.to_array() for p in model.phi_x], model.phi_w.to_array(),
+                              [s.z for s in res.design.subjects], centered)
+        for i, omega in enumerate(dense):
+            got = np.concatenate([res.scores.xi[i],
+                                  res.scores.zeta[res.design.columns(i)].ravel()])
+            assert np.abs(got - omega).max() <= 1e-9 * max(1.0, np.abs(omega).max())
 
 
 def test_scores_residual_for_spanned_data(rng):
@@ -89,7 +92,7 @@ def test_scores_residual_for_spanned_data(rng):
         y_i = arr[:, cols] - model.mean[:, None]
         b = oracle_basis_matrix([p.to_array() for p in model.phi_x],
                                 model.phi_w.to_array(), res.design.subjects[i].z)
-        omega = np.concatenate([scores.subjects[i].xi, scores.subjects[i].zeta.ravel()])
+        omega = np.concatenate([scores.xi[i], scores.zeta[cols].ravel()])
         resid = np.linalg.norm(y_i.T.ravel() - b @ omega)
         assert resid <= 1e-8 * max(np.linalg.norm(y_i), 1e-30)
 
@@ -127,7 +130,30 @@ def test_rank_deficient_solve_is_flagged_not_fatal(rng):
     from lfpca import Subject
     design = StudyDesign([Subject("dup", z)])
     scores = score_new_panel(model, mean_panel(model, 6), design, apply_scaling=False)
-    assert scores.subjects[0].rank_deficient or np.abs(scores.subjects[0].xi).max() == 0.0
+    assert scores.rank_deficient[0] or np.abs(scores.xi[0]).max() == 0.0
+
+    # r - n_w < n_x: a subject whose visits share one covariate row has
+    # dependent columns; one with as many visits at distinct times does not
+    # and is solved as if it were scored alone
+    from lfpca.limits import BLUP_CONDITION_LIMIT
+    model = fitted_model(rng, p=30, n_subjects=2, visits=3, n_x=3, n_w=3).model
+    assert model.r - model.n_w < model.n_x
+    design = StudyDesign([Subject("dup", np.ones((2, 2))),
+                          Subject("ok", np.column_stack([np.ones(2), [0.0, 1.0]])),
+                          Subject("dup2", np.ones((2, 2)))])
+    arr = rng.standard_normal((30, design.n))
+    scores = score_new_panel(model, DataPanel.from_array(arr), design, apply_scaling=False)
+    phi_x, phi_w = [p.to_array() for p in model.phi_x], model.phi_w.to_array()
+    cond = [np.linalg.cond(b.T @ b) for b in
+            (oracle_basis_matrix(phi_x, phi_w, s.z) for s in design.subjects)]
+    np.testing.assert_array_equal(scores.rank_deficient, np.array(cond) > BLUP_CONDITION_LIMIT)
+    assert scores.rank_deficient.tolist() == [True, False, True]
+    assert np.all(np.isfinite(scores.xi)) and np.all(np.isfinite(scores.zeta))
+    solo = score_new_panel(model, DataPanel.from_array(arr[:, 2:4]),
+                           StudyDesign(design.subjects[1:2]), apply_scaling=False)
+    got = np.concatenate([scores.xi[1], scores.zeta[2:4].ravel()])
+    want = np.concatenate([solo.xi[0], solo.zeta.ravel()])
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_reconstruct_zero_scores_returns_mean(rng):
@@ -166,8 +192,8 @@ def test_scores_csv_round_trip(rng, tmp_path):
     back = read_scores_csv(path)
     np.testing.assert_array_equal(back.xi_matrix(), res.scores.xi_matrix())
     np.testing.assert_array_equal(back.zeta_matrix(), res.scores.zeta_matrix())
-    assert [s.subject_id for s in back.subjects] == \
-        [s.subject_id for s in res.scores.subjects]
+    assert back.subject_ids == res.scores.subject_ids
+    assert back.visit_counts == res.scores.visit_counts
 
 
 def test_reconstruction_residual_tracks_noise_floor(rng):

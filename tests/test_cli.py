@@ -76,6 +76,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["condition_limit_ff"] == FF_CONDITION_LIMIT
     assert manifest["config"]["condition_limit_blup"] == BLUP_CONDITION_LIMIT
     assert manifest["config"]["rank_eps"] == RANK_EPS
+    assert manifest["config"]["var_threshold"] == 0.9999
     assert not {"model", "backend", "seed"} & set(manifest["config"])
     # diagnostics the fit computes: design conditioning, scoring, spectrum mass
     design = read_metadata(sim / "rep_000" / "meta.csv")
@@ -198,6 +199,20 @@ def test_failed_refit_leaves_earlier_model(tmp_path, monkeypatch):
     assert model.n_x == 3 and model.phi_w.n == 3
 
 
+def test_refit_removes_stale_optional_outputs(tmp_path):
+    # a plain re-fit removes the v.lfpb and h.csv of an earlier --write-v
+    # --dump-h fit and leaves files that lfpca fit never writes alone
+    sim = simulate_small(tmp_path, reps=1)
+    fit_dir = fit_rep(tmp_path, sim, extra=("--write-v", "--dump-h"))
+    assert (fit_dir / "v.lfpb").is_file() and (fit_dir / "h.csv").is_file()
+    (fit_dir / "notes.txt").write_text("kept")
+    fit_rep(tmp_path, sim, extra=("--rank", "10"))
+    assert not (fit_dir / "v.lfpb").exists() and not (fit_dir / "h.csv").exists()
+    assert (fit_dir / "notes.txt").read_text() == "kept"
+    manifest = json.loads((fit_dir / "manifest.json").read_text())
+    assert manifest["config"]["rank"] == 10 and manifest["config"]["var_threshold"] is None
+
+
 def test_simulate_identical_seeds_identical_trees(tmp_path):
     a = simulate_small(tmp_path, name="a", reps=2, seed=33)
     b = simulate_small(tmp_path, name="b", reps=2, seed=33)
@@ -310,6 +325,35 @@ def test_order_threshold_outside_unit_interval_exits_2(tmp_path):
                    "--meta", str(sim / "rep_000" / "meta.csv"), "--order-threshold", value,
                    "--out", str(tmp_path / "f")) == 2
     assert not (tmp_path / "f").exists()
+
+
+def _fit_reads_nothing(tmp_path, monkeypatch, *extra):
+    """Exit code of a fit on a small simulated panel, asserting that it read
+    no data row."""
+    sim = simulate_small(tmp_path, reps=1)
+    calls = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        calls.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    code = run("fit", "--data", str(sim / "rep_000" / "panel.lfpb"),
+               "--meta", str(sim / "rep_000" / "meta.csv"), *extra,
+               "--out", str(tmp_path / "f"))
+    assert calls == []
+    assert not (tmp_path / "f").exists()
+    return code
+
+
+def test_var_threshold_outside_unit_interval_exits_2_before_reading(tmp_path, monkeypatch):
+    assert _fit_reads_nothing(tmp_path, monkeypatch, "--var-threshold", "5") == 2
+
+
+def test_var_threshold_with_integer_rank_exits_2(tmp_path, monkeypatch):
+    assert _fit_reads_nothing(tmp_path, monkeypatch, "--rank", "10",
+                              "--var-threshold", "0.5") == 2
 
 
 def test_reps_zero_exits_2(tmp_path):
