@@ -22,8 +22,8 @@ from .gram import (IntrinsicDecomposition, accumulate_gram, eigen_gram, left_vec
                    truncated_rank)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
-from .panel import (DataPanel, PanelWriter, center_panel, default_slice_count, panel_from_csv,
-                    panel_to_csv, read_panel, stream, write_panel)
+from .panel import (DataPanel, PanelWriter, center_panel, panel_from_csv, panel_to_csv,
+                    read_panel, stream, write_panel)
 from .simulate import (EvaluationResult, GroundTruth, ScenarioSpec, aligned_sq_distance,
                        curve_bases, default_eigenvalues, evaluate, generate_from_model,
                        generate_scenario1, generate_scenario2, load_truth, save_truth)

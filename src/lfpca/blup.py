@@ -75,18 +75,21 @@ def panel_projections(model: "FittedModel", panel: DataPanel,
                       threads: int | None = None) -> Projections:
     """Streamed projections of (possibly new) data against the stored bases.
 
-    The data is read through a view centered by the model mean.
+    The data is read through a view centered by the model mean, and each
+    block is projected onto all the bases in one product.
     """
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
+    bases = [*model.phi_x, model.phi_w]
 
     def _project(rows, blocks, outs):
-        *bases, block = blocks
-        return [b.T @ block for b in bases]
+        *parts, block = blocks
+        return (np.hstack(parts).T @ block,)
 
-    sums, _ = stream([*model.phi_x, model.phi_w, center_panel(panel, model.mean)], _project,
-                     threads=resolve_threads(threads))
-    return Projections(x=sums[:-1], w=sums[-1])
+    (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project,
+                           threads=resolve_threads(threads))
+    *x, w = np.split(stacked, np.cumsum([b.n for b in bases])[:-1])
+    return Projections(x=x, w=w)
 
 
 def _solve_scores(model: "FittedModel", design: StudyDesign, proj: Projections,
@@ -160,13 +163,12 @@ def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
         raise ValidationError(f"no subject index {subject_index}")
     col = design.column_of(subject_index, visit_index)
     xi = scores.xi[subject_index]
-    coefs = ([z_k * xi for z_k in design.subjects[subject_index].z[visit_index]]
-             + [scores.zeta[col]])
+    coef = np.concatenate([z_k * xi for z_k in design.subjects[subject_index].z[visit_index]]
+                          + [scores.zeta[col]])
 
     def _fitted(rows, blocks, outs):
-        outs[0][:] = model.mean[rows]
-        for block, coef in zip(blocks, coefs):
-            outs[0] += block @ coef
+        np.matmul(np.hstack(blocks), coef, out=outs[0])
+        outs[0] += model.mean[rows]
 
     _, (fitted,) = stream([*model.phi_x, model.phi_w], _fitted, [(None, None)])
     return fitted
@@ -214,9 +216,16 @@ def read_scores_csv(path) -> ScorePanel:
             else:
                 raise ValidationError(f"unknown score_type {kind!r} in {path}")
     ids = list(xi)
+    n_x = 1 + max((c for sid in ids for c in xi[sid]), default=-1)
+    n_w = 1 + max((c for sid in ids for _, c in zeta[sid]), default=-1)
     counts = [1 + max((j for j, _ in zeta[sid]), default=-1) for sid in ids]
+    for sid, count in zip(ids, counts):
+        if (xi[sid].keys() != set(range(n_x))
+                or zeta[sid].keys() != {(j, c) for j in range(count) for c in range(n_w)}):
+            raise ValidationError(f"{path}: subject {sid} does not have {n_x} xi components "
+                                  f"and {n_w} zeta components for each of its visits")
     zeta_values = [v for sid in ids for _, v in sorted(zeta[sid].items())]
     return ScorePanel(subject_ids=ids, visit_counts=counts,
-                      xi=np.array([[v for _, v in sorted(xi[sid].items())] for sid in ids]),
-                      zeta=np.array(zeta_values).reshape(sum(counts), -1),
+                      xi=np.array([[xi[sid][c] for c in range(n_x)] for sid in ids]),
+                      zeta=np.array(zeta_values).reshape(sum(counts), n_w),
                       rank_deficient=np.zeros(len(ids), dtype=bool))

@@ -225,9 +225,12 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     per-subject score prediction.
 
     The panel is read twice, raw: once for the Gram matrix and the mean,
-    once for the lift; no centered copy is made. When ``workdir`` is given,
-    the lifted bases are streamed to files there, so the peak memory
-    footprint stays at O(p/L * n + n^2); otherwise they are kept in memory.
+    once for the lift; no centered copy is made. Both passes read row blocks
+    of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
+    the outputs' layout and cap the block height, never raise it. When
+    ``workdir`` is given, the lifted bases are streamed to files there, so
+    peak memory stays at about ``(threads + 1) x 2 x BLOCK_BYTES + n^2``
+    plus O(p) vectors; otherwise they are kept in memory.
     """
     threads = resolve_threads(threads)
     if not 0 < order_threshold <= 1:
@@ -280,17 +283,19 @@ def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: Intrins
     """One streamed pass over the raw rows producing every lifted family:
     Phi = Y (J U S^{-1/2} A)."""
     r = decomp.r
-    proj = center_factor(decomp.u / np.sqrt(decomp.s))
-    mats = [proj @ basis.a_x[k * r:(k + 1) * r] for k in range(q + 1)] + [proj @ basis.a_w]
+    coefs = [basis.a_x[k * r:(k + 1) * r] for k in range(q + 1)] + [basis.a_w]
+    stacked = center_factor(decomp.u / np.sqrt(decomp.s)) @ np.hstack(coefs)
+    edges = np.cumsum([c.shape[1] for c in coefs])[:-1]
     names = [f"phi_x_{k}.lfpb" for k in range(q + 1)] + ["phi_w.lfpb"]
 
     def _lift(rows, blocks, outs):
-        for m, out in zip(mats, outs):
-            np.matmul(blocks[0], m, out=out)
+        # one product reads the block once; the families are its column ranges
+        for out, part in zip(outs, np.split(blocks[0] @ stacked, edges, axis=1)):
+            out[:] = part
 
     _, panels = stream([panel], _lift,
-                       [(m.shape[1], workdir / name if workdir is not None else None)
-                        for m, name in zip(mats, names)], threads)
+                       [(c.shape[1], workdir / name if workdir is not None else None)
+                        for c, name in zip(coefs, names)], threads)
     return tuple(panels[:q + 1]), panels[-1]
 
 

@@ -48,7 +48,7 @@ def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.
     Each row is shifted by its first column before the slice products are
     summed; J removes the shift exactly, and without it a large mean would
     cancel the signal in J Y'Y J. Non-finite input raises NumericalError
-    naming the slice's rows and the first bad row.
+    naming the rows of its block and the first bad row.
     """
     def _slice(rows, blocks, outs):
         block = blocks[0]

@@ -1,9 +1,10 @@
 """Row-sliced data panels and the LFPB binary container.
 
 A panel is a p x n matrix of float64 values (p features/voxels as rows,
-n observation columns) processed as L consecutive row slices so that no
-operation ever needs the full matrix in memory. Panels are backed either
-by an in-memory array or by an LFPB file read slice by slice.
+n observation columns) stored as L consecutive row slices. Passes read it
+in row blocks of at most BLOCK_BYTES, so no operation ever needs the full
+matrix in memory, whatever the slice count. Panels are backed either by an
+in-memory array or by an LFPB file read block by block.
 
 LFPB layout (all integers little-endian):
 
@@ -21,6 +22,7 @@ matrix in row-major order; arbitrary row ranges can be read directly.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import math
@@ -36,7 +38,9 @@ from .errors import ValidationError
 
 MAGIC = b"LFPB"
 FORMAT_VERSION = 1
-DEFAULT_SLICE_BYTES = 256 * 1024 * 1024
+# Bytes of input rows, summed over the panels read together, that one
+# streamed block holds; stream() cuts every slice into blocks of this size.
+BLOCK_BYTES = 16 * 1024 * 1024
 
 _HEAD = struct.Struct("<4sIQQI")
 
@@ -47,11 +51,6 @@ def slice_starts(p: int, n_slices: int) -> list[int]:
         raise ValidationError(f"slice count must be >= 1, got {n_slices}")
     height = math.ceil(p / n_slices)
     return [min(l * height, p) for l in range(n_slices + 1)]
-
-
-def default_slice_count(p: int, n: int, slice_bytes: int = DEFAULT_SLICE_BYTES) -> int:
-    """Smallest L whose slices stay at or below ``slice_bytes``."""
-    return max(1, math.ceil(p * n * 8 / slice_bytes))
 
 
 @dataclass
@@ -134,7 +133,9 @@ class DataPanel:
 
 
 class PanelWriter:
-    """Incremental LFPB writer; slices must arrive in order and cover all rows."""
+    """Incremental LFPB writer. Row blocks arrive in order, each a whole slice
+    or the next rows of one (never running past its end), and must cover all
+    rows; empty slices need no block."""
 
     def __init__(self, path, p: int, n: int, n_slices: int = 1,
                  row_starts: list[int] | None = None):
@@ -146,23 +147,25 @@ class PanelWriter:
         self._fh = open(self.path, "wb")
         self._fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, p, n, len(self.row_starts) - 1))
         self._fh.write(np.asarray(self.row_starts, dtype="<u8").tobytes())
-        self._next = 0  # index of next slice expected
+        self._rows = 0  # rows written so far
 
     def write_slice(self, block: np.ndarray) -> None:
-        a, b = self.row_starts[self._next], self.row_starts[self._next + 1]
-        if block.shape != (b - a, self.n):
-            raise ValidationError(
-                f"slice {self._next} must have shape {(b - a, self.n)}, got {block.shape}")
+        """Append the next rows: a whole slice or a block of the current one."""
+        nxt = bisect.bisect_right(self.row_starts, self._rows)
+        end = self.row_starts[nxt] if nxt < len(self.row_starts) else self.p
+        if block.ndim != 2 or block.shape[1] != self.n or block.shape[0] > end - self._rows:
+            raise ValidationError(f"block of shape {block.shape} does not fit the slice rows "
+                                  f"[{self._rows}, {end}) of width {self.n}")
         np.ascontiguousarray(block, dtype="<f8").tofile(self._fh)
-        self._next += 1
+        self._rows += block.shape[0]
 
     def close(self) -> None:
         """Finish the file; an incomplete one is deleted and reported."""
         self._fh.close()
-        if self._next != len(self.row_starts) - 1:
+        if self._rows != self.p:
             self.path.unlink(missing_ok=True)
             raise ValidationError(f"panel file {self.path} incomplete: "
-                                  f"{self._next} of {len(self.row_starts) - 1} slices written")
+                                  f"{self._rows} of {self.p} rows written")
 
     def __enter__(self):
         return self
@@ -210,30 +213,37 @@ def read_panel(path) -> DataPanel:
 
 
 def stream(panels, fn, outputs=(), threads: int = 1):
-    """Run ``fn`` over aligned row slices of ``panels``: the one slice loop.
+    """Run ``fn`` over aligned row blocks of ``panels``: the one slice loop.
 
-    Slices follow the layout of ``panels[0]``. For each, rows [a, b) of every
-    panel are read in order in the calling thread and ``fn(rows, blocks,
-    outs)`` runs on the thread pool, where ``rows`` is ``slice(a, b)``.
-    ``outputs`` holds one ``(width, path)`` per row-block output; ``outs``
-    gives fn each one's rows [a, b) to fill in place, a (b - a) x width array
-    or, when width is None, a vector. Outputs with a path are written slice
-    by slice to an LFPB file, the others (vectors always) are kept in
-    memory. The arrays fn returns, if any, are summed in slice order, so no
-    result depends on ``threads``.
+    Blocks follow the slices of ``panels[0]``: each slice is cut into blocks
+    of ``max(1, BLOCK_BYTES // (8 * sum of the panels' n))`` rows, and no
+    block spans two slices. For each block, rows [a, b) of every panel are
+    read in order in the calling thread and ``fn(rows, blocks, outs)`` runs
+    on the thread pool, where ``rows`` is ``slice(a, b)``. ``outputs`` holds
+    one ``(width, path)`` per row-block output; ``outs`` gives fn each one's
+    rows [a, b) to fill in place, a (b - a) x width array or, when width is
+    None, a vector. Outputs with a path are written block by block to an
+    LFPB file, the others (vectors always) are kept in memory. The arrays fn
+    returns, if any, are summed in block order, so no result depends on
+    ``threads``. At most ``threads + 1`` blocks are in flight, so the pass
+    holds about ``(threads + 1) x 2 x BLOCK_BYTES`` (a block and one
+    temporary of its size each) plus the sums, whatever the slice count.
 
     Returns ``(sums, outs)``: the summed arrays (None when fn returns None)
     and each output as a vector, an in-memory DataPanel or the panel read
-    back from its file, in the layout of ``panels[0]``. On error every
+    back from its file, in the slice layout of ``panels[0]``. On error every
     output file is closed and deleted.
     """
     layout = panels[0]
+    height = max(1, BLOCK_BYTES // (8 * sum(panel.n for panel in panels)))
     memory = [np.empty(layout.p if width is None else (layout.p, width)) if path is None
               else None for width, path in outputs]
 
-    def _slices():
+    def _blocks():
         for a, b in zip(layout.row_starts, layout.row_starts[1:]):
-            yield slice(a, b), [panel.read_rows(a, b) for panel in panels]
+            for start in range(a, b, height):
+                rows = slice(start, min(start + height, b))
+                yield rows, [panel.read_rows(rows.start, rows.stop) for panel in panels]
 
     def _run(item):
         rows, blocks = item
@@ -246,14 +256,14 @@ def stream(panels, fn, outputs=(), threads: int = 1):
         writers = {i: stack.enter_context(PanelWriter(path, layout.p, width,
                                                       row_starts=layout.row_starts))
                    for i, (width, path) in enumerate(outputs) if path is not None}
-        results = stack.enter_context(contextlib.closing(ordered_map(_run, _slices(), threads)))
+        results = stack.enter_context(contextlib.closing(ordered_map(_run, _blocks(), threads)))
         for outs, parts in results:
             for i, writer in writers.items():
                 writer.write_slice(outs[i])
             if parts is not None:
                 sums = ([np.array(part, dtype=np.float64) for part in parts] if sums is None
                         else [np.add(total, part, out=total) for total, part in zip(sums, parts)])
-            outs = parts = None  # keep at most the in-flight slices alive
+            outs = parts = None  # keep at most the in-flight blocks alive
     return sums, [read_panel(path) if path is not None
                   else dest if width is None
                   else DataPanel(p=layout.p, n=width, row_starts=layout.row_starts, _array=dest)

@@ -231,14 +231,12 @@ def generate_scenario2(spec: ScenarioSpec):
 
 
 def _assemble(design: StudyDesign, phi_x, phi_w, xi, zeta) -> np.ndarray:
-    """Columns mean-free: sum_k Z_c,k Phi_x[k] xi_i + Phi_w zeta_c."""
+    """Columns mean-free: sum_k Z_c,k Phi_x[k] xi_i + Phi_w zeta_c, formed as
+    one product of the stacked bases with the stacked coefficients."""
     z = design.stacked_z()
-    subj_of_col = np.repeat(np.arange(design.n_subjects), design.visit_counts)
-    values = phi_w @ zeta.T
-    for k, basis in enumerate(phi_x):
-        coef = xi[subj_of_col] * z[:, k][:, None]   # (n, n_x)
-        values += basis @ coef.T
-    return values
+    xi_of_col = xi[np.repeat(np.arange(design.n_subjects), design.visit_counts)]  # (n, n_x)
+    coefs = [(xi_of_col * z[:, k][:, None]).T for k in range(len(phi_x))] + [zeta.T]
+    return np.hstack([*phi_x, phi_w]) @ np.vstack(coefs)
 
 
 # ---------------------------------------------------------------------------

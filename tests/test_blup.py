@@ -196,6 +196,20 @@ def test_scores_csv_round_trip(rng, tmp_path):
     assert back.visit_counts == res.scores.visit_counts
 
 
+def test_read_scores_csv_rejects_ragged_components(tmp_path):
+    # a subject missing an xi component, or a visit missing a zeta one, is a
+    # malformed file (exit 2 from the CLI), not a numpy shape error
+    head = "subject_id,score_type,visit_index,component,value\n"
+    ragged = {"xi": "a,xi,,0,1\na,xi,,1,2\na,zeta,0,0,3\nb,xi,,0,4\nb,zeta,0,0,5\n",
+              "zeta": "a,xi,,0,1\na,zeta,0,0,2\na,zeta,0,1,3\n"
+                      "a,zeta,1,0,4\nb,xi,,0,5\nb,zeta,0,0,6\nb,zeta,0,1,7\n"}
+    for kind, body in ragged.items():
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(head + body)
+        with pytest.raises(ValidationError, match="subject"):
+            read_scores_csv(path)
+
+
 def test_reconstruction_residual_tracks_noise_floor(rng):
     # noisy curves data: per-voxel mean squared residual of the fitted
     # reconstruction stays within a small multiple of the noise variance

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import make_design
-from lfpca import (DataPanel, IntrinsicDecomposition, fit_panel, left_vectors, load_model,
-                   read_metadata, read_panel, read_scores_csv, validate_design,
-                   write_metadata, write_panel)
+from lfpca import (DataPanel, IdentifiabilityError, IntrinsicDecomposition, NumericalError,
+                   ValidationError, fit_panel, left_vectors, load_model, read_metadata,
+                   read_panel, read_scores_csv, validate_design, write_metadata, write_panel)
 from lfpca import cli
+from lfpca import panel as panel_module
 from lfpca.cli import format_cell, main
 
 
@@ -169,6 +170,50 @@ def test_fit_reads_each_data_row_twice(tmp_path, rng, monkeypatch):
     assert digests == []
     assert run(*argv, "--out", str(tmp_path / "again")) == 0
     assert len(digests) == 2  # the data file and the metadata CSV
+
+
+def test_fit_one_slice_file_in_budget_blocks(tmp_path, rng, monkeypatch):
+    # a one-slice file under a small block budget: each payload row is still
+    # read twice, the manifest hash is still the file's sha256, phi_*.lfpb
+    # and v.lfpb keep the one-slice table and match the unsplit fit
+    design = make_design(rng, n_subjects=6, visits=3)
+    p = 20000
+    data, meta = tmp_path / "p.lfpb", tmp_path / "m.csv"
+    write_panel(DataPanel.from_array(rng.standard_normal((p, design.n))), data)
+    write_metadata(design, meta)
+    argv = ["fit", "--data", str(data), "--meta", str(meta), "--nx", "2", "--nw", "2",
+            "--threads", "2", "--write-v"]
+    assert run(*argv, "--out", str(tmp_path / "whole")) == 0
+
+    budget = 16 * 1024
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", budget)
+    reads = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        if self._path == data:
+            reads.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    assert run(*argv[:-1], "--out", str(tmp_path / "split")) == 0
+    counts = np.zeros(p, dtype=int)
+    for start, stop in reads:
+        counts[start:stop] += 1
+    np.testing.assert_array_equal(counts, 2)
+    assert max(stop - start for start, stop in reads) == budget // (8 * design.n)
+    manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
+    assert manifest["input_hashes"][str(data)] == hashlib.sha256(data.read_bytes()).hexdigest()
+
+    assert run(*argv, "--out", str(tmp_path / "split_v")) == 0
+    for name in ("phi_x_0.lfpb", "phi_x_1.lfpb", "phi_w.lfpb", "v.lfpb"):
+        split = read_panel(tmp_path / ("split_v" if name == "v.lfpb" else "split") / name)
+        assert split.row_starts == [0, p]
+        whole = read_panel(tmp_path / "whole" / name).to_array()
+        assert np.abs(split.to_array() - whole).max() <= 1e-12
+    split_scores = read_scores_csv(tmp_path / "split" / "scores.csv").xi
+    whole_scores = read_scores_csv(tmp_path / "whole" / "scores.csv").xi
+    assert np.abs(split_scores - whole_scores).max() <= 1e-12 * np.abs(whole_scores).max()
 
 
 def test_failed_refit_leaves_earlier_model(tmp_path, monkeypatch):
@@ -354,6 +399,25 @@ def test_var_threshold_outside_unit_interval_exits_2_before_reading(tmp_path, mo
 def test_var_threshold_with_integer_rank_exits_2(tmp_path, monkeypatch):
     assert _fit_reads_nothing(tmp_path, monkeypatch, "--rank", "10",
                               "--var-threshold", "0.5") == 2
+
+
+@pytest.mark.parametrize("error, code", [(ValidationError, 2), (IdentifiabilityError, 3),
+                                         (NumericalError, 4), (np.linalg.LinAlgError, 4)])
+def test_error_class_sets_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    # the stable contract: each error class maps to its exit code, is reported
+    # in one line with no traceback, and a failed fit leaves no --out behind
+    sim = simulate_small(tmp_path, reps=1)
+
+    def failing(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "fit_panel", failing)
+    capsys.readouterr()
+    assert run("fit", "--data", str(sim / "rep_000" / "panel.lfpb"),
+               "--meta", str(sim / "rep_000" / "meta.csv"), "--out", str(tmp_path / "f")) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("injected failure\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["sim"]
 
 
 def test_reps_zero_exits_2(tmp_path):

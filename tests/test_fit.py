@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationEr
                    decompose_intrinsic,
                    estimate_sigma2, fit_panel, load_model, save_model, select_orders, stream,
                    variance_explained, write_panel, read_panel)
+from lfpca import panel as panel_module
 from lfpca.mom import IntrinsicCovariances
 from oracle import aligned_vec_err, oracle_fit, well_separated
 
@@ -369,6 +371,64 @@ def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):
     np.testing.assert_array_equal(reads, 2)
     assert sorted(f.name for f in (tmp_path / "wd").iterdir()) == [
         "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb"]
+
+
+def test_one_slice_panel_is_fitted_in_budget_blocks(rng, tmp_path, monkeypatch):
+    # a one-slice panel, in memory and from a file, is read in blocks of
+    # BLOCK_BYTES: the traced peak is set by the budget and by what the fit
+    # keeps (p-vectors, in-memory phi), not by p x n; the outputs match the
+    # unsplit fit, the phi files keep the input's slice table and every row
+    # is read exactly twice
+    design = make_design(rng, n_subjects=20, visits=3)
+    p, n, threads = 20000, design.n, 2
+    arr = rng.standard_normal((p, n)) + 3.0
+    path = tmp_path / "p.lfpb"
+    write_panel(DataPanel.from_array(arr), path)
+    ref = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2, threads=threads)
+
+    budget = 64 * 1024
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", budget)
+    height = budget // (8 * n)
+    reads = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        if self.n == n:
+            reads.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    width = 3 * 2  # phi_x_0, phi_x_1, phi_w, two columns each
+    for name, panel in (("memory", DataPanel.from_array(arr)), ("file", read_panel(path)),
+                        ("file3", read_panel(path).with_slices(3))):
+        workdir = None if name == "memory" else tmp_path / name
+        reads.clear()
+        tracemalloc.start()
+        res = fit_panel(panel, design, n_x=2, n_w=2, threads=threads, workdir=workdir)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        kept = 8 * p * (2 + (width if workdir is None else 0))  # mean, row sums, phi
+        bound = kept + (threads + 1) * 2 * budget + 256 * 1024
+        assert peak < bound < 0.25 * p * n * 8, (name, peak, bound)
+
+        counts = np.zeros(p, dtype=int)
+        for start, stop in reads:
+            counts[start:stop] += 1
+        np.testing.assert_array_equal(counts, 2)
+        assert max(stop - start for start, stop in reads) == height
+
+        model = res.model
+        if workdir is not None:
+            for phi in (*model.phi_x, model.phi_w):
+                assert phi.file_backed and phi.row_starts == panel.row_starts
+        assert np.abs(res.gram - ref.gram).max() <= 1e-12 * np.abs(ref.gram).max()
+        np.testing.assert_allclose(model.mean, ref.model.mean, rtol=0, atol=1e-12)
+        for got, want in zip((*model.phi_x, model.phi_w), (*ref.model.phi_x, ref.model.phi_w)):
+            assert np.abs(got.to_array() - want.to_array()).max() <= 1e-12
+        for got, want in ((model.lambda_x, ref.model.lambda_x), (model.lambda_w, ref.model.lambda_w),
+                          (res.scores.xi, ref.scores.xi), (res.scores.zeta, ref.scores.zeta),
+                          (model.sigma2, ref.model.sigma2)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fit_reports_nonfinite_input_row(rng, tmp_path):

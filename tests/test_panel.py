@@ -3,7 +3,7 @@ import pytest
 
 from lfpca import (DataPanel, ValidationError, center_panel, panel_from_csv, panel_to_csv,
                    read_panel, write_panel)
-from lfpca.panel import PanelWriter, default_slice_count, slice_starts, stream
+from lfpca.panel import PanelWriter, slice_starts, stream
 
 
 def test_slice_starts_cover_all_rows():
@@ -61,6 +61,24 @@ def test_writer_rejects_wrong_shape_and_incomplete(tmp_path):
     writer.write_slice(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         writer.close()
+
+
+def test_writer_takes_the_blocks_of_a_slice_in_order(rng, tmp_path):
+    # stream writes each slice as one or more row blocks; a block may not run
+    # past its slice, and the slice table is kept
+    arr = rng.standard_normal((7, 2))
+    path = tmp_path / "w.lfpb"
+    with PanelWriter(path, p=7, n=2, row_starts=[0, 3, 3, 7]) as writer:
+        writer.write_slice(arr[:2])
+        with pytest.raises(ValidationError):
+            writer.write_slice(arr[2:4])  # crosses into the next slice
+        with pytest.raises(ValidationError):
+            writer.write_slice(arr[2:3, :1])
+        for a, b in ((2, 3), (3, 4), (4, 7)):
+            writer.write_slice(arr[a:b])
+    back = read_panel(path)
+    assert back.row_starts == [0, 3, 3, 7]
+    np.testing.assert_array_equal(back.to_array(), arr)
 
 
 def test_center_two_columns():
@@ -137,6 +155,3 @@ def test_csv_converter_round_trip(rng, tmp_path):
     np.testing.assert_array_equal(back.to_array(), arr)
 
 
-def test_default_slice_count():
-    assert default_slice_count(10, 10) == 1
-    assert default_slice_count(1 << 22, 64, slice_bytes=1 << 20) == 2048
