@@ -2,10 +2,11 @@
 
 Scores solve the per-subject normal equations of the fitted basis, stacked
 and solved one visit-count group at a time. Every matrix involved is
-low-dimensional: the Gram blocks reduce to products of the intrinsic
-eigenvector matrices, and the training right-hand side needs only the
-coordinates of each visit in the singular basis. Scoring new data under a
-saved model streams only the projections against the stored lifted bases.
+low-dimensional: the bases [Phi_x0 | ... | Phi_xq | Phi_w] are V B with B
+the stacked intrinsic coefficients, so their Gram matrix is B'B, and the
+training right-hand side needs only the coordinates of each visit in the
+singular basis. Scoring new data under a saved model streams only the
+projections against the stored lifted bases.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._parallel import resolve_threads
 from .design import StudyDesign, apply_covariate_scaling
 from .errors import ValidationError
-from .gram import IntrinsicDecomposition
+from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
 from .mom import _visit_groups
 from .panel import DataPanel, center_panel, stream
@@ -46,34 +47,10 @@ class ScorePanel:
         return self.zeta
 
 
-@dataclass
-class Projections:
-    """Per-visit inner products of the lifted bases with the centered data."""
-
-    x: list[np.ndarray]   # (q+1) arrays of (n_x, n)
-    w: np.ndarray         # (n_w, n)
-
-
-def intrinsic_projections(model: "FittedModel", decomp: IntrinsicDecomposition) -> Projections:
-    """Projections of the training data, from the singular basis alone."""
-    coords = np.sqrt(decomp.s)[:, None] * decomp.u.T
-    x = [model.x_coefficients(k).T @ coords for k in range(model.q + 1)]
-    return Projections(x=x, w=model.a_w.T @ coords)
-
-
-def _basis_grams(model: "FittedModel"):
-    """Gram blocks of the lifted bases via the intrinsic coefficients:
-    Phi_k' Phi_s = A_k' V' V A_s = A_k' A_s."""
-    blocks = [model.x_coefficients(k) for k in range(model.q + 1)]
-    gxx = np.array([[bk.T @ bs for bs in blocks] for bk in blocks])
-    gxw = np.array([bk.T @ model.a_w for bk in blocks])
-    gww = model.a_w.T @ model.a_w
-    return gxx, gxw, gww
-
-
 def panel_projections(model: "FittedModel", panel: DataPanel,
-                      threads: int | None = None) -> Projections:
-    """Streamed projections of (possibly new) data against the stored bases.
+                      threads: int | None = None) -> np.ndarray:
+    """Streamed projections Phi'(Y - mean 1') of (possibly new) data against
+    the stored bases, one row per column of B (see :func:`stack_coefficients`).
 
     The data is read through a view centered by the model mean, and each
     block is projected onto all the bases in one product.
@@ -88,18 +65,27 @@ def panel_projections(model: "FittedModel", panel: DataPanel,
 
     (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project,
                            threads=resolve_threads(threads))
-    *x, w = np.split(stacked, np.cumsum([b.n for b in bases])[:-1])
-    return Projections(x=x, w=w)
+    return stacked
 
 
-def _solve_scores(model: "FittedModel", design: StudyDesign, proj: Projections,
-                  grams) -> ScorePanel:
+def _solve_scores(model: "FittedModel", design: StudyDesign, proj: np.ndarray) -> ScorePanel:
     """Per-subject normal equations, stacked and solved one visit-count group
-    at a time; minimum-norm least squares for the ill-conditioned ones."""
-    gxx, gxw, gww = grams
-    n_x, n_w = model.n_x, model.n_w
+    at a time; minimum-norm least squares for the ill-conditioned ones.
+
+    ``proj`` is Phi'(Y - mean 1') with Phi = V B. The Gram blocks
+    Phi_k' Phi_s = A_k' A_s and the projection rows are views of B'B and
+    ``proj`` in B's family layout.
+    """
+    n_x, n_w, q1 = model.n_x, model.n_w, model.q + 1
+    d = q1 * n_x
+    b = stack_coefficients(model.a_x, model.a_w)
+    gram = b.T @ b
+    gxx = gram[:d, :d].reshape(q1, n_x, q1, n_x)  # [k, a, s, b] = (A_k' A_s)[a, b]
+    gxw = gram[:d, d:].reshape(q1, n_x, n_w)
+    gww = gram[d:, d:]
+    px = proj[:d].reshape(q1, n_x, -1)
+    pw = proj[d:]
     z_all = design.stacked_z()
-    px = np.stack(proj.x)  # (q+1, n_x, n)
     xi = np.empty((design.n_subjects, n_x))
     zeta = np.empty((design.n, n_w))
     deficient = np.empty(design.n_subjects, dtype=bool)
@@ -107,13 +93,13 @@ def _solve_scores(model: "FittedModel", design: StudyDesign, proj: Projections,
         g = idx.size
         z = z_all[cols]  # (G, J, q+1)
         m = np.empty((g, n_x + j * n_w, n_x + j * n_w))
-        m[:, :n_x, :n_x] = np.einsum("gks,ksab->gab", z.transpose(0, 2, 1) @ z, gxx)
+        m[:, :n_x, :n_x] = np.einsum("gks,kasb->gab", z.transpose(0, 2, 1) @ z, gxx)
         xw = np.einsum("gjk,kab->gajb", z, gxw).reshape(g, n_x, j * n_w)
         m[:, :n_x, n_x:] = xw
         m[:, n_x:, :n_x] = xw.transpose(0, 2, 1)
         m[:, n_x:, n_x:] = np.kron(np.eye(j), gww)
         rhs = np.concatenate([np.einsum("gjk,kagj->ga", z, px[:, :, cols]),
-                              proj.w[:, cols].transpose(1, 2, 0).reshape(g, j * n_w)], axis=1)
+                              pw[:, cols].transpose(1, 2, 0).reshape(g, j * n_w)], axis=1)
         cond = np.linalg.cond(m)
         bad = ~np.isfinite(cond) | (cond > BLUP_CONDITION_LIMIT)
         omega = np.empty_like(rhs)
@@ -135,8 +121,8 @@ def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
         raise ValidationError(f"decomposition rank {decomp.r} does not match model rank {model.r}")
     if decomp.u.shape[0] != design.n:
         raise ValidationError("decomposition and design disagree on the number of visits")
-    return _solve_scores(model, design, intrinsic_projections(model, decomp),
-                         _basis_grams(model))
+    coords = np.sqrt(decomp.s)[:, None] * decomp.u.T
+    return _solve_scores(model, design, stack_coefficients(model.a_x, model.a_w).T @ coords)
 
 
 def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
@@ -152,8 +138,7 @@ def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
         raise ValidationError(f"design has q={design.q}, model was fitted with q={model.q}")
     if apply_scaling and model.covariate_scaling:
         design = apply_covariate_scaling(design, model.covariate_scaling)
-    return _solve_scores(model, design, panel_projections(model, panel, threads=threads),
-                         _basis_grams(model))
+    return _solve_scores(model, design, panel_projections(model, panel, threads=threads))
 
 
 def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,

@@ -19,7 +19,8 @@ from .design import (CovariateScale, DesignReport, StudyDesign, normalize_covari
                      validate_design)
 from .errors import IdentifiabilityError, ValidationError
 from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
-                   center_factor, eigen_gram, eigh_descending, fix_signs, truncated_rank)
+                   center_factor, eigen_gram, eigh_descending, fix_signs, mass_count,
+                   stack_coefficients, truncated_rank)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
 from .panel import DataPanel, read_panel, stream, write_panel
@@ -86,13 +87,8 @@ def select_orders(spectrum_x: np.ndarray, spectrum_w: np.ndarray,
                   threshold: float = 0.9, cap: int = ORDER_CAP) -> tuple[int, int]:
     """Smallest component counts capturing ``threshold`` of each nonnegative
     spectrum, capped. Explicit user choices always take precedence upstream."""
-    def pick(spectrum):
-        pos = spectrum[spectrum > 0]
-        if pos.size == 0:
-            return 1
-        mass = np.cumsum(pos) / pos.sum()
-        return min(int(np.searchsorted(mass, threshold - 1e-15) + 1), cap, pos.size)
-    return pick(np.asarray(spectrum_x)), pick(np.asarray(spectrum_w))
+    return (min(mass_count(np.asarray(spectrum_x), threshold), cap),
+            min(mass_count(np.asarray(spectrum_w), threshold), cap))
 
 
 def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int, n_w: int) -> float:
@@ -132,10 +128,6 @@ class FittedModel:
     spectrum_x: np.ndarray
     spectrum_w: np.ndarray
     covariate_scaling: tuple[CovariateScale, ...] = ()
-
-    def x_coefficients(self, k: int) -> np.ndarray:
-        """Rows of a_x belonging to covariate k (the block lifted into phi_x[k])."""
-        return self.a_x[k * self.r:(k + 1) * self.r]
 
 
 @dataclass
@@ -189,11 +181,9 @@ def variance_explained(model: FittedModel) -> VarianceTable:
     if not total > 0:
         raise ValidationError(f"total variability must be positive, got {total}")
     rows = max(model.n_x, model.n_w)
+    blocks = model.a_x.reshape(model.q + 1, model.r, model.n_x)
     shares_x = np.zeros((model.q + 1, rows))
-    for k in range(model.q + 1):
-        block = model.x_coefficients(k)
-        norms = np.sum(block * block, axis=0)
-        shares_x[k, :model.n_x] = 100.0 * model.lambda_x * norms / total
+    shares_x[:, :model.n_x] = 100.0 * model.lambda_x * np.sum(blocks * blocks, axis=1) / total
     shares_w = np.zeros(rows)
     shares_w[:model.n_w] = 100.0 * model.lambda_w / total
     cumulative = np.cumsum(shares_x.sum(axis=0) + shares_w)
@@ -224,6 +214,9 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
     per-subject score prediction.
 
+    With ``normalize`` the covariates are standardized before the design is
+    validated, so the identifiability check and ``report`` describe the
+    design that is fitted, whatever the units of the covariates.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
@@ -239,12 +232,12 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
         raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
-    report = validate_design(design)
-    if not report.ok:
-        raise IdentifiabilityError(str(report))
     scaling: tuple[CovariateScale, ...] = ()
     if normalize:
         design, scaling = normalize_covariates(design)
+    report = validate_design(design)
+    if not report.ok:
+        raise IdentifiabilityError(str(report))
 
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
@@ -281,11 +274,11 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
 def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,
                 q: int, workdir: Path | None, threads: int):
     """One streamed pass over the raw rows producing every lifted family:
-    Phi = Y (J U S^{-1/2} A)."""
-    r = decomp.r
-    coefs = [basis.a_x[k * r:(k + 1) * r] for k in range(q + 1)] + [basis.a_w]
-    stacked = center_factor(decomp.u / np.sqrt(decomp.s)) @ np.hstack(coefs)
-    edges = np.cumsum([c.shape[1] for c in coefs])[:-1]
+    Phi = Y (J U S^{-1/2} B), with B from :func:`stack_coefficients`."""
+    stacked = (center_factor(decomp.u / np.sqrt(decomp.s))
+               @ stack_coefficients(basis.a_x, basis.a_w))
+    widths = [basis.a_x.shape[1]] * (q + 1) + [basis.a_w.shape[1]]
+    edges = np.cumsum(widths)[:-1]
     names = [f"phi_x_{k}.lfpb" for k in range(q + 1)] + ["phi_w.lfpb"]
 
     def _lift(rows, blocks, outs):
@@ -294,8 +287,8 @@ def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: Intrins
             out[:] = part
 
     _, panels = stream([panel], _lift,
-                       [(c.shape[1], workdir / name if workdir is not None else None)
-                        for c, name in zip(coefs, names)], threads)
+                       [(width, workdir / name if workdir is not None else None)
+                        for width, name in zip(widths, names)], threads)
     return tuple(panels[:q + 1]), panels[-1]
 
 

@@ -127,8 +127,17 @@ def truncated_rank(s: np.ndarray, rank: int | None = None,
         return rank
     if not 0 < var_threshold <= 1:
         raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
-    mass = np.cumsum(s[:n_pos]) / s[:n_pos].sum()
-    return int(np.searchsorted(mass, var_threshold - 1e-15) + 1)
+    return mass_count(s, var_threshold)
+
+
+def mass_count(spectrum: np.ndarray, threshold: float) -> int:
+    """Smallest count of leading positive eigenvalues whose cumulative share
+    of the positive spectrum reaches ``threshold`` (1 if none is positive)."""
+    pos = spectrum[spectrum > 0]
+    if pos.size == 0:
+        return 1
+    mass = np.cumsum(pos) / pos.sum()
+    return min(int(np.searchsorted(mass, threshold - 1e-15) + 1), pos.size)
 
 
 def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, rank: int | None = None,
@@ -158,3 +167,10 @@ def center_factor(factor: np.ndarray) -> np.ndarray:
     order: the column means then do not depend on the caller's layout."""
     factor = np.ascontiguousarray(factor)
     return factor - factor.mean(axis=0)
+
+
+def stack_coefficients(a_x: np.ndarray, a_w: np.ndarray) -> np.ndarray:
+    """B = [A_x0 | ... | A_xq | A_w], r x ((q+1) n_x + n_w), from the stacked
+    (q+1) r x n_x subject-level eigenvectors. The lifted bases
+    [Phi_x0 | ... | Phi_xq | Phi_w] are V B, so their Gram matrix is B'B."""
+    return np.hstack([*np.split(a_x, a_x.shape[0] // a_w.shape[0]), a_w])

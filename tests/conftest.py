@@ -25,6 +25,14 @@ def make_design(rng, n_subjects=8, visits=4, q=1, spread=2.0):
     return StudyDesign(subjects)
 
 
+def map_times(design, shift, scale):
+    """The design with every visit time T replaced by shift + scale * T."""
+    z = design.stacked_z()
+    z[:, 1] = shift + scale * z[:, 1]
+    return StudyDesign([Subject(s.subject_id, z[design.columns(i)])
+                        for i, s in enumerate(design.subjects)])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -62,21 +62,26 @@ def test_exact_model_data_recovers_scores(rng):
 
 
 def test_training_scores_match_dense_normal_equations(rng):
-    # the intrinsic scoring path agrees with explicitly assembled
+    # the training and streamed scoring paths agree with explicitly assembled
     # p-dimensional normal equations on the centered training data, for a
-    # balanced design and for one whose visit counts form several groups
-    for visits in (4, [1, 3, 2, 5, 1, 4]):
-        design = make_design(rng, n_subjects=5, visits=visits)
+    # balanced design, for one whose visit counts form several groups, and
+    # for q=2 with n_x != n_w, where a mix-up of the family blocks would show
+    cases = [(4, 1, 2, 2), ([1, 3, 2, 5, 1, 4], 1, 2, 2),
+             ([2, 4, 1, 3, 5, 2, 4, 3], 2, 3, 2)]
+    for visits, q, n_x, n_w in cases:
+        design = make_design(rng, n_subjects=5, visits=visits, q=q)
         arr = rng.standard_normal((100, design.n))
-        res = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
+        res = fit_panel(DataPanel.from_array(arr), design, n_x=n_x, n_w=n_w)
         model = res.model
         centered = arr - model.mean[:, None]
         dense = oracle_scores([p.to_array() for p in model.phi_x], model.phi_w.to_array(),
                               [s.z for s in res.design.subjects], centered)
-        for i, omega in enumerate(dense):
-            got = np.concatenate([res.scores.xi[i],
-                                  res.scores.zeta[res.design.columns(i)].ravel()])
-            assert np.abs(got - omega).max() <= 1e-9 * max(1.0, np.abs(omega).max())
+        streamed = score_new_panel(model, DataPanel.from_array(arr), design)
+        for scores in (res.scores, streamed):
+            for i, omega in enumerate(dense):
+                got = np.concatenate([scores.xi[i],
+                                      scores.zeta[res.design.columns(i)].ravel()])
+                assert np.abs(got - omega).max() <= 1e-9 * max(1.0, np.abs(omega).max())
 
 
 def test_scores_residual_for_spanned_data(rng):

@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_design
+from conftest import make_design, map_times
 from lfpca import (DataPanel, IdentifiabilityError, IntrinsicDecomposition, NumericalError,
-                   ValidationError, fit_panel, left_vectors, load_model, read_metadata,
-                   read_panel, read_scores_csv, validate_design, write_metadata, write_panel)
+                   ValidationError, fit_panel, left_vectors, load_model, normalize_covariates,
+                   read_metadata, read_panel, read_scores_csv, validate_design, write_metadata,
+                   write_panel)
 from lfpca import cli
 from lfpca import panel as panel_module
 from lfpca.cli import format_cell, main
@@ -80,7 +81,8 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["var_threshold"] == 0.9999
     assert not {"model", "backend", "seed"} & set(manifest["config"])
     # diagnostics the fit computes: design conditioning, scoring, spectrum mass
-    design = read_metadata(sim / "rep_000" / "meta.csv")
+    # of the design the fit uses: the covariates are standardised first
+    design = normalize_covariates(read_metadata(sim / "rep_000" / "meta.csv"))[0]
     assert manifest["design_condition_number"] == validate_design(design).condition_number
     assert manifest["rank_deficient_subjects"] == 0
     arr = read_panel(sim / "rep_000" / "panel.lfpb").to_array()
@@ -433,6 +435,22 @@ def test_unidentifiable_design_exits_3(tmp_path, rng):
     code = run("fit", "--data", str(tmp_path / "p.lfpb"), "--meta", str(tmp_path / "m.csv"),
                "--out", str(tmp_path / "f"))
     assert code == 3
+
+
+@pytest.mark.parametrize("shift, scale, extra, code", [
+    (2005.0, 1.0, (), 0),                   # calendar years
+    (730000.0, 365.0, (), 0),               # days since an epoch
+    (3.0, 0.0, (), 2),                      # constant: cannot be standardised
+    (3.0, 0.0, ("--no-normalize",), 3),     # constant: moment design rank deficient
+])
+def test_visit_time_units_exit_code(tmp_path, rng, shift, scale, extra, code):
+    # the design is validated after standardisation, so visit times in any
+    # affine units fit like times since baseline
+    design = make_design(rng, n_subjects=8, visits=4)
+    write_metadata(map_times(design, shift, scale), tmp_path / "m.csv")
+    write_panel(DataPanel.from_array(rng.standard_normal((30, design.n))), tmp_path / "p.lfpb")
+    assert run("fit", "--data", str(tmp_path / "p.lfpb"), "--meta", str(tmp_path / "m.csv"),
+               "--nx", "2", "--nw", "2", "--out", str(tmp_path / "f"), *extra) == code
 
 
 def test_scenario2_with_p_override_exits_2(tmp_path):

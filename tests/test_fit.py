@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_design
-from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
-                   decompose_intrinsic,
+from conftest import make_design, map_times
+from lfpca import (DataPanel, IdentifiabilityError, NumericalError, StudyDesign,
+                   ValidationError, decompose_intrinsic,
                    estimate_sigma2, fit_panel, load_model, save_model, select_orders, stream,
                    variance_explained, write_panel, read_panel)
 from lfpca import panel as panel_module
@@ -235,12 +235,31 @@ def test_fit_sigma2_invariant_to_subject_order(rng):
     arr = rng.standard_normal((30, design.n))
     res = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
     perm = rng.permutation(design.n_subjects)
-    from lfpca import StudyDesign
     design_p = StudyDesign([design.subjects[i] for i in perm])
     cols = np.concatenate([np.arange(design.columns(i).start, design.columns(i).stop)
                            for i in perm])
     res_p = fit_panel(DataPanel.from_array(arr[:, cols]), design_p, n_x=2, n_w=2)
     assert res.model.sigma2 == pytest.approx(res_p.model.sigma2, abs=1e-10)
+
+
+def test_fit_absorbs_affine_map_of_covariate(rng):
+    # visit times in years, calendar years or days since an epoch standardise
+    # to the same design: the fit validates and fits the normalised covariates
+    design = make_design(rng, n_subjects=8, visits=4)
+    arr = rng.standard_normal((40, design.n))
+    fits = []
+    for shift, scale in ((0.0, 1.0), (2005.0, 1.0), (730000.0, 365.0)):
+        res = fit_panel(DataPanel.from_array(arr), map_times(design, shift, scale),
+                        n_x=2, n_w=2)
+        model = res.model
+        fits.append({"lambda_x": model.lambda_x, "lambda_w": model.lambda_w,
+                     "sigma2": np.array([model.sigma2]),
+                     "phi": np.hstack([p.to_array() for p in (*model.phi_x, model.phi_w)]),
+                     "xi": res.scores.xi, "zeta": res.scores.zeta})
+    for other in fits[1:]:
+        for key, want in fits[0].items():
+            err = np.abs(other[key] - want).max() / np.abs(want).max()
+            assert err <= 1e-8, key
 
 
 def test_fit_rejects_unidentifiable_design(rng):
