@@ -126,30 +126,30 @@ def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
 
 
 def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
-                    apply_scaling: bool = True, threads: int | None = None) -> ScorePanel:
+                    threads: int | None = None) -> ScorePanel:
     """Scores for new data under a saved model.
 
-    The panel is centered with the model mean, and covariates are mapped
-    through the training normalization so original units are accepted.
+    The panel is centered with the model mean. The design is in original
+    units: its covariates are mapped through the model's stored scaling.
     """
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
     if design.q != model.q:
         raise ValidationError(f"design has q={design.q}, model was fitted with q={model.q}")
-    if apply_scaling and model.covariate_scaling:
-        design = apply_covariate_scaling(design, model.covariate_scaling)
-    return _solve_scores(model, design, panel_projections(model, panel, threads=threads))
+    return _solve_scores(model, apply_covariate_scaling(design, model.covariate_scaling),
+                         panel_projections(model, panel, threads=threads))
 
 
 def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
                 subject_index: int, visit_index: int) -> np.ndarray:
-    """Fitted observation for one visit, assembled slice by slice."""
+    """Fitted observation for one visit, assembled slice by slice. The
+    design is in original units, like that of :func:`score_new_panel`."""
     if not 0 <= subject_index < design.n_subjects:
         raise ValidationError(f"no subject index {subject_index}")
     col = design.column_of(subject_index, visit_index)
+    z = apply_covariate_scaling(design, model.covariate_scaling).subjects[subject_index].z
     xi = scores.xi[subject_index]
-    coef = np.concatenate([z_k * xi for z_k in design.subjects[subject_index].z[visit_index]]
-                          + [scores.zeta[col]])
+    coef = np.concatenate([z_k * xi for z_k in z[visit_index]] + [scores.zeta[col]])
 
     def _fitted(rows, blocks, outs):
         np.matmul(np.hstack(blocks), coef, out=outs[0])

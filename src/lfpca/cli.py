@@ -27,7 +27,7 @@ from ._parallel import resolve_threads
 from .blup import score_new_panel, write_scores_csv
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
-from .fit import fit_panel, load_model, save_model, variance_explained
+from .fit import DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, save_model, variance_explained
 from .gram import DEFAULT_VAR_THRESHOLD, left_vectors
 from .limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
 from .panel import digest_panel, panel_from_csv, panel_to_csv, read_panel, write_panel
@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--var-threshold", type=float, default=None,
                      help=f"spectrum mass kept when the rank is auto "
                           f"(default {DEFAULT_VAR_THRESHOLD}); not with an integer --rank")
-    fit.add_argument("--order-threshold", type=float, default=0.9,
-                     help="spectrum mass used to auto-select component counts")
+    fit.add_argument("--order-threshold", type=float, default=None,
+                     help=f"spectrum mass used to auto-select component counts "
+                          f"(default {DEFAULT_ORDER_THRESHOLD}); not with both --nx and --nw")
     fit.add_argument("--slices", type=int, default=None, help="processing slice count")
     fit.add_argument("--rank", default="auto", help="retained rank, integer or 'auto'")
     fit.add_argument("--threads", type=int, default=None)
@@ -114,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     direction = cv.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-csv", action="store_true")
     direction.add_argument("--to-panel", action="store_true")
-    cv.add_argument("--slices", type=int, default=1)
+    cv.add_argument("--slices", type=int, default=None,
+                    help="slice count of the written panel (--to-panel only; default 1)")
     cv.add_argument("input")
     cv.add_argument("output")
     cv.set_defaults(func=cmd_convert)
@@ -131,6 +133,11 @@ def cmd_fit(args) -> int:
     if rank is not None and args.var_threshold is not None:
         raise ValidationError("--var-threshold applies only to --rank auto")
     var_threshold = DEFAULT_VAR_THRESHOLD if args.var_threshold is None else args.var_threshold
+    orders_auto = args.nx is None or args.nw is None
+    if not orders_auto and args.order_threshold is not None:
+        raise ValidationError("--order-threshold applies only when --nx or --nw is auto")
+    order_threshold = (DEFAULT_ORDER_THRESHOLD if args.order_threshold is None
+                       else args.order_threshold)
     if args.nx is not None and args.nx < 1:
         raise ValidationError("--nx must be >= 1 (or omitted for auto)")
     if args.nw is not None and args.nw < 1:
@@ -144,7 +151,7 @@ def cmd_fit(args) -> int:
     with _staged_dir(outdir) as stage:
         result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
                            var_threshold=var_threshold,
-                           order_threshold=args.order_threshold,
+                           order_threshold=order_threshold,
                            normalize=not args.no_normalize, threads=threads, workdir=stage)
         data_hash = panel.digest.hexdigest()
         model, decomp = result.model, result.decomposition
@@ -165,7 +172,8 @@ def cmd_fit(args) -> int:
             "config": {
                 "nx": model.n_x, "nw": model.n_w, "rank": rank,
                 "var_threshold": var_threshold if rank is None else None,
-                "order_threshold": args.order_threshold, "slices": panel.n_slices,
+                "order_threshold": order_threshold if orders_auto else None,
+                "slices": panel.n_slices,
                 "normalize": not args.no_normalize, "threads": threads,
                 "condition_limit_ff": FF_CONDITION_LIMIT,
                 "condition_limit_blup": BLUP_CONDITION_LIMIT, "rank_eps": RANK_EPS,
@@ -376,9 +384,12 @@ def cmd_scores(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.to_csv:
+        if args.slices is not None:
+            raise ValidationError("--slices applies only to --to-panel")
         panel_to_csv(read_panel(args.input), args.output)
     else:
-        write_panel(panel_from_csv(args.input, n_slices=args.slices), args.output)
+        slices = 1 if args.slices is None else args.slices
+        write_panel(panel_from_csv(args.input, n_slices=slices), args.output)
     return EXIT_OK
 
 

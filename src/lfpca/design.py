@@ -167,27 +167,24 @@ def normalize_covariates(design: StudyDesign):
     """Standardize each non-intercept covariate over all n visits pooled.
 
     Uses the n-1 divisor for the sample variance. Returns the normalized
-    design and the per-column affine transforms, so results can be mapped
-    back to original units.
+    design, mapped by :func:`apply_covariate_scaling`, and the per-column
+    affine transforms, which a fitted model stores and re-applies to every
+    design given in original units.
     """
     z = design.stacked_z()
     scales = []
     for k in range(1, design.q + 1):
-        shift = z[:, k].mean()
         var = z[:, k].var(ddof=1) if design.n > 1 else 0.0
         if var <= 0.0:
             raise ValidationError(f"covariate column Z{k} has zero variance; cannot normalize")
-        scale = float(np.sqrt(var))
-        z[:, k] = (z[:, k] - shift) / scale
-        scales.append(CovariateScale(column=k, shift=float(shift), scale=scale))
-    subjects = []
-    for i, subj in enumerate(design.subjects):
-        subjects.append(Subject(subj.subject_id, z[design.columns(i)]))
-    return StudyDesign(subjects), tuple(scales)
+        scales.append(CovariateScale(column=k, shift=float(z[:, k].mean()),
+                                     scale=float(np.sqrt(var))))
+    scales = tuple(scales)
+    return apply_covariate_scaling(design, scales), scales
 
 
 def apply_covariate_scaling(design: StudyDesign, scales) -> StudyDesign:
-    """Apply stored training-time transforms to a new design."""
+    """Map a design in original units through stored transforms."""
     z = design.stacked_z()
     for sc in scales:
         if not 1 <= sc.column <= design.q:

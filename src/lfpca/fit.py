@@ -26,6 +26,7 @@ from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_
 from .panel import DataPanel, read_panel, stream, write_panel
 
 ORDER_CAP = 30
+DEFAULT_ORDER_THRESHOLD = 0.9  # spectrum mass an automatic order keeps
 
 
 @dataclass
@@ -58,8 +59,8 @@ def _top_eigen(evals: np.ndarray, evecs: np.ndarray, count: int):
     return vecs, np.maximum(top, 0.0), int(np.sum(top < 0))
 
 
-def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None,
-                        n_w: int | None = None, threshold: float = 0.9) -> IntrinsicBasis:
+def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: int | None = None,
+                        threshold: float = DEFAULT_ORDER_THRESHOLD) -> IntrinsicBasis:
     """Top eigenpairs of the intrinsic covariances, descending, clipped at 0.
 
     One eigendecomposition per matrix; an order left as None is chosen from
@@ -84,7 +85,8 @@ def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None,
 
 
 def select_orders(spectrum_x: np.ndarray, spectrum_w: np.ndarray,
-                  threshold: float = 0.9, cap: int = ORDER_CAP) -> tuple[int, int]:
+                  threshold: float = DEFAULT_ORDER_THRESHOLD,
+                  cap: int = ORDER_CAP) -> tuple[int, int]:
     """Smallest component counts capturing ``threshold`` of each nonnegative
     spectrum, capped. Explicit user choices always take precedence upstream."""
     return (min(mass_count(np.asarray(spectrum_x), threshold), cap),
@@ -199,7 +201,6 @@ class FitResult:
     decomposition: IntrinsicDecomposition
     covariances: IntrinsicCovariances
     scores: "ScorePanel"
-    design: StudyDesign
     mom: MomDesign
     gram: np.ndarray
     report: DesignReport | None = None
@@ -208,7 +209,7 @@ class FitResult:
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
               n_w: int | None = None, rank: int | None = None,
               var_threshold: float = DEFAULT_VAR_THRESHOLD,
-              order_threshold: float = 0.9, normalize: bool = True,
+              order_threshold: float = DEFAULT_ORDER_THRESHOLD, normalize: bool = True,
               threads: int | None = None, workdir=None) -> FitResult:
     """Run the full pipeline: SVD via the centered Gram matrix, moment
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
@@ -216,7 +217,9 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
 
     With ``normalize`` the covariates are standardized before the design is
     validated, so the identifiability check and ``report`` describe the
-    design that is fitted, whatever the units of the covariates.
+    design that is fitted, whatever the units of the covariates; the model
+    stores the transform, so callers keep their design in original units.
+    An explicit ``rank`` is used as given; orders it cannot hold are refused.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
@@ -230,6 +233,9 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
         raise ValidationError(f"order_threshold must be in (0, 1], got {order_threshold}")
     if not 0 < var_threshold <= 1:
         raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
+    if rank is not None and ((n_w or 0) > rank or (n_x or 0) > (design.q + 1) * rank):
+        raise ValidationError(f"rank {rank} cannot hold n_x={n_x} (at most (q+1) x rank) "
+                              f"and n_w={n_w} (at most rank) components")
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
     scaling: tuple[CovariateScale, ...] = ()
@@ -245,9 +251,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
 
     gram, mean = accumulate_gram(panel, threads=threads)
     decomp_full = eigen_gram(gram)
-    orders = (n_x, n_w) if (n_x is not None and n_w is not None) else None
-    r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold,
-                       model_orders=orders)
+    r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold)
     decomp = decomp_full.truncate(r)
 
     mom = compute_weights(build_design_matrix(design))
@@ -268,7 +272,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     from .blup import score_blups
     scores = score_blups(model, decomp, design)
     return FitResult(model=model, decomposition=decomp, covariances=covs, scores=scores,
-                     design=design, mom=mom, gram=gram, report=report)
+                     mom=mom, gram=gram, report=report)
 
 
 def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,

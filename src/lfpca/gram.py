@@ -104,13 +104,11 @@ def fix_signs(vectors: np.ndarray) -> None:
 
 
 def truncated_rank(s: np.ndarray, rank: int | None = None,
-                   var_threshold: float = DEFAULT_VAR_THRESHOLD,
-                   model_orders: tuple[int, int] | None = None) -> int:
+                   var_threshold: float = DEFAULT_VAR_THRESHOLD) -> int:
     """Number of singular directions to keep.
 
-    Either an explicit rank (floored at 2*N_X + N_W when the model orders
-    are known, so the intrinsic model is never starved), or the smallest
-    rank capturing ``var_threshold`` of the retained spectrum mass.
+    Either an explicit rank, used as given, or the smallest rank capturing
+    ``var_threshold`` of the retained spectrum mass.
     """
     s = np.asarray(s, dtype=float)
     if s.size == 0:
@@ -121,9 +119,6 @@ def truncated_rank(s: np.ndarray, rank: int | None = None,
     if rank is not None:
         if rank < 1 or rank > n_pos:
             raise ValidationError(f"rank must be in [1, {n_pos}] (positive eigenvalues), got {rank}")
-        if model_orders is not None:
-            n_x, n_w = model_orders
-            rank = max(rank, min(2 * n_x + n_w, n_pos))
         return rank
     if not 0 < var_threshold <= 1:
         raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
@@ -140,25 +135,22 @@ def mass_count(spectrum: np.ndarray, threshold: float) -> int:
     return min(int(np.searchsorted(mass, threshold - 1e-15) + 1), pos.size)
 
 
-def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, rank: int | None = None,
-                 out_path=None, threads: int = 1) -> DataPanel:
+def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, out_path=None,
+                 threads: int = 1) -> DataPanel:
     """Left singular vectors V = Y (J U S^{-1/2}) of the centered panel Y J.
 
     Streamed over the raw rows; centering is folded into the n x r factor.
     Returned as a p x r panel in the same slice layout as the input; written
     to ``out_path`` when given, else kept in memory.
     """
-    r = decomp.r if rank is None else rank
-    if r > decomp.r:
-        raise ValidationError(f"requested rank {r} exceeds retained rank {decomp.r}")
-    if np.any(decomp.s[:r] <= 0):
+    if np.any(decomp.s <= 0):
         raise ValidationError("cannot form left vectors for non-positive singular values")
-    proj = center_factor(decomp.u[:, :r] / np.sqrt(decomp.s[:r]))
+    proj = center_factor(decomp.u / np.sqrt(decomp.s))
 
     def _left(rows, blocks, outs):
         np.matmul(blocks[0], proj, out=outs[0])
 
-    _, (v,) = stream([panel], _left, [(r, out_path)], threads)
+    _, (v,) = stream([panel], _left, [(decomp.r, out_path)], threads)
     return v
 
 

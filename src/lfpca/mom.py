@@ -37,7 +37,6 @@ class MomDesign:
     """
 
     f: np.ndarray
-    pair_index: list[tuple[int, int, int]]
     pair_offsets: np.ndarray
     q: int
     h: np.ndarray | None = None
@@ -71,9 +70,7 @@ def build_design_matrix(design: "StudyDesign") -> MomDesign:
         pairs = (offsets[idx][:, None] + np.arange(j * j)).ravel()
         f[:d - 1, pairs] = np.einsum("gak,gbs->gabks", z, z).reshape(pairs.size, d - 1).T
         f[d - 1, pairs] = np.tile(np.eye(j).ravel(), idx.size)
-    pair_index = [(i, j1, j2) for i, j in enumerate(design.visit_counts)
-                  for j1 in range(j) for j2 in range(j)]
-    return MomDesign(f=f, pair_index=pair_index, pair_offsets=offsets, q=q)
+    return MomDesign(f=f, pair_offsets=offsets, q=q)
 
 
 def compute_weights(mom: MomDesign) -> MomDesign:
@@ -90,7 +87,7 @@ def compute_weights(mom: MomDesign) -> MomDesign:
 
 
 def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
-                          design: "StudyDesign", gram: np.ndarray | None = None):
+                          design: "StudyDesign", gram: np.ndarray):
     """Covariance estimates in the r-dimensional singular basis.
 
     With coordinates C = S^{1/2} U' (r x n), weight column l of H gives
@@ -98,16 +95,16 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     each subject's J x J pair weights. W_l C' is formed one visit-count
     group at a time and K_l is then a single r x n by n x r product written
     into its block of k_x (or into k_w); W_l itself is never built.
-    Raw traces are sum(W_l * G) over the diagonal blocks, taken from the
-    full Gram matrix when it is supplied, so they keep the complete trace
-    even when the rank was truncated; otherwise from C'C.
+    Raw traces are sum(W_l * G) over the diagonal blocks of the full Gram
+    matrix, so they keep the complete trace even when the rank was
+    truncated.
     """
     if mom.h is None:
         raise ValidationError("moment design has no weights; call compute_weights first")
     if decomp.u.shape[0] != design.n:
         raise ValidationError(
             f"decomposition has {decomp.u.shape[0]} columns, design expects {design.n}")
-    if gram is not None and gram.shape != (design.n, design.n):
+    if gram.shape != (design.n, design.n):
         raise ValidationError(f"Gram matrix shape {gram.shape} does not match n={design.n}")
     q, r = mom.q, decomp.r
     d = mom.n_rows
@@ -124,7 +121,7 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
 
 
 def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign",
-                       gram: np.ndarray | None):
+                       gram: np.ndarray):
     """Unsymmetrized C W_l C' for every weight column l, in k_x blocks and
     k_w, and sum(W_l * G) per column. Its (n, r) work arrays are freed on
     return, before the caller's symmetrized copies set the peak memory."""
@@ -136,9 +133,7 @@ def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign"
         pairs = mom.pair_offsets[idx][:, None] + np.arange(j * j)
         weights = mom.h[pairs].reshape(idx.size, j, j, d)
         c_g = coords.T[cols]  # (G, J, r)
-        g_g = (gram[cols[:, :, None], cols[:, None, :]] if gram is not None
-               else c_g @ c_g.transpose(0, 2, 1))
-        traces += np.einsum("gabd,gab->d", weights, g_g)
+        traces += np.einsum("gabd,gab->d", weights, gram[cols[:, :, None], cols[:, None, :]])
         groups.append((cols, weights, c_g))
     k_x = np.empty(((q + 1) * r, (q + 1) * r))
     k_w = np.empty((r, r))
@@ -168,7 +163,3 @@ class IntrinsicCovariances:
     trace_w_raw: float
     q: int
     r: int
-
-    def x_block(self, k: int, s: int) -> np.ndarray:
-        r = self.r
-        return self.k_x[k * r:(k + 1) * r, s * r:(s + 1) * r]

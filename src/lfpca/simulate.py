@@ -245,14 +245,13 @@ def _assemble(design: StudyDesign, phi_x, phi_w, xi, zeta) -> np.ndarray:
 
 def generate_from_model(model: FittedModel, design: StudyDesign, *,
                         lambda_x=None, lambda_w=None, score_law: str = "mixture",
-                        sigma2: float = 0.0, seed: int = 0, apply_scaling: bool = True):
+                        sigma2: float = 0.0, seed: int = 0):
     """Synthesize a panel from a fitted basis over a (possibly unbalanced)
-    design template; returns (panel, truth). Covariates pass through the
-    model's training normalization unless disabled."""
+    design template in original units; returns (panel, truth). Covariates
+    pass through the model's stored scaling."""
     if design.q != model.q:
         raise ValidationError(f"design has q={design.q}, model was fitted with q={model.q}")
-    if apply_scaling and model.covariate_scaling:
-        design = apply_covariate_scaling(design, model.covariate_scaling)
+    design = apply_covariate_scaling(design, model.covariate_scaling)
     lam_x = np.asarray(lambda_x if lambda_x is not None else np.maximum(model.lambda_x, 0.0),
                        dtype=float)
     lam_w = np.asarray(lambda_w if lambda_w is not None else np.maximum(model.lambda_w, 0.0),
@@ -294,9 +293,6 @@ class EvaluationResult:
     lambda_errors: dict[str, np.ndarray]
     score_errors: dict[str, np.ndarray] = field(default_factory=dict)
     score_quantiles: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def families(self):
-        return list(self.vector_distances)
 
 
 def aligned_sq_distance(truth: np.ndarray, estimate: np.ndarray) -> float:

@@ -227,9 +227,9 @@ def test_criterion_5_projection_exactness():
         p = int(rng.integers(50, 150))
         base_panel = DataPanel.from_array(rng.standard_normal((p, design.n)))
         res = fit_panel(base_panel, design, n_x=2, n_w=2)
-        panel, truth = generate_from_model(res.model, res.design, score_law="normal",
-                                           sigma2=0.0, seed=case, apply_scaling=False)
-        scores = score_new_panel(res.model, panel, res.design, apply_scaling=False)
+        panel, truth = generate_from_model(res.model, design, score_law="normal",
+                                           sigma2=0.0, seed=case)
+        scores = score_new_panel(res.model, panel, design)
         scale = max(np.abs(truth.xi).max(), np.abs(truth.zeta).max())
         err = max(np.abs(scores.xi_matrix() - truth.xi).max(),
                   np.abs(scores.zeta_matrix() - truth.zeta).max())

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import make_design
-from lfpca import (DataPanel, StudyDesign, ValidationError, fit_panel, generate_from_model,
-                   read_scores_csv, reconstruct, score_blups, score_new_panel,
-                   write_scores_csv)
+from lfpca import (DataPanel, StudyDesign, ValidationError, apply_covariate_scaling, fit_panel,
+                   generate_from_model, read_scores_csv, reconstruct, score_blups,
+                   score_new_panel, write_scores_csv)
 from oracle import oracle_basis_matrix, oracle_scores
 
 
 def fitted_model(rng, p=60, n_subjects=6, visits=3, n_x=2, n_w=2, q=1):
+    """A fit on random data and its design, in the design's own units."""
     design = make_design(rng, n_subjects=n_subjects, visits=visits, q=q)
     panel = DataPanel.from_array(rng.standard_normal((p, design.n)))
-    return fit_panel(panel, design, n_x=n_x, n_w=n_w)
+    return fit_panel(panel, design, n_x=n_x, n_w=n_w), design
 
 
 def mean_panel(model, n):
@@ -20,9 +21,9 @@ def mean_panel(model, n):
 
 
 def test_zero_data_gives_zero_scores(rng):
-    res = fitted_model(rng)
-    zero = mean_panel(res.model, res.design.n)
-    scores = score_new_panel(res.model, zero, res.design, apply_scaling=False)
+    res, design = fitted_model(rng)
+    zero = mean_panel(res.model, design.n)
+    scores = score_new_panel(res.model, zero, design)
     assert np.abs(scores.xi_matrix()).max() == 0.0
     assert np.abs(scores.zeta_matrix()).max() == 0.0
 
@@ -50,10 +51,10 @@ def test_score_new_panel_threads_use_pool(rng, monkeypatch):
 def test_exact_model_data_recovers_scores(rng):
     # data built exactly from the fitted basis: the predictor is the exact
     # projection, so generating scores come back to machine precision
-    res = fitted_model(rng, p=80)
-    panel, truth = generate_from_model(res.model, res.design, score_law="normal",
-                                       sigma2=0.0, seed=11, apply_scaling=False)
-    scores = score_new_panel(res.model, panel, res.design, apply_scaling=False)
+    res, design = fitted_model(rng, p=80)
+    panel, truth = generate_from_model(res.model, design, score_law="normal",
+                                       sigma2=0.0, seed=11)
+    scores = score_new_panel(res.model, panel, design)
     err_xi = np.abs(scores.xi_matrix() - truth.xi).max()
     err_zeta = np.abs(scores.zeta_matrix() - truth.zeta).max()
     scale = max(np.abs(truth.xi).max(), np.abs(truth.zeta).max())
@@ -74,29 +75,31 @@ def test_training_scores_match_dense_normal_equations(rng):
         res = fit_panel(DataPanel.from_array(arr), design, n_x=n_x, n_w=n_w)
         model = res.model
         centered = arr - model.mean[:, None]
+        std = apply_covariate_scaling(design, model.covariate_scaling)
         dense = oracle_scores([p.to_array() for p in model.phi_x], model.phi_w.to_array(),
-                              [s.z for s in res.design.subjects], centered)
+                              [s.z for s in std.subjects], centered)
         streamed = score_new_panel(model, DataPanel.from_array(arr), design)
         for scores in (res.scores, streamed):
             for i, omega in enumerate(dense):
                 got = np.concatenate([scores.xi[i],
-                                      scores.zeta[res.design.columns(i)].ravel()])
+                                      scores.zeta[design.columns(i)].ravel()])
                 assert np.abs(got - omega).max() <= 1e-9 * max(1.0, np.abs(omega).max())
 
 
 def test_scores_residual_for_spanned_data(rng):
     # noiseless data generated from the fitted basis: residual is zero
-    res = fitted_model(rng, p=70)
+    res, design = fitted_model(rng, p=70)
     model = res.model
-    panel, truth = generate_from_model(model, res.design, score_law="normal",
-                                       sigma2=0.0, seed=3, apply_scaling=False)
-    scores = score_new_panel(model, panel, res.design, apply_scaling=False)
+    panel, truth = generate_from_model(model, design, score_law="normal",
+                                       sigma2=0.0, seed=3)
+    scores = score_new_panel(model, panel, design)
     arr = panel.to_array()
-    for i in range(res.design.n_subjects):
-        cols = res.design.columns(i)
+    std = apply_covariate_scaling(design, model.covariate_scaling)
+    for i in range(design.n_subjects):
+        cols = design.columns(i)
         y_i = arr[:, cols] - model.mean[:, None]
         b = oracle_basis_matrix([p.to_array() for p in model.phi_x],
-                                model.phi_w.to_array(), res.design.subjects[i].z)
+                                model.phi_w.to_array(), std.subjects[i].z)
         omega = np.concatenate([scores.xi[i], scores.zeta[cols].ravel()])
         resid = np.linalg.norm(y_i.T.ravel() - b @ omega)
         assert resid <= 1e-8 * max(np.linalg.norm(y_i), 1e-30)
@@ -128,70 +131,69 @@ def test_scores_invariant_to_subject_permutation(rng):
 
 def test_rank_deficient_solve_is_flagged_not_fatal(rng):
     # more scores than informative directions: minimum-norm solution, flag set
-    res = fitted_model(rng, p=30, n_subjects=4, visits=6, n_x=2, n_w=2)
-    model = res.model
+    model = fitted_model(rng, p=30, n_subjects=4, visits=6, n_x=2, n_w=2)[0].model
     # degenerate design: all covariates identical makes columns collide
     z = np.column_stack([np.ones(6), np.zeros(6) + 1.0])
     from lfpca import Subject
     design = StudyDesign([Subject("dup", z)])
-    scores = score_new_panel(model, mean_panel(model, 6), design, apply_scaling=False)
+    scores = score_new_panel(model, mean_panel(model, 6), design)
     assert scores.rank_deficient[0] or np.abs(scores.xi[0]).max() == 0.0
 
     # r - n_w < n_x: a subject whose visits share one covariate row has
     # dependent columns; one with as many visits at distinct times does not
     # and is solved as if it were scored alone
     from lfpca.limits import BLUP_CONDITION_LIMIT
-    model = fitted_model(rng, p=30, n_subjects=2, visits=3, n_x=3, n_w=3).model
+    model = fitted_model(rng, p=30, n_subjects=2, visits=3, n_x=3, n_w=3)[0].model
     assert model.r - model.n_w < model.n_x
     design = StudyDesign([Subject("dup", np.ones((2, 2))),
                           Subject("ok", np.column_stack([np.ones(2), [0.0, 1.0]])),
                           Subject("dup2", np.ones((2, 2)))])
     arr = rng.standard_normal((30, design.n))
-    scores = score_new_panel(model, DataPanel.from_array(arr), design, apply_scaling=False)
+    scores = score_new_panel(model, DataPanel.from_array(arr), design)
     phi_x, phi_w = [p.to_array() for p in model.phi_x], model.phi_w.to_array()
     cond = [np.linalg.cond(b.T @ b) for b in
-            (oracle_basis_matrix(phi_x, phi_w, s.z) for s in design.subjects)]
+            (oracle_basis_matrix(phi_x, phi_w, s.z)
+             for s in apply_covariate_scaling(design, model.covariate_scaling).subjects)]
     np.testing.assert_array_equal(scores.rank_deficient, np.array(cond) > BLUP_CONDITION_LIMIT)
     assert scores.rank_deficient.tolist() == [True, False, True]
     assert np.all(np.isfinite(scores.xi)) and np.all(np.isfinite(scores.zeta))
     solo = score_new_panel(model, DataPanel.from_array(arr[:, 2:4]),
-                           StudyDesign(design.subjects[1:2]), apply_scaling=False)
+                           StudyDesign(design.subjects[1:2]))
     got = np.concatenate([scores.xi[1], scores.zeta[2:4].ravel()])
     want = np.concatenate([solo.xi[0], solo.zeta.ravel()])
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_reconstruct_zero_scores_returns_mean(rng):
-    res = fitted_model(rng)
-    scores = score_new_panel(res.model, mean_panel(res.model, res.design.n),
-                             res.design, apply_scaling=False)
-    rec = reconstruct(res.model, scores, res.design, 0, 0)
+    res, design = fitted_model(rng)
+    scores = score_new_panel(res.model, mean_panel(res.model, design.n), design)
+    rec = reconstruct(res.model, scores, design, 0, 0)
     np.testing.assert_allclose(rec, res.model.mean, atol=1e-12)
 
 
 def test_reconstruct_exact_model_data(rng):
-    res = fitted_model(rng, p=50)
-    panel, truth = generate_from_model(res.model, res.design, score_law="normal",
-                                       sigma2=0.0, seed=9, apply_scaling=False)
-    scores = score_new_panel(res.model, panel, res.design, apply_scaling=False)
+    res, design = fitted_model(rng, p=50)
+    panel, truth = generate_from_model(res.model, design, score_law="normal",
+                                       sigma2=0.0, seed=9)
+    scores = score_new_panel(res.model, panel, design)
     arr = panel.to_array()
-    for i, j in [(0, 0), (2, 1), (res.design.n_subjects - 1, 2)]:
-        rec = reconstruct(res.model, scores, res.design, i, j)
-        col = res.design.column_of(i, j)
+    for i, j in [(0, 0), (2, 1), (design.n_subjects - 1, 2)]:
+        rec = reconstruct(res.model, scores, design, i, j)
+        col = design.column_of(i, j)
         err = np.linalg.norm(rec - arr[:, col])
         assert err <= 1e-8 * max(np.linalg.norm(arr[:, col]), 1e-30)
 
 
 def test_reconstruct_rejects_unknown_visit(rng):
-    res = fitted_model(rng)
+    res, design = fitted_model(rng)
     with pytest.raises(ValidationError):
-        reconstruct(res.model, res.scores, res.design, 0, 99)
+        reconstruct(res.model, res.scores, design, 0, 99)
     with pytest.raises(ValidationError):
-        reconstruct(res.model, res.scores, res.design, 99, 0)
+        reconstruct(res.model, res.scores, design, 99, 0)
 
 
 def test_scores_csv_round_trip(rng, tmp_path):
-    res = fitted_model(rng)
+    res = fitted_model(rng)[0]
     path = tmp_path / "scores.csv"
     write_scores_csv(res.scores, path)
     back = read_scores_csv(path)
@@ -227,8 +229,8 @@ def test_reconstruction_residual_tracks_noise_floor(rng):
     cols = rng.choice(design.n, size=40, replace=False)
     total = 0.0
     for c in cols:
-        i = int(np.searchsorted(res.design.col_offsets, c, side="right")) - 1
-        j = c - int(res.design.col_offsets[i])
-        rec = reconstruct(res.model, res.scores, res.design, i, j)
+        i = int(np.searchsorted(design.col_offsets, c, side="right")) - 1
+        j = c - int(design.col_offsets[i])
+        rec = reconstruct(res.model, res.scores, design, i, j)
         total += float(np.mean((rec - arr[:, c]) ** 2))
     assert total / cols.size <= 3 * sigma2

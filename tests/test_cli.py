@@ -79,6 +79,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["condition_limit_blup"] == BLUP_CONDITION_LIMIT
     assert manifest["config"]["rank_eps"] == RANK_EPS
     assert manifest["config"]["var_threshold"] == 0.9999
+    assert manifest["config"]["order_threshold"] is None  # both orders given
     assert not {"model", "backend", "seed"} & set(manifest["config"])
     # diagnostics the fit computes: design conditioning, scoring, spectrum mass
     # of the design the fit uses: the covariates are standardised first
@@ -258,6 +259,7 @@ def test_refit_removes_stale_optional_outputs(tmp_path):
     assert (fit_dir / "notes.txt").read_text() == "kept"
     manifest = json.loads((fit_dir / "manifest.json").read_text())
     assert manifest["config"]["rank"] == 10 and manifest["config"]["var_threshold"] is None
+    assert manifest["r"] == 10  # an explicit rank is used as given
 
 
 def test_simulate_identical_seeds_identical_trees(tmp_path):
@@ -401,6 +403,15 @@ def test_var_threshold_outside_unit_interval_exits_2_before_reading(tmp_path, mo
 def test_var_threshold_with_integer_rank_exits_2(tmp_path, monkeypatch):
     assert _fit_reads_nothing(tmp_path, monkeypatch, "--rank", "10",
                               "--var-threshold", "0.5") == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ("--nx", "4", "--nw", "4", "--order-threshold", "0.5"),  # no order is automatic
+    ("--rank", "3", "--nx", "4", "--nw", "4"),               # n_w > rank
+    ("--rank", "1", "--nx", "3"),                            # n_x > (q+1) rank
+])
+def test_option_the_fit_cannot_honour_exits_2_before_reading(tmp_path, monkeypatch, extra):
+    assert _fit_reads_nothing(tmp_path, monkeypatch, *extra) == 2
 
 
 @pytest.mark.parametrize("error, code", [(ValidationError, 2), (IdentifiabilityError, 3),
@@ -561,6 +572,10 @@ def test_dump_h_and_write_v(tmp_path):
 def test_convert_round_trip(tmp_path, rng):
     arr = rng.standard_normal((6, 4))
     write_panel(DataPanel.from_array(arr), tmp_path / "p.lfpb")
+    # --slices sets the layout of a written panel; a CSV has none
+    assert run("convert", "--to-csv", "--slices", "3", str(tmp_path / "p.lfpb"),
+               str(tmp_path / "p.csv")) == 2
+    assert not (tmp_path / "p.csv").exists()
     assert run("convert", "--to-csv", str(tmp_path / "p.lfpb"), str(tmp_path / "p.csv")) == 0
     assert run("convert", "--to-panel", str(tmp_path / "p.csv"), str(tmp_path / "q.lfpb")) == 0
     np.testing.assert_array_equal(read_panel(tmp_path / "q.lfpb").to_array(), arr)

@@ -7,7 +7,8 @@ import pytest
 from conftest import make_design, map_times
 from lfpca import (DataPanel, IdentifiabilityError, NumericalError, StudyDesign,
                    ValidationError, decompose_intrinsic,
-                   estimate_sigma2, fit_panel, load_model, save_model, select_orders, stream,
+                   estimate_sigma2, fit_panel, generate_from_model, load_model, reconstruct,
+                   save_model, score_new_panel, select_orders, stream,
                    variance_explained, write_panel, read_panel)
 from lfpca import panel as panel_module
 from lfpca.mom import IntrinsicCovariances
@@ -244,18 +245,27 @@ def test_fit_sigma2_invariant_to_subject_order(rng):
 
 def test_fit_absorbs_affine_map_of_covariate(rng):
     # visit times in years, calendar years or days since an epoch standardise
-    # to the same design: the fit validates and fits the normalised covariates
+    # to the same design: the fit validates and fits the normalised covariates,
+    # and generation, scoring and reconstruction take the design in the
+    # caller's units
     design = make_design(rng, n_subjects=8, visits=4)
     arr = rng.standard_normal((40, design.n))
+    visits = [(0, 0), (3, 2), (7, 3)]
     fits = []
     for shift, scale in ((0.0, 1.0), (2005.0, 1.0), (730000.0, 365.0)):
-        res = fit_panel(DataPanel.from_array(arr), map_times(design, shift, scale),
-                        n_x=2, n_w=2)
+        mapped = map_times(design, shift, scale)
+        res = fit_panel(DataPanel.from_array(arr), mapped, n_x=2, n_w=2)
         model = res.model
+        panel, _ = generate_from_model(model, mapped, score_law="normal", seed=4)
+        scores = score_new_panel(model, panel, mapped)
+        recs = np.column_stack([reconstruct(model, scores, mapped, i, j) for i, j in visits])
+        generated = panel.to_array()[:, [mapped.column_of(i, j) for i, j in visits]]
+        assert np.linalg.norm(recs - generated) <= 1e-8 * np.linalg.norm(generated)
         fits.append({"lambda_x": model.lambda_x, "lambda_w": model.lambda_w,
                      "sigma2": np.array([model.sigma2]),
                      "phi": np.hstack([p.to_array() for p in (*model.phi_x, model.phi_w)]),
-                     "xi": res.scores.xi, "zeta": res.scores.zeta})
+                     "xi": res.scores.xi, "zeta": res.scores.zeta,
+                     "new_xi": scores.xi, "new_zeta": scores.zeta, "reconstructed": recs})
     for other in fits[1:]:
         for key, want in fits[0].items():
             err = np.abs(other[key] - want).max() / np.abs(want).max()

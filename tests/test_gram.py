@@ -111,10 +111,10 @@ def test_truncated_rank_threshold_arithmetic():
     assert truncated_rank(np.array([8.0, 1.0, 1.0]), var_threshold=0.8) == 1
 
 
-def test_truncated_rank_explicit_with_floor():
+def test_truncated_rank_explicit_is_used_as_given():
     s = np.linspace(10, 1, 10)
-    assert truncated_rank(s, rank=2, model_orders=(2, 2)) == 6
-    assert truncated_rank(s, rank=8, model_orders=(2, 2)) == 8
+    assert truncated_rank(s, rank=2) == 2
+    assert truncated_rank(s, rank=8) == 8
     with pytest.raises(ValidationError):
         truncated_rank(s, rank=11)
 
@@ -151,16 +151,9 @@ def test_left_vectors_rank_two_exact(rng):
     data = panel(arr, n_slices=4)
     decomp = eigen_gram(accumulate_gram(data)[0])
     assert decomp.r == 2
-    v = left_vectors(data, decomp, rank=2).to_array()
-    recon = v @ (np.sqrt(decomp.s[:2])[:, None] * decomp.u[:, :2].T)
+    v = left_vectors(data, decomp).to_array()
+    recon = v @ (np.sqrt(decomp.s)[:, None] * decomp.u.T)
     assert np.linalg.norm(recon - centered(arr)) <= 1e-10 * np.linalg.norm(centered(arr))
-
-
-def test_left_vectors_rejects_excess_rank(rng):
-    data = panel(rng.standard_normal((10, 4)))
-    decomp = eigen_gram(accumulate_gram(data)[0])
-    with pytest.raises(ValidationError):
-        left_vectors(data, decomp, rank=decomp.r + 1)
 
 
 def test_left_vectors_to_file(rng, tmp_path):

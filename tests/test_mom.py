@@ -35,8 +35,6 @@ def test_matches_brute_force_construction(rng):
 def test_pair_enumeration_is_row_major(rng):
     design = make_design(rng, n_subjects=2, visits=[2, 3])
     mom = build_design_matrix(design)
-    assert mom.pair_index[:4] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    assert mom.pair_index[4] == (1, 0, 0)
     assert list(mom.pair_offsets) == [0, 4, 13]
 
 
@@ -69,14 +67,14 @@ def test_weights_are_minimum_norm_solutions(rng):
 
 # --- intrinsic covariances -----------------------------------------------------
 
-def fit_covs(rng, p, design, n_slices=1, gram_exact=True):
+def fit_covs(rng, p, design, n_slices=1):
     arr = rng.standard_normal((p, design.n))
     arr -= arr.mean(axis=1, keepdims=True)
     panel = DataPanel.from_array(arr, n_slices=n_slices)
     gram, _ = accumulate_gram(panel)
     decomp = eigen_gram(gram)
     mom = compute_weights(build_design_matrix(design))
-    covs = intrinsic_covariances(decomp, mom, design, gram=gram if gram_exact else None)
+    covs = intrinsic_covariances(decomp, mom, design, gram=gram)
     return arr, panel, decomp, covs
 
 
@@ -116,21 +114,17 @@ def test_unbalanced_designs_match_dense_oracle(rng):
     # group must land in its own columns of W_l
     visits = [1, 3, 2, 5, 1, 4]
     for q in (1, 2):
-        for gram_exact in (True, False):
-            design = make_design(rng, n_subjects=len(visits), visits=visits, q=q)
-            z_list = [s.z for s in design.subjects]
-            mom = build_design_matrix(design)
-            np.testing.assert_allclose(mom.f, oracle_design_matrix(z_list), atol=1e-15)
-            assert [(design.column_of(i, j1), design.column_of(i, j2))
-                    for i, j1, j2 in mom.pair_index] == oracle_pair_columns(z_list)
-            arr, panel, decomp, covs = fit_covs(rng, 40, design, n_slices=2,
-                                                gram_exact=gram_exact)
-            k_x_oracle, k_w_oracle = oracle_covariances(arr, z_list)
-            lifted_x, lifted_w = lifted(panel, decomp, covs)
-            assert np.abs(lifted_x - k_x_oracle).max() <= 1e-10
-            assert np.abs(lifted_w - k_w_oracle).max() <= 1e-10
-            assert abs(covs.trace_x_raw - np.trace(k_x_oracle)) <= 1e-10
-            assert abs(covs.trace_w_raw - np.trace(k_w_oracle)) <= 1e-10
+        design = make_design(rng, n_subjects=len(visits), visits=visits, q=q)
+        z_list = [s.z for s in design.subjects]
+        mom = build_design_matrix(design)
+        np.testing.assert_allclose(mom.f, oracle_design_matrix(z_list), atol=1e-15)
+        arr, panel, decomp, covs = fit_covs(rng, 40, design, n_slices=2)
+        k_x_oracle, k_w_oracle = oracle_covariances(arr, z_list)
+        lifted_x, lifted_w = lifted(panel, decomp, covs)
+        assert np.abs(lifted_x - k_x_oracle).max() <= 1e-10
+        assert np.abs(lifted_w - k_w_oracle).max() <= 1e-10
+        assert abs(covs.trace_x_raw - np.trace(k_x_oracle)) <= 1e-10
+        assert abs(covs.trace_w_raw - np.trace(k_w_oracle)) <= 1e-10
 
 
 def test_block_weight_column_mapping(rng):
@@ -141,13 +135,12 @@ def test_block_weight_column_mapping(rng):
     mom = compute_weights(build_design_matrix(design))
     coords = np.sqrt(decomp.s)[:, None] * decomp.u.T
     expected = np.zeros((decomp.r, decomp.r))
-    for idx, (i, j1, j2) in enumerate(mom.pair_index):
-        c1 = design.column_of(i, j1)
-        c2 = design.column_of(i, j2)
+    for idx, (c1, c2) in enumerate(oracle_pair_columns([s.z for s in design.subjects])):
         expected += np.outer(coords[:, c1], coords[:, c2]) * mom.h[idx, 2]
-    np.testing.assert_allclose(covs.x_block(1, 0), expected, atol=1e-12)
+    r = decomp.r
+    np.testing.assert_allclose(covs.k_x[r:, :r], expected, atol=1e-12)
     # cross blocks are transposes of each other
-    np.testing.assert_allclose(covs.x_block(1, 0), covs.x_block(0, 1).T, atol=1e-15)
+    np.testing.assert_allclose(covs.k_x[r:, :r], covs.k_x[:r, r:].T, atol=1e-15)
 
 
 def test_estimates_invariant_to_subject_order(rng):
