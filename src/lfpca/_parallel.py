@@ -12,21 +12,22 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from .errors import ValidationError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Pick the worker count: explicit argument, else LFPCA_THREADS, else 1."""
+    """Worker count: the explicit argument (at least 1), else LFPCA_THREADS, else 1."""
     if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("LFPCA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+        if threads < 1:
+            raise ValidationError(f"threads must be >= 1 (or None), got {threads}")
+        return int(threads)
+    try:
+        return max(1, int(os.environ.get("LFPCA_THREADS") or 1))
+    except ValueError:
+        return 1
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> Iterator[R]:

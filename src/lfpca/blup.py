@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._parallel import resolve_threads
-from .design import StudyDesign, apply_covariate_scaling
+from .design import StudyDesign
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
@@ -134,20 +134,22 @@ def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
     """
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
-    if design.q != model.q:
-        raise ValidationError(f"design has q={design.q}, model was fitted with q={model.q}")
-    return _solve_scores(model, apply_covariate_scaling(design, model.covariate_scaling),
+    return _solve_scores(model, model.in_model_units(design),
                          panel_projections(model, panel, threads=threads))
 
 
 def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
                 subject_index: int, visit_index: int) -> np.ndarray:
-    """Fitted observation for one visit, assembled slice by slice. The
-    design is in original units, like that of :func:`score_new_panel`."""
+    """Fitted observation for one visit, assembled slice by slice, from ``scores``
+    and the design they were solved under, in original units."""
+    design = model.in_model_units(design)
+    if ([s.subject_id for s in design.subjects] != scores.subject_ids
+            or design.visit_counts != scores.visit_counts):
+        raise ValidationError("design and scores disagree on subject ids or visit counts")
     if not 0 <= subject_index < design.n_subjects:
         raise ValidationError(f"no subject index {subject_index}")
     col = design.column_of(subject_index, visit_index)
-    z = apply_covariate_scaling(design, model.covariate_scaling).subjects[subject_index].z
+    z = design.subjects[subject_index].z
     xi = scores.xi[subject_index]
     coef = np.concatenate([z_k * xi for z_k in z[visit_index]] + [scores.zeta[col]])
 

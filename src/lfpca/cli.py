@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._parallel import resolve_threads
 from .blup import score_new_panel, write_scores_csv
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
@@ -130,19 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_fit(args) -> int:
     t0 = time.monotonic()
     rank = _parse_rank(args.rank)
-    if rank is not None and args.var_threshold is not None:
-        raise ValidationError("--var-threshold applies only to --rank auto")
-    var_threshold = DEFAULT_VAR_THRESHOLD if args.var_threshold is None else args.var_threshold
-    orders_auto = args.nx is None or args.nw is None
-    if not orders_auto and args.order_threshold is not None:
-        raise ValidationError("--order-threshold applies only when --nx or --nw is auto")
-    order_threshold = (DEFAULT_ORDER_THRESHOLD if args.order_threshold is None
-                       else args.order_threshold)
-    if args.nx is not None and args.nx < 1:
-        raise ValidationError("--nx must be >= 1 (or omitted for auto)")
-    if args.nw is not None and args.nw < 1:
-        raise ValidationError("--nw must be >= 1 (or omitted for auto)")
-    threads = _resolve_threads_flag(args.threads)
     panel = digest_panel(read_panel(args.data))
     design = read_metadata(args.meta)
     if args.slices is not None:
@@ -150,9 +136,9 @@ def cmd_fit(args) -> int:
     outdir = Path(args.out)
     with _staged_dir(outdir) as stage:
         result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
-                           var_threshold=var_threshold,
-                           order_threshold=order_threshold,
-                           normalize=not args.no_normalize, threads=threads, workdir=stage)
+                           var_threshold=args.var_threshold,
+                           order_threshold=args.order_threshold,
+                           normalize=not args.no_normalize, threads=args.threads, workdir=stage)
         data_hash = panel.digest.hexdigest()
         model, decomp = result.model, result.decomposition
         _write_eigenvalues(stage / "eigenvalues.csv", model)
@@ -162,7 +148,7 @@ def cmd_fit(args) -> int:
         write_scores_csv(result.scores, stage / "scores.csv")
         save_model(model, stage)
         if args.write_v:
-            left_vectors(panel, decomp, out_path=stage / "v.lfpb", threads=threads)
+            left_vectors(panel, decomp, out_path=stage / "v.lfpb", threads=result.options["threads"])
         if args.dump_h:
             np.savetxt(stage / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
 
@@ -170,11 +156,7 @@ def cmd_fit(args) -> int:
             "command": "fit",
             "version": __version__,
             "config": {
-                "nx": model.n_x, "nw": model.n_w, "rank": rank,
-                "var_threshold": var_threshold if rank is None else None,
-                "order_threshold": order_threshold if orders_auto else None,
-                "slices": panel.n_slices,
-                "normalize": not args.no_normalize, "threads": threads,
+                "nx": model.n_x, "nw": model.n_w, **result.options, "slices": panel.n_slices,
                 "condition_limit_ff": FF_CONDITION_LIMIT,
                 "condition_limit_blup": BLUP_CONDITION_LIMIT, "rank_eps": RANK_EPS,
             },
@@ -217,12 +199,6 @@ def _staged_dir(outdir: Path):
             os.replace(path, outdir / path.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-
-
-def _resolve_threads_flag(raw) -> int:
-    if raw is not None and raw < 1:
-        raise ValidationError(f"--threads must be >= 1 (or omitted), got {raw}")
-    return resolve_threads(raw)
 
 
 def _parse_rank(raw):
@@ -372,11 +348,10 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scores(args) -> int:
-    threads = _resolve_threads_flag(args.threads)
     model = load_model(args.model)
     panel = read_panel(args.data)
     design = read_metadata(args.meta)
-    scores = score_new_panel(model, panel, design, threads=threads)
+    scores = score_new_panel(model, panel, design, threads=args.threads)
     write_scores_csv(scores, args.out)
     print(f"scored {design.n_subjects} subject(s) -> {args.out}")
     return EXIT_OK

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import resolve_threads
-from .design import (CovariateScale, DesignReport, StudyDesign, normalize_covariates,
-                     validate_design)
+from .design import (CovariateScale, DesignReport, StudyDesign, apply_covariate_scaling,
+                     normalize_covariates, validate_design)
 from .errors import IdentifiabilityError, ValidationError
 from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
                    center_factor, eigen_gram, eigh_descending, fix_signs, mass_count,
@@ -70,7 +70,8 @@ def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: 
     """
     spec_x, vecs_x = eigh_descending(cov.k_x)
     spec_w, vecs_w = eigh_descending(cov.k_w)
-    auto_x, auto_w = select_orders(spec_x, spec_w, threshold=threshold)
+    auto_x, auto_w = (select_orders(spec_x, spec_w, threshold=threshold)
+                      if n_x is None or n_w is None else (n_x, n_w))
     n_x = auto_x if n_x is None else n_x
     n_w = auto_w if n_w is None else n_w
     if not 1 <= n_x <= spec_x.size:
@@ -85,12 +86,11 @@ def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: 
 
 
 def select_orders(spectrum_x: np.ndarray, spectrum_w: np.ndarray,
-                  threshold: float = DEFAULT_ORDER_THRESHOLD,
-                  cap: int = ORDER_CAP) -> tuple[int, int]:
+                  threshold: float = DEFAULT_ORDER_THRESHOLD) -> tuple[int, int]:
     """Smallest component counts capturing ``threshold`` of each nonnegative
-    spectrum, capped. Explicit user choices always take precedence upstream."""
-    return (min(mass_count(np.asarray(spectrum_x), threshold), cap),
-            min(mass_count(np.asarray(spectrum_w), threshold), cap))
+    spectrum, capped at ORDER_CAP. Explicit user choices take precedence upstream."""
+    return (min(mass_count(np.asarray(spectrum_x), threshold), ORDER_CAP),
+            min(mass_count(np.asarray(spectrum_w), threshold), ORDER_CAP))
 
 
 def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int, n_w: int) -> float:
@@ -130,6 +130,12 @@ class FittedModel:
     spectrum_x: np.ndarray
     spectrum_w: np.ndarray
     covariate_scaling: tuple[CovariateScale, ...] = ()
+
+    def in_model_units(self, design: StudyDesign) -> StudyDesign:
+        """A design in original units through the stored scaling; refused unless q matches."""
+        if design.q != self.q:
+            raise ValidationError(f"design has q={design.q}, model was fitted with q={self.q}")
+        return apply_covariate_scaling(design, self.covariate_scaling)
 
 
 @dataclass
@@ -203,14 +209,14 @@ class FitResult:
     scores: "ScorePanel"
     mom: MomDesign
     gram: np.ndarray
+    options: dict  # rank, thresholds, threads, normalize as used; None where unused
     report: DesignReport | None = None
 
 
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
               n_w: int | None = None, rank: int | None = None,
-              var_threshold: float = DEFAULT_VAR_THRESHOLD,
-              order_threshold: float = DEFAULT_ORDER_THRESHOLD, normalize: bool = True,
-              threads: int | None = None, workdir=None) -> FitResult:
+              var_threshold: float | None = None, order_threshold: float | None = None,
+              normalize: bool = True, threads: int | None = None, workdir=None) -> FitResult:
     """Run the full pipeline: SVD via the centered Gram matrix, moment
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
     per-subject score prediction.
@@ -219,7 +225,9 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     validated, so the identifiability check and ``report`` describe the
     design that is fitted, whatever the units of the covariates; the model
     stores the transform, so callers keep their design in original units.
-    An explicit ``rank`` is used as given; orders it cannot hold are refused.
+    Options are checked before any row is read. An explicit ``rank`` is used
+    as given and orders it cannot hold are refused; a None threshold takes its
+    default where it is used, and a threshold that nothing automatic uses is refused.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
@@ -228,11 +236,21 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     peak memory stays at about ``(threads + 1) x 2 x BLOCK_BYTES + n^2``
     plus O(p) vectors; otherwise they are kept in memory.
     """
+    for name, value in (("rank", rank), ("n_x", n_x), ("n_w", n_w)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be >= 1 (or None for auto), got {value}")
+    if rank is not None and var_threshold is not None:
+        raise ValidationError("var_threshold applies only to an automatic rank")
+    if n_x is not None and n_w is not None and order_threshold is not None:
+        raise ValidationError("order_threshold applies only when n_x or n_w is automatic")
+    if rank is None and var_threshold is None:
+        var_threshold = DEFAULT_VAR_THRESHOLD
+    if (n_x is None or n_w is None) and order_threshold is None:
+        order_threshold = DEFAULT_ORDER_THRESHOLD
+    for name, value in (("var_threshold", var_threshold), ("order_threshold", order_threshold)):
+        if value is not None and not 0 < value <= 1:
+            raise ValidationError(f"{name} must be in (0, 1], got {value}")
     threads = resolve_threads(threads)
-    if not 0 < order_threshold <= 1:
-        raise ValidationError(f"order_threshold must be in (0, 1], got {order_threshold}")
-    if not 0 < var_threshold <= 1:
-        raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
     if rank is not None and ((n_w or 0) > rank or (n_x or 0) > (design.q + 1) * rank):
         raise ValidationError(f"rank {rank} cannot hold n_x={n_x} (at most (q+1) x rank) "
                               f"and n_w={n_w} (at most rank) components")
@@ -272,7 +290,9 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     from .blup import score_blups
     scores = score_blups(model, decomp, design)
     return FitResult(model=model, decomposition=decomp, covariances=covs, scores=scores,
-                     mom=mom, gram=gram, report=report)
+                     mom=mom, gram=gram, report=report, options={
+                         "rank": rank, "var_threshold": var_threshold, "normalize": normalize,
+                         "order_threshold": order_threshold, "threads": threads})
 
 
 def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,

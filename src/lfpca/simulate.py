@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .blup import ScorePanel, read_scores_csv, write_scores_csv
-from .design import StudyDesign, Subject, apply_covariate_scaling, normalize_covariates
+from .design import StudyDesign, Subject, normalize_covariates
 from .errors import ValidationError
 from .fit import FittedModel
 from .panel import DataPanel, read_panel, write_panel
@@ -247,17 +247,16 @@ def generate_from_model(model: FittedModel, design: StudyDesign, *,
                         lambda_x=None, lambda_w=None, score_law: str = "mixture",
                         sigma2: float = 0.0, seed: int = 0):
     """Synthesize a panel from a fitted basis over a (possibly unbalanced)
-    design template in original units; returns (panel, truth). Covariates
-    pass through the model's stored scaling."""
-    if design.q != model.q:
-        raise ValidationError(f"design has q={design.q}, model was fitted with q={model.q}")
-    design = apply_covariate_scaling(design, model.covariate_scaling)
-    lam_x = np.asarray(lambda_x if lambda_x is not None else np.maximum(model.lambda_x, 0.0),
-                       dtype=float)
-    lam_w = np.asarray(lambda_w if lambda_w is not None else np.maximum(model.lambda_w, 0.0),
-                       dtype=float)
+    design template in original units, mapped through the model's stored
+    scaling; returns (panel, truth). Variances must be finite and nonnegative."""
+    design = model.in_model_units(design)
+    lam_x = np.asarray(model.lambda_x if lambda_x is None else lambda_x, dtype=float)
+    lam_w = np.asarray(model.lambda_w if lambda_w is None else lambda_w, dtype=float)
     if lam_x.size != model.n_x or lam_w.size != model.n_w:
         raise ValidationError("eigenvalue overrides must match the model orders")
+    for name, values in (("lambda_x", lam_x), ("lambda_w", lam_w), ("sigma2", sigma2)):
+        if not (np.all(np.isfinite(values)) and np.all(np.asarray(values) >= 0)):
+            raise ValidationError(f"{name} must be finite and nonnegative, got {values}")
     rng = np.random.default_rng(seed)
     xi = draw_scores(rng, lam_x, design.n_subjects, score_law)
     zeta = draw_scores(rng, lam_w, design.n, score_law)

@@ -48,6 +48,12 @@ def test_score_new_panel_threads_use_pool(rng, monkeypatch):
     np.testing.assert_array_equal(threaded.zeta_matrix(), serial.zeta_matrix())
 
 
+def test_score_new_panel_refuses_threads_below_one(rng):
+    res, design = fitted_model(rng)
+    with pytest.raises(ValidationError, match="threads must be >= 1"):
+        score_new_panel(res.model, mean_panel(res.model, design.n), design, threads=0)
+
+
 def test_exact_model_data_recovers_scores(rng):
     # data built exactly from the fitted basis: the predictor is the exact
     # projection, so generating scores come back to machine precision
@@ -190,6 +196,23 @@ def test_reconstruct_rejects_unknown_visit(rng):
         reconstruct(res.model, res.scores, design, 0, 99)
     with pytest.raises(ValidationError):
         reconstruct(res.model, res.scores, design, 99, 0)
+
+
+def test_reconstruct_rejects_design_of_other_q(rng):
+    res, design = fitted_model(rng)
+    other = make_design(rng, n_subjects=design.n_subjects, visits=3, q=2)
+    with pytest.raises(ValidationError, match="q=2"):
+        reconstruct(res.model, res.scores, other, 0, 0)
+
+
+def test_reconstruct_rejects_design_the_scores_were_not_solved_under(rng):
+    # 6-subject scores under a 9-subject design: subject 0 would read the
+    # wrong scores and subject 8 has none
+    res, design = fitted_model(rng, n_subjects=6)
+    larger = make_design(rng, n_subjects=9, visits=3)
+    for subject in (0, 8):
+        with pytest.raises(ValidationError, match="disagree"):
+            reconstruct(res.model, res.scores, larger, subject, 0)
 
 
 def test_scores_csv_round_trip(rng, tmp_path):

@@ -409,6 +409,8 @@ def test_var_threshold_with_integer_rank_exits_2(tmp_path, monkeypatch):
     ("--nx", "4", "--nw", "4", "--order-threshold", "0.5"),  # no order is automatic
     ("--rank", "3", "--nx", "4", "--nw", "4"),               # n_w > rank
     ("--rank", "1", "--nx", "3"),                            # n_x > (q+1) rank
+    ("--rank", "0"),
+    ("--rank", "-2"),
 ])
 def test_option_the_fit_cannot_honour_exits_2_before_reading(tmp_path, monkeypatch, extra):
     assert _fit_reads_nothing(tmp_path, monkeypatch, *extra) == 2

@@ -100,7 +100,7 @@ def test_select_orders_ignores_negative_mass():
 
 def test_select_orders_cap():
     spec = np.ones(100)
-    n_x, _ = select_orders(spec, spec, threshold=0.999, cap=30)
+    n_x, _ = select_orders(spec, spec, threshold=0.999)
     assert n_x == 30
 
 
@@ -379,6 +379,33 @@ def test_fit_file_backed_deletes_centered_copy(rng, tmp_path):
         fit_panel(read_panel(tmp_path / "bad.lfpb"), design, n_x=2, n_w=2,
                   workdir=tmp_path / "failed")
     assert list((tmp_path / "failed").iterdir()) == []
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(n_x=4, n_w=4, order_threshold=0.5), "order_threshold applies only"),
+    (dict(rank=10, var_threshold=0.5), "var_threshold applies only"),
+    (dict(n_x=0), "n_x must be >= 1"),
+    (dict(n_w=-1), "n_w must be >= 1"),
+    (dict(rank=0), "rank must be >= 1"),
+    (dict(rank=-2), "rank must be >= 1"),
+    (dict(threads=0), "threads must be >= 1"),
+    (dict(threads=-3), "threads must be >= 1"),
+])
+def test_fit_refuses_option_before_reading(rng, monkeypatch, options, message):
+    # an option the fit cannot honour costs no pass over the data
+    design = make_design(rng, n_subjects=20, visits=4)
+    panel = DataPanel.from_array(rng.standard_normal((200, design.n)))
+    calls = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        calls.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    with pytest.raises(ValidationError, match=message):
+        fit_panel(panel, design, **options)
+    assert calls == []
 
 
 def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):

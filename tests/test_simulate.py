@@ -136,6 +136,20 @@ def test_from_model_zero_variance_scores(rng):
                                * np.ones((1, design.n)), atol=1e-12)
 
 
+@pytest.mark.parametrize("options", [
+    dict(sigma2=-1.0), dict(sigma2=np.nan), dict(sigma2=np.inf),
+    dict(lambda_x=[-1.0, 0.5]), dict(lambda_w=[np.nan, 0.5]), dict(lambda_x=[np.inf, 0.5]),
+])
+def test_from_model_refuses_invalid_variances(rng, options):
+    # unchecked, a negative or NaN sigma2 would drop the noise silently and a
+    # negative eigenvalue would fill the panel with NaNs
+    design = make_design(rng, n_subjects=6, visits=3)
+    res = fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n))), design,
+                    n_x=2, n_w=2)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        generate_from_model(res.model, design, **options)
+
+
 def test_from_model_round_trip_subspace(rng):
     # generate from a fitted basis at high signal-to-noise, refit, and the
     # subject-level intercept subspaces agree: median principal angle over a
