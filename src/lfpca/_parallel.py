@@ -19,15 +19,16 @@ R = TypeVar("R")
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: the explicit argument (at least 1), else LFPCA_THREADS, else 1."""
+    """Worker count: the explicit argument, else LFPCA_THREADS, else 1.
+    Either must be an integer >= 1; an unset or empty variable means 1."""
     if threads is not None:
         if threads < 1:
             raise ValidationError(f"threads must be >= 1 (or None), got {threads}")
         return int(threads)
-    try:
-        return max(1, int(os.environ.get("LFPCA_THREADS") or 1))
-    except ValueError:
-        return 1
+    raw = os.environ.get("LFPCA_THREADS") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValidationError(f"LFPCA_THREADS must be an integer >= 1 (or unset), got {raw!r}")
+    return int(raw)
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> Iterator[R]:

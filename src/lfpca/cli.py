@@ -30,8 +30,8 @@ from .fit import DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, save_model, var
 from .gram import DEFAULT_VAR_THRESHOLD, left_vectors
 from .limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
 from .panel import digest_panel, panel_from_csv, panel_to_csv, read_panel, write_panel
-from .simulate import (LATTICE_DIMS, ScenarioSpec, evaluate, generate_scenario1,
-                       generate_scenario2, load_truth, save_truth)
+from .simulate import (ScenarioSpec, evaluate, generate_scenario1, generate_scenario2,
+                       load_truth, save_truth)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -235,30 +235,14 @@ def _sha256(path) -> str:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ValidationError("--reps must be >= 1")
-    if args.scenario == 2:
-        if args.p is not None and args.p != int(np.prod(LATTICE_DIMS)):
-            raise ValidationError(
-                f"scenario 2 has a fixed lattice of {int(np.prod(LATTICE_DIMS))} cells; omit --p")
-        if args.sigma2 not in (None, 0.0):
-            raise ValidationError("scenario 2 has no noise term; omit --sigma2")
+    specs = [ScenarioSpec(scenario=args.scenario, p=args.p, n_subjects=args.subjects,
+                          n_visits=args.visits, sigma2=args.sigma2, seed=args.seed + rep)
+             for rep in range(args.reps)]
+    generate = {1: generate_scenario1, 2: generate_scenario2}[args.scenario]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for rep in range(args.reps):
-        seed = args.seed + rep
-        if args.scenario == 1:
-            spec = ScenarioSpec.curves(
-                p=args.p if args.p is not None else 750,
-                sigma2=args.sigma2 if args.sigma2 is not None else 1e-4,
-                seed=seed,
-                n_subjects=args.subjects if args.subjects is not None else 100,
-                n_visits=args.visits if args.visits is not None else 4)
-            panel, design, truth = generate_scenario1(spec)
-        else:
-            spec = ScenarioSpec.blocks(
-                seed=seed,
-                n_subjects=args.subjects if args.subjects is not None else 150,
-                n_visits=args.visits if args.visits is not None else 6)
-            panel, design, truth = generate_scenario2(spec)
+    for rep, spec in enumerate(specs):
+        panel, design, truth = generate(spec)
         rep_dir = outdir / f"rep_{rep:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_panel(panel, rep_dir / "panel.lfpb")

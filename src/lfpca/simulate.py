@@ -29,38 +29,57 @@ LATTICE_DIMS = (38, 72, 11)
 
 @dataclass
 class ScenarioSpec:
-    """Configuration for the built-in generators; seeds fully determine output."""
+    """Configuration for the built-in generators; seeds fully determine output.
+    The one place that sets scenario defaults (for options left None) and
+    refuses, with ValidationError, an option the scenario cannot honour."""
 
     scenario: int
-    p: int = 750
-    n_subjects: int = 100
-    n_visits: int = 4
-    sigma2: float = 1e-4
+    p: int | None = None
+    n_subjects: int | None = None
+    n_visits: int | None = None
+    sigma2: float | None = None
     seed: int = 0
-    lattice: tuple[int, int, int] = LATTICE_DIMS
+    lattice: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        if self.scenario not in (1, 2):
+        if self.scenario == 1:
+            if self.lattice is not None:
+                raise ValidationError("the curves scenario has no lattice")
+            defaults = {"p": 750, "n_subjects": 100, "n_visits": 4, "sigma2": 1e-4}
+        elif self.scenario == 2:
+            self.lattice = LATTICE_DIMS if self.lattice is None else self.lattice
+            block_layout(self.lattice)
+            cells = int(np.prod(self.lattice))
+            if self.p not in (None, cells):
+                raise ValidationError(f"the block-lattice scenario has p fixed by its lattice "
+                                      f"({cells} cells), got p={self.p}")
+            if self.sigma2 not in (None, 0):
+                raise ValidationError("the block-lattice scenario has no noise term")
+            defaults = {"p": cells, "n_subjects": 150, "n_visits": 6}
+            self.sigma2 = 0.0  # the truth records 0.0 whichever zero was given
+        else:
             raise ValidationError(f"scenario must be 1 or 2, got {self.scenario}")
-        if self.sigma2 < 0:
-            raise ValidationError("sigma2 must be nonnegative")
-        if self.scenario == 2 and self.sigma2 != 0.0:
-            raise ValidationError("the block-lattice scenario has no noise term")
-        if self.n_subjects < 1 or self.n_visits < 1 or self.p < 1:
-            raise ValidationError("n_subjects, n_visits, and p must be positive")
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValidationError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
+        if min(self.p, self.n_subjects, self.n_visits, *(self.lattice or ())) < 1:
+            raise ValidationError("n_subjects, n_visits, p and lattice sizes must be positive")
 
     @classmethod
-    def curves(cls, p: int = 750, sigma2: float = 1e-4, seed: int = 0,
-               n_subjects: int = 100, n_visits: int = 4) -> "ScenarioSpec":
+    def curves(cls, p: int | None = None, sigma2: float | None = None, seed: int = 0,
+               n_subjects: int | None = None, n_visits: int | None = None) -> "ScenarioSpec":
         return cls(scenario=1, p=p, sigma2=sigma2, seed=seed,
                    n_subjects=n_subjects, n_visits=n_visits)
 
     @classmethod
-    def blocks(cls, seed: int = 0, n_subjects: int = 150, n_visits: int = 6,
-               lattice: tuple[int, int, int] = LATTICE_DIMS) -> "ScenarioSpec":
-        p = int(np.prod(lattice))
-        return cls(scenario=2, p=p, sigma2=0.0, seed=seed,
-                   n_subjects=n_subjects, n_visits=n_visits, lattice=lattice)
+    def blocks(cls, seed: int = 0, n_subjects: int | None = None, n_visits: int | None = None,
+               lattice: tuple[int, int, int] | None = None) -> "ScenarioSpec":
+        return cls(scenario=2, seed=seed, n_subjects=n_subjects, n_visits=n_visits,
+                   lattice=lattice)
 
 
 @dataclass
@@ -152,26 +171,31 @@ def _normalize_stacked(parts: list[np.ndarray]) -> None:
         b /= norms
 
 
-def generate_scenario1(spec: ScenarioSpec):
-    """Curves panel: returns (panel, design, truth)."""
-    if spec.scenario != 1:
-        raise ValidationError("spec is not a curves scenario")
+def _generate(spec: ScenarioSpec, phi_x, phi_w, law: str, block_coords=None):
+    """(panel, design, truth) from raw bases; draws design, xi, zeta, noise."""
     rng = np.random.default_rng(spec.seed)
     design = sample_design(rng, spec.n_subjects, spec.n_visits)
-    x0, x1, w = curve_bases(spec.p)
-    _normalize_stacked([x0, x1])
-    _normalize_stacked([w])
-    lam_x = default_eigenvalues(4)
-    lam_w = default_eigenvalues(4)
-    xi = draw_scores(rng, lam_x, design.n_subjects, "mixture")
-    zeta = draw_scores(rng, lam_w, design.n, "mixture")
-    values = _assemble(design, (x0, x1), w, xi, zeta)
+    _normalize_stacked(list(phi_x))
+    _normalize_stacked([phi_w])
+    lam_x = default_eigenvalues(phi_x[0].shape[1])
+    lam_w = default_eigenvalues(phi_w.shape[1])
+    xi = draw_scores(rng, lam_x, design.n_subjects, law)
+    zeta = draw_scores(rng, lam_w, design.n, law)
+    values = _assemble(design, phi_x, phi_w, xi, zeta)
     if spec.sigma2 > 0:
         values += np.sqrt(spec.sigma2) * rng.standard_normal(values.shape)
-    truth = GroundTruth(phi_x=(x0, x1), phi_w=w, lambda_x=lam_x, lambda_w=lam_w,
+    truth = GroundTruth(phi_x=phi_x, phi_w=phi_w, lambda_x=lam_x, lambda_w=lam_w,
                         xi=xi, zeta=zeta, sigma2=spec.sigma2, seed=spec.seed,
-                        score_law="mixture")
+                        score_law=law, block_coords=block_coords)
     return DataPanel.from_array(values), design, truth
+
+
+def generate_scenario1(spec: ScenarioSpec):
+    """Curves panel (mixture scores, optional noise): (panel, design, truth)."""
+    if spec.scenario != 1:
+        raise ValidationError("spec is not a curves scenario")
+    x0, x1, w = curve_bases(spec.p)
+    return _generate(spec, (x0, x1), w, "mixture")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +211,9 @@ def block_layout(lattice: tuple[int, int, int]):
     (family, component, (y_lo, y_hi)) triples.
     """
     n_blocks = 8
-    if lattice[1] < n_blocks:
-        raise ValidationError(f"lattice axis 1 must have at least {n_blocks} cells")
+    if len(lattice) != 3 or lattice[1] < n_blocks:
+        raise ValidationError(f"lattice must have three axes and at least {n_blocks} cells "
+                              f"on axis 1, got {lattice}")
     height = lattice[1] // n_blocks
     order = [("x0", 0), ("x1", 0), ("w", 0), ("x0", 1), ("x1", 1), ("w", 1),
              ("x0", 2), ("x1", 2)]
@@ -205,29 +230,12 @@ def generate_scenario2(spec: ScenarioSpec):
     """Block-lattice panel (noiseless, normal scores): (panel, design, truth)."""
     if spec.scenario != 2:
         raise ValidationError("spec is not a block-lattice scenario")
-    rng = np.random.default_rng(spec.seed)
-    design = sample_design(rng, spec.n_subjects, spec.n_visits)
     layout = block_layout(spec.lattice)
-    p = int(np.prod(spec.lattice))
-    n_x, n_w = 3, 2
-    x0 = np.zeros((p, n_x))
-    x1 = np.zeros((p, n_x))
-    w = np.zeros((p, n_w))
+    x0, x1, w = np.zeros((spec.p, 3)), np.zeros((spec.p, 3)), np.zeros((spec.p, 2))
     for fam, comp, y_range in layout:
-        vec = _block_vector(spec.lattice, y_range)
-        {"x0": x0, "x1": x1, "w": w}[fam][:, comp] = vec
-    _normalize_stacked([x0, x1])
-    _normalize_stacked([w])
-    lam_x = default_eigenvalues(n_x)
-    lam_w = default_eigenvalues(n_w)
-    xi = draw_scores(rng, lam_x, design.n_subjects, "normal")
-    zeta = draw_scores(rng, lam_w, design.n, "normal")
-    values = _assemble(design, (x0, x1), w, xi, zeta)
-    truth = GroundTruth(phi_x=(x0, x1), phi_w=w, lambda_x=lam_x, lambda_w=lam_w,
-                        xi=xi, zeta=zeta, sigma2=0.0, seed=spec.seed, score_law="normal",
-                        block_coords=[{"family": fam, "component": comp,
-                                       "axis1_range": list(rng_)} for fam, comp, rng_ in layout])
-    return DataPanel.from_array(values), design, truth
+        {"x0": x0, "x1": x1, "w": w}[fam][:, comp] = _block_vector(spec.lattice, y_range)
+    return _generate(spec, (x0, x1), w, "normal", [
+        {"family": fam, "component": comp, "axis1_range": list(rng_)} for fam, comp, rng_ in layout])
 
 
 def _assemble(design: StudyDesign, phi_x, phi_w, xi, zeta) -> np.ndarray:
@@ -257,6 +265,8 @@ def generate_from_model(model: FittedModel, design: StudyDesign, *,
     for name, values in (("lambda_x", lam_x), ("lambda_w", lam_w), ("sigma2", sigma2)):
         if not (np.all(np.isfinite(values)) and np.all(np.asarray(values) >= 0)):
             raise ValidationError(f"{name} must be finite and nonnegative, got {values}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     xi = draw_scores(rng, lam_x, design.n_subjects, score_law)
     zeta = draw_scores(rng, lam_w, design.n, score_law)

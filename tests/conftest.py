@@ -8,6 +8,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from lfpca import StudyDesign, Subject
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no example database, so runs are reproducible
+    settings.register_profile("lfpca", derandomize=True, deadline=None, database=None)
+    settings.load_profile("lfpca")
+
 
 def make_design(rng, n_subjects=8, visits=4, q=1, spread=2.0):
     """Random design: sorted positive times, extra covariates uniform.

@@ -405,6 +405,12 @@ def test_var_threshold_with_integer_rank_exits_2(tmp_path, monkeypatch):
                               "--var-threshold", "0.5") == 2
 
 
+@pytest.mark.parametrize("value", ["junk", "0"])
+def test_threads_env_it_cannot_honour_exits_2_before_reading(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("LFPCA_THREADS", value)
+    assert _fit_reads_nothing(tmp_path, monkeypatch) == 2
+
+
 @pytest.mark.parametrize("extra", [
     ("--nx", "4", "--nw", "4", "--order-threshold", "0.5"),  # no order is automatic
     ("--rank", "3", "--nx", "4", "--nw", "4"),               # n_w > rank
@@ -469,6 +475,15 @@ def test_visit_time_units_exit_code(tmp_path, rng, shift, scale, extra, code):
 def test_scenario2_with_p_override_exits_2(tmp_path):
     assert run("simulate", "--scenario", "2", "--p", "100", "--seed", "1",
                "--out", str(tmp_path / "s")) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma2", "nan"), ("--sigma2", "inf"),
+                                         ("--seed", "-1"), ("--subjects", "0")])
+def test_simulate_option_it_cannot_honour_exits_2_before_writing(tmp_path, flag, value):
+    # every replication's spec is checked before --out is created
+    assert run("simulate", "--scenario", "1", "--p", "20", "--reps", "2", flag, value,
+               "--out", str(tmp_path / "s")) == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_scores_p_mismatch_exits_2(tmp_path, rng):

@@ -511,8 +511,12 @@ def test_thread_resolution_env(monkeypatch):
     monkeypatch.setenv("LFPCA_THREADS", "5")
     assert resolve_threads(None) == 5
     assert resolve_threads(2) == 2
-    monkeypatch.setenv("LFPCA_THREADS", "junk")
+    monkeypatch.setenv("LFPCA_THREADS", "")
     assert resolve_threads(None) == 1
+    for value in ("junk", "0"):
+        monkeypatch.setenv("LFPCA_THREADS", value)
+        with pytest.raises(ValidationError, match="LFPCA_THREADS"):
+            resolve_threads(None)
 
 
 def test_variance_single_component_is_total():

@@ -1,0 +1,75 @@
+"""Metamorphic properties of a fit on small random designs.
+
+Scaling the data by c scales the variances by c^2 and the scores by c;
+adding a constant image moves only the mean. Designs are drawn with 5-9
+subjects of 1-5 visits (at least one subject with 3 or more) and q in
+{1, 2}; those the fit would refuse as unidentifiable are skipped.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from conftest import make_design  # noqa: E402
+from lfpca import DataPanel, fit_panel, normalize_covariates, validate_design  # noqa: E402
+
+P = 40
+N_X, N_W = 2, 2
+
+
+@st.composite
+def problems(draw):
+    """(design, Y) with Y a P x n standard normal panel."""
+    q = draw(st.sampled_from([1, 2]))
+    counts = draw(st.lists(st.integers(1, 5), min_size=5, max_size=9)
+                  .filter(lambda c: max(c) >= 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    design = make_design(rng, n_subjects=len(counts), visits=counts, q=q)
+    assume(validate_design(normalize_covariates(design)[0]).ok)
+    return design, rng.standard_normal((P, design.n))
+
+
+def fit(design, y):
+    return fit_panel(DataPanel.from_array(y), design, n_x=N_X, n_w=N_W)
+
+
+def assert_rel(actual, expected, tol):
+    """Norm-relative closeness: ||actual - expected|| <= tol ||expected||."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert np.linalg.norm(actual - expected) <= tol * np.linalg.norm(expected)
+
+
+def phi(model):
+    return [b.to_array() for b in (*model.phi_x, model.phi_w)]
+
+
+@settings(max_examples=15)
+@given(problems(), st.sampled_from([1 / 8, 3.0, 1024.0]))
+def test_scaling_data_scales_variances_and_scores(problem, c):
+    design, y = problem
+    base, scaled = fit(design, y), fit(design, c * y)
+    assert scaled.model.r == base.model.r
+    for name in ("lambda_x", "lambda_w", "sigma2"):
+        assert_rel(getattr(scaled.model, name), c ** 2 * getattr(base.model, name), 1e-9)
+    assert_rel(scaled.scores.xi, c * base.scores.xi, 1e-7)
+    assert_rel(scaled.scores.zeta, c * base.scores.zeta, 1e-7)
+    for got, want in zip(phi(scaled.model), phi(base.model)):
+        assert_rel(got, want, 1e-7)
+    assert_rel(scaled.model.mean, c * base.model.mean, 1e-12)
+
+
+@settings(max_examples=15)
+@given(problems(), st.floats(-100.0, 100.0))
+def test_constant_image_moves_only_the_mean(problem, level):
+    design, y = problem
+    image = level * np.cos(np.arange(P))
+    base, shifted = fit(design, y), fit(design, y + image[:, None])
+    assert shifted.model.r == base.model.r
+    for name in ("lambda_x", "lambda_w", "sigma2"):
+        assert_rel(getattr(shifted.model, name), getattr(base.model, name), 1e-9)
+    assert_rel(shifted.scores.xi, base.scores.xi, 1e-7)
+    assert_rel(shifted.scores.zeta, base.scores.zeta, 1e-7)
+    assert_rel(shifted.model.phi_w.to_array(), base.model.phi_w.to_array(), 1e-7)
+    assert_rel(shifted.model.mean, base.model.mean + image, 1e-12)

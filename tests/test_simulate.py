@@ -93,10 +93,36 @@ def test_scenario2_rejects_noise():
         ScenarioSpec(scenario=2, sigma2=1e-4)
 
 
+def test_scenario_defaults_fill_only_unset_options():
+    curves = ScenarioSpec(scenario=1, n_visits=5)
+    assert (curves.p, curves.n_subjects, curves.n_visits, curves.sigma2, curves.lattice) == (
+        750, 100, 5, 1e-4, None)
+    blocks = ScenarioSpec.blocks(n_subjects=7, lattice=(5, 16, 3))
+    assert (blocks.p, blocks.n_subjects, blocks.n_visits, blocks.sigma2) == (240, 7, 6, 0.0)
+    assert ScenarioSpec(scenario=2).p == 30096
+    assert ScenarioSpec(scenario=2, p=30096, sigma2=0).lattice == (38, 72, 11)
+
+
+@pytest.mark.parametrize("options, reason", [
+    (dict(scenario=1, sigma2=np.nan), "finite"),   # would write a noiseless panel
+    (dict(scenario=1, sigma2=np.inf), "finite"),   # would write non-finite values
+    (dict(scenario=1, seed=-1), "seed"),           # numpy's bare ValueError
+    (dict(scenario=2, p=750, sigma2=0), "30096 cells"),  # the panel has 30096 rows
+    (dict(scenario=2, p=30096, sigma2=0, lattice=(5, 16, 3)), "240 cells"),
+    (dict(scenario=2, sigma2=0, lattice=(5, 16, 0)), "positive"),
+    (dict(scenario=2, sigma2=0, lattice=(2, 4, 1)), "three axes"),  # too few cells for 8 blocks
+    (dict(scenario=2, sigma2=0, lattice=(8, 16)), "three axes"),
+    (dict(scenario=1, lattice=(2, 8, 1)), "no lattice"),
+])
+def test_scenario_refuses_options_it_cannot_honour(options, reason):
+    with pytest.raises(ValidationError, match=reason):
+        ScenarioSpec(**options)
+
+
 def test_scenario2_disjoint_supports_small_lattice():
     spec = ScenarioSpec.blocks(seed=3, n_subjects=25, n_visits=4, lattice=(5, 16, 3))
     panel, design, truth = generate_scenario2(spec)
-    assert panel.p == 5 * 16 * 3
+    assert panel.p == spec.p == 5 * 16 * 3
     stacked = np.vstack(truth.phi_x)
     np.testing.assert_allclose(np.linalg.norm(stacked, axis=0), 1.0, atol=1e-12)
     # disjoint supports make cross products exactly zero
@@ -148,6 +174,14 @@ def test_from_model_refuses_invalid_variances(rng, options):
                     n_x=2, n_w=2)
     with pytest.raises(ValidationError, match="finite and nonnegative"):
         generate_from_model(res.model, design, **options)
+
+
+def test_from_model_refuses_negative_seed(rng):
+    design = make_design(rng, n_subjects=6, visits=3)
+    res = fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n))), design,
+                    n_x=2, n_w=2)
+    with pytest.raises(ValidationError, match="seed"):
+        generate_from_model(res.model, design, seed=-1)
 
 
 def test_from_model_round_trip_subspace(rng):
