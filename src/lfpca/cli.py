@@ -28,7 +28,8 @@ from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .fit import DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, save_model, variance_explained
 from .gram import DEFAULT_VAR_THRESHOLD, left_vectors
-from .limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
+from .limits import (BLUP_CONDITION_LIMIT, EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL,
+                     FF_CONDITION_LIMIT, RANK_EPS)
 from .panel import digest_panel, panel_from_csv, panel_to_csv, read_panel, write_panel
 from .simulate import (ScenarioSpec, evaluate, generate_scenario1, generate_scenario2,
                        load_truth, save_truth)
@@ -159,6 +160,7 @@ def cmd_fit(args) -> int:
                 "nx": model.n_x, "nw": model.n_w, **result.options, "slices": panel.n_slices,
                 "condition_limit_ff": FF_CONDITION_LIMIT,
                 "condition_limit_blup": BLUP_CONDITION_LIMIT, "rank_eps": RANK_EPS,
+                "eigen_residual_tol": EIGEN_RESIDUAL_TOL, "eigen_vector_tol": EIGEN_VECTOR_TOL,
             },
             "input_hashes": {args.data: data_hash, args.meta: _sha256(args.meta)},
             "timing_seconds": round(time.monotonic() - t0, 6),
@@ -168,6 +170,7 @@ def cmd_fit(args) -> int:
             "design_condition_number": result.report.condition_number,
             "rank_deficient_subjects": int(result.scores.rank_deficient.sum()),
             "retained_mass": float(decomp.s.sum() / decomp.total_gram_trace),
+            "eigensolvers": result.eigensolvers,
         }
         with open(stage / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

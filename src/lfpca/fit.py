@@ -19,8 +19,8 @@ from .design import (CovariateScale, DesignReport, StudyDesign, apply_covariate_
                      normalize_covariates, validate_design)
 from .errors import IdentifiabilityError, ValidationError
 from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
-                   center_factor, eigen_gram, eigh_descending, fix_signs, mass_count,
-                   stack_coefficients, truncated_rank)
+                   center_factor, eigen_gram, fix_signs, mass_count, stack_coefficients,
+                   top_eigenpairs)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
 from .panel import DataPanel, read_panel, stream, write_panel
@@ -35,62 +35,62 @@ class IntrinsicBasis:
 
     a_x stacks the (q+1) blocks of subject-level eigenvectors; columns are
     orthonormal in the stacked space. Negative eigenvalues among the
-    retained components are clipped to zero and counted.
+    retained components are clipped to zero and counted. solvers holds the
+    :func:`top_eigenpairs` record of ``k_x`` and of ``k_w``.
     """
 
     a_x: np.ndarray
     lambda_x: np.ndarray
     a_w: np.ndarray
     lambda_w: np.ndarray
-    spectrum_x: np.ndarray
-    spectrum_w: np.ndarray
     clipped_x: int
     clipped_w: int
+    solvers: dict
 
     @property
     def clipped_count(self) -> int:
         return self.clipped_x + self.clipped_w
 
 
-def _top_eigen(evals: np.ndarray, evecs: np.ndarray, count: int):
-    """Leading ``count`` pairs of a descending spectrum, sign-fixed and clipped at 0."""
-    top, vecs = evals[:count], np.array(evecs[:, :count])
-    fix_signs(vecs)
-    return vecs, np.maximum(top, 0.0), int(np.sum(top < 0))
-
-
 def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: int | None = None,
                         threshold: float = DEFAULT_ORDER_THRESHOLD) -> IntrinsicBasis:
     """Top eigenpairs of the intrinsic covariances, descending, clipped at 0.
 
-    One eigendecomposition per matrix; an order left as None is chosen from
-    its spectrum by :func:`select_orders` at ``threshold``. Eigenvector
-    columns are sign-normalized so their largest-magnitude entry is
-    positive, which makes outputs reproducible across platforms.
+    An order left as None is chosen by :func:`select_orders` at
+    ``threshold`` from the matrix's eigenvalues (``eigvalsh``); the pairs
+    come from :func:`top_eigenpairs`. Eigenvector columns are
+    sign-normalized so their largest-magnitude entry is positive, which
+    makes outputs reproducible across platforms.
     """
-    spec_x, vecs_x = eigh_descending(cov.k_x)
-    spec_w, vecs_w = eigh_descending(cov.k_w)
-    auto_x, auto_w = (select_orders(spec_x, spec_w, threshold=threshold)
-                      if n_x is None or n_w is None else (n_x, n_w))
-    n_x = auto_x if n_x is None else n_x
-    n_w = auto_w if n_w is None else n_w
-    if not 1 <= n_x <= spec_x.size:
-        raise ValidationError(f"n_x must be in [1, {spec_x.size}], got {n_x}")
-    if not 1 <= n_w <= spec_w.size:
-        raise ValidationError(f"n_w must be in [1, {spec_w.size}], got {n_w}")
-    a_x, lam_x, clip_x = _top_eigen(spec_x, vecs_x, n_x)
-    a_w, lam_w, clip_w = _top_eigen(spec_w, vecs_w, n_w)
+    a_x, lam_x, clip_x, solver_x = _top_eigen(cov.k_x, n_x, "n_x", threshold)
+    a_w, lam_w, clip_w, solver_w = _top_eigen(cov.k_w, n_w, "n_w", threshold)
     return IntrinsicBasis(a_x=a_x, lambda_x=lam_x, a_w=a_w, lambda_w=lam_w,
-                          spectrum_x=spec_x, spectrum_w=spec_w,
-                          clipped_x=clip_x, clipped_w=clip_w)
+                          clipped_x=clip_x, clipped_w=clip_w,
+                          solvers={"k_x": solver_x, "k_w": solver_w})
+
+
+def _top_eigen(matrix: np.ndarray, count: int | None, name: str, threshold: float):
+    """Leading ``count`` pairs of ``matrix``, sign-fixed and clipped at 0, with
+    the number clipped and the solver record."""
+    if count is None:
+        count = _auto_order(np.linalg.eigvalsh(matrix)[::-1], threshold)
+    if not 1 <= count <= matrix.shape[0]:
+        raise ValidationError(f"{name} must be in [1, {matrix.shape[0]}], got {count}")
+    evals, evecs, solver = top_eigenpairs(matrix, k=count)
+    top, vecs = evals[:count], np.array(evecs[:, :count])
+    fix_signs(vecs)
+    return vecs, np.maximum(top, 0.0), int(np.sum(top < 0)), solver
 
 
 def select_orders(spectrum_x: np.ndarray, spectrum_w: np.ndarray,
                   threshold: float = DEFAULT_ORDER_THRESHOLD) -> tuple[int, int]:
     """Smallest component counts capturing ``threshold`` of each nonnegative
     spectrum, capped at ORDER_CAP. Explicit user choices take precedence upstream."""
-    return (min(mass_count(np.asarray(spectrum_x), threshold), ORDER_CAP),
-            min(mass_count(np.asarray(spectrum_w), threshold), ORDER_CAP))
+    return _auto_order(spectrum_x, threshold), _auto_order(spectrum_w, threshold)
+
+
+def _auto_order(spectrum: np.ndarray, threshold: float) -> int:
+    return min(mass_count(np.asarray(spectrum), threshold), ORDER_CAP)
 
 
 def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int, n_w: int) -> float:
@@ -127,8 +127,6 @@ class FittedModel:
     trace_w: float
     clipped_count: int
     mean: np.ndarray
-    spectrum_x: np.ndarray
-    spectrum_w: np.ndarray
     covariate_scaling: tuple[CovariateScale, ...] = ()
 
     def in_model_units(self, design: StudyDesign) -> StudyDesign:
@@ -210,6 +208,7 @@ class FitResult:
     mom: MomDesign
     gram: np.ndarray
     options: dict  # rank, thresholds, threads, normalize as used; None where unused
+    eigensolvers: dict  # top_eigenpairs record of "gram", "k_x" and "k_w"
     report: DesignReport | None = None
 
 
@@ -268,9 +267,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
         workdir.mkdir(parents=True, exist_ok=True)
 
     gram, mean = accumulate_gram(panel, threads=threads)
-    decomp_full = eigen_gram(gram)
-    r = truncated_rank(decomp_full.s, rank=rank, var_threshold=var_threshold)
-    decomp = decomp_full.truncate(r)
+    decomp = eigen_gram(gram, rank=rank, var_threshold=var_threshold)
 
     mom = compute_weights(build_design_matrix(design))
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
@@ -279,18 +276,18 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
 
     phi_x, phi_w = _lift_basis(panel, decomp, basis, design.q, workdir, threads)
-    model = FittedModel(p=panel.p, n=panel.n, q=design.q, r=r, n_x=n_x, n_w=n_w,
+    model = FittedModel(p=panel.p, n=panel.n, q=design.q, r=decomp.r, n_x=n_x, n_w=n_w,
                         a_x=basis.a_x, a_w=basis.a_w,
                         lambda_x=basis.lambda_x, lambda_w=basis.lambda_w,
                         phi_x=phi_x, phi_w=phi_w, sigma2=sigma2,
                         trace_x=covs.trace_x_raw, trace_w=covs.trace_w_raw,
                         clipped_count=basis.clipped_count, mean=mean,
-                        spectrum_x=basis.spectrum_x, spectrum_w=basis.spectrum_w,
                         covariate_scaling=scaling)
     from .blup import score_blups
     scores = score_blups(model, decomp, design)
     return FitResult(model=model, decomposition=decomp, covariances=covs, scores=scores,
-                     mom=mom, gram=gram, report=report, options={
+                     mom=mom, gram=gram, report=report,
+                     eigensolvers={"gram": decomp.solver, **basis.solvers}, options={
                          "rank": rank, "var_threshold": var_threshold, "normalize": normalize,
                          "order_threshold": order_threshold, "threads": threads})
 
@@ -335,7 +332,6 @@ def save_model(model: FittedModel, outdir) -> None:
         "lambda_x": model.lambda_x.tolist(), "lambda_w": model.lambda_w.tolist(),
         "sigma2": model.sigma2, "trace_x": model.trace_x, "trace_w": model.trace_w,
         "clipped_count": model.clipped_count,
-        "spectrum_x": model.spectrum_x.tolist(), "spectrum_w": model.spectrum_w.tolist(),
         "covariate_scaling": [{"column": s.column, "shift": s.shift, "scale": s.scale}
                               for s in model.covariate_scaling],
     }
@@ -373,6 +369,4 @@ def load_model(model_dir) -> FittedModel:
                        phi_x=phi_x, phi_w=phi_w, sigma2=meta["sigma2"],
                        trace_x=meta["trace_x"], trace_w=meta["trace_w"],
                        clipped_count=meta["clipped_count"], mean=mean,
-                       spectrum_x=np.array(meta["spectrum_x"]),
-                       spectrum_w=np.array(meta["spectrum_w"]),
                        covariate_scaling=scaling)

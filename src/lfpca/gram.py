@@ -10,15 +10,16 @@ heavy work is therefore linear in p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .limits import RANK_EPS
+from .limits import EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL, RANK_EPS
 from .panel import DataPanel, stream
 
 DEFAULT_VAR_THRESHOLD = 0.9999  # spectrum mass an automatic rank keeps
+KRYLOV_BLOCK = 8  # columns of the start block of top_eigenpairs
 
 
 @dataclass
@@ -28,18 +29,15 @@ class IntrinsicDecomposition:
     u has orthonormal columns (n x r), s holds the corresponding Gram
     eigenvalues (squared singular values) in descending order, and
     total_gram_trace is trace(G) = ||Y||_F^2 over all n directions,
-    recorded before any truncation.
+    recorded before any truncation. solver is the record of
+    :func:`top_eigenpairs` for G, None when the pairs came from elsewhere.
     """
 
     u: np.ndarray
     s: np.ndarray
     r: int
     total_gram_trace: float
-
-    def truncate(self, rank: int) -> "IntrinsicDecomposition":
-        if rank > self.r:
-            raise ValidationError(f"requested rank {rank} exceeds retained rank {self.r}")
-        return replace(self, u=self.u[:, :rank], s=self.s[:rank], r=rank)
+    solver: dict | None = None
 
 
 def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -68,29 +66,133 @@ def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.
     return gram, sums / panel.n
 
 
-def eigen_gram(gram: np.ndarray) -> IntrinsicDecomposition:
-    """Spectral decomposition of the Gram matrix, eigenvalues descending.
+def eigen_gram(gram: np.ndarray, rank: int | None = None,
+               var_threshold: float = DEFAULT_VAR_THRESHOLD) -> IntrinsicDecomposition:
+    """Leading eigenpairs of the Gram matrix, eigenvalues descending.
 
-    Eigenvalues at or below RANK_EPS * max(s_1, 1) are treated as zero and
-    their directions dropped from the retained rank.
+    ``rank`` pairs when given, else the fewest whose eigenvalues reach
+    ``var_threshold`` of trace(G) (see :func:`truncated_rank`). Eigenvalues
+    at or below RANK_EPS * max(s_1, 1) count as zero and are never kept.
+    The pairs come from :func:`top_eigenpairs`: block Krylov while the rank
+    fits its basis, else one dense ``eigh``.
     """
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValidationError(f"Gram matrix must be square, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise NumericalError("Gram matrix contains non-finite entries")
-    evals, evecs = eigh_descending(gram)
+    trace = float(np.trace(gram))
+    evals, evecs, solver = top_eigenpairs(
+        gram, k=rank, mass=None if rank is not None else var_threshold * trace)
     keep = evals > RANK_EPS * max(evals[0] if evals.size else 0.0, 1.0)
-    evals, evecs = evals[keep], evecs[:, keep]
-    fix_signs(evecs)
-    return IntrinsicDecomposition(u=evecs, s=evals, r=int(evals.size),
-                                  total_gram_trace=float(np.trace(gram)))
+    evals, evecs = evals[keep], evecs[:, keep]  # copies: the sign fix below is in place
+    r = truncated_rank(evals, rank=rank, var_threshold=var_threshold, total=trace)
+    u = evecs[:, :r]
+    fix_signs(u)
+    return IntrinsicDecomposition(u=u, s=evals[:r], r=r, total_gram_trace=trace, solver=solver)
 
 
-def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition, eigenvalues in descending order."""
+def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
+                   mass: float | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Leading eigenpairs of a symmetric matrix K by algebraic value,
+    descending, and a record of the path that found them.
+
+    Exactly one of ``k`` (the number of pairs) and ``mass`` (the fewest
+    leading pairs whose eigenvalues sum to at least it) is given. Block
+    Krylov from a fixed pseudo-random start block (:func:`_start_block`),
+    with full reorthogonalisation and Rayleigh-Ritz: a step adds K times
+    the newest block, less its part in the basis; directions of norm at most
+    EIGEN_RESIDUAL_TOL * ||K||_1 are dependent and dropped. The wanted
+    pairs are accepted with the next one when every residual
+    ||K x - theta x|| is at most EIGEN_RESIDUAL_TOL * ||K||_1 and the
+    wanted pairs' residual over the gap to the next Ritz value, which
+    bounds the error of their span, is at most EIGEN_VECTOR_TOL. The
+    record is then ``{"path": "krylov", "steps": ..., "residual": ...}``,
+    the largest accepted residual relative to ||K||_1. The work is capped
+    at a basis of n/4 columns: one that would pass it, that no longer
+    grows, or that at its last step's rate of progress would need more
+    than twice the steps left (judged past half the budget for the
+    residuals) gives up for one dense ``eigh``. The record
+    is then ``{"path": "dense"}`` and all n pairs are returned.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    budget = n // 4
+    width = KRYLOV_BLOCK if k is None else max(KRYLOV_BLOCK, k + 1)
+    if width > budget:
+        return _dense_eigenpairs(matrix)
+    norm = float(np.abs(matrix).sum(axis=0).max())
+    floor = EIGEN_RESIDUAL_TOL * norm
+    basis, images = np.empty((n, budget)), np.empty((n, budget))
+    proj = np.empty((budget, budget))  # basis' K basis
+    block = _start_block(n, width)
+    m, steps, last_excess, last_mass = 0, 0, np.inf, 0.0
+    while block.shape[1] and m + block.shape[1] <= budget:
+        c = block.shape[1]
+        basis[:, m:m + c], images[:, m:m + c] = block, matrix @ block
+        proj[:m + c, m:m + c] = basis[:, :m + c].T @ images[:, m:m + c]
+        proj[m:m + c, :m] = proj[:m, m:m + c].T
+        proj[m:m + c, m:m + c] = (proj[m:m + c, m:m + c] + proj[m:m + c, m:m + c].T) / 2
+        m, steps = m + c, steps + 1
+        # the Ritz values sum to trace(proj): below ``mass`` no count of them can reach it
+        captured = np.trace(proj[:m, :m])
+        if mass is not None and captured < mass:
+            if steps > 1 and mass - captured > 2 * (captured - last_mass) * (budget - m) / c:
+                break  # at the last step's gain, more than twice the steps left
+            last_mass = captured
+        else:
+            theta, vecs = np.linalg.eigh(proj[:m, :m])
+            theta, vecs = theta[::-1], vecs[:, ::-1]
+            # in mass mode, one more than the leading sums short of it (m + 1 if all are)
+            want = k if mass is None else int(np.sum(np.cumsum(theta) < mass)) + 1
+            if want < m:
+                ritz = basis[:, :m] @ vecs[:, :want + 1]
+                res = np.linalg.norm(images[:, :m] @ vecs[:, :want + 1] - ritz * theta[:want + 1],
+                                     axis=0)
+                bound = EIGEN_VECTOR_TOL * (theta[want - 1] - theta[want])
+                # the larger of the two acceptance ratios; 1 or less accepts
+                excess = (max(res.max() / floor, np.linalg.norm(res[:want]) / bound)
+                          if floor > 0 and bound > 0 else np.inf)
+                if excess <= 1:
+                    return (theta[:want].copy(), ritz[:, :want],
+                            {"path": "krylov", "steps": steps, "residual": float(res.max() / norm)})
+                # past half the budget, and at the last step's rate, more than
+                # twice the steps left (early steps converge slowest)
+                if (2 * m >= budget and excess < last_excess
+                        and np.log(excess) / np.log(last_excess / excess) > 2 * (budget - m) / c):
+                    break
+                last_excess = excess
+        block = _new_directions(basis[:, :m], images[:, m - c:m], floor)
+    return _dense_eigenpairs(matrix)
+
+
+def _start_block(n: int, width: int) -> np.ndarray:
+    """Orthonormal n x width start block from splitmix64 of each entry's
+    index: the same on every run and platform, and it does not load
+    numpy.random (about 6 MB of resident memory)."""
+    z = np.arange(1, n * width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.linalg.qr((z >> np.uint64(11)).reshape(n, width) / 2.0 ** 53 - 0.5)[0]
+
+
+def _new_directions(basis: np.ndarray, block: np.ndarray, floor: float) -> np.ndarray:
+    """Orthonormal directions of ``block`` outside span(basis), dropping
+    those of norm at most ``floor``. Two projections make the block
+    orthogonal to the basis; the survivors, scaled up to unit norm, are
+    projected once more so small ones do not carry rounding back in."""
+    for _ in range(2):
+        block = block - basis @ (basis.T @ block)
+    left, sizes, _ = np.linalg.svd(block, full_matrices=False)
+    left = left[:, sizes > floor]
+    left -= basis @ (basis.T @ left)
+    return np.linalg.qr(left)[0]
+
+
+def _dense_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     evals, evecs = np.linalg.eigh(matrix)
-    return evals[::-1].copy(), evecs[:, ::-1]
+    return evals[::-1].copy(), evecs[:, ::-1], {"path": "dense"}
 
 
 def fix_signs(vectors: np.ndarray) -> None:
@@ -104,11 +206,12 @@ def fix_signs(vectors: np.ndarray) -> None:
 
 
 def truncated_rank(s: np.ndarray, rank: int | None = None,
-                   var_threshold: float = DEFAULT_VAR_THRESHOLD) -> int:
+                   var_threshold: float = DEFAULT_VAR_THRESHOLD,
+                   total: float | None = None) -> int:
     """Number of singular directions to keep.
 
     Either an explicit rank, used as given, or the smallest rank capturing
-    ``var_threshold`` of the retained spectrum mass.
+    ``var_threshold`` of ``total``, by default the positive mass of ``s``.
     """
     s = np.asarray(s, dtype=float)
     if s.size == 0:
@@ -122,16 +225,17 @@ def truncated_rank(s: np.ndarray, rank: int | None = None,
         return rank
     if not 0 < var_threshold <= 1:
         raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
-    return mass_count(s, var_threshold)
+    return mass_count(s, var_threshold, total)
 
 
-def mass_count(spectrum: np.ndarray, threshold: float) -> int:
+def mass_count(spectrum: np.ndarray, threshold: float, total: float | None = None) -> int:
     """Smallest count of leading positive eigenvalues whose cumulative share
-    of the positive spectrum reaches ``threshold`` (1 if none is positive)."""
+    of ``total`` (by default the positive mass) reaches ``threshold``, at
+    most the positive count (1 if none is positive)."""
     pos = spectrum[spectrum > 0]
     if pos.size == 0:
         return 1
-    mass = np.cumsum(pos) / pos.sum()
+    mass = np.cumsum(pos) / (pos.sum() if total is None else total)
     return min(int(np.searchsorted(mass, threshold - 1e-15) + 1), pos.size)
 
 

@@ -91,6 +91,18 @@ def test_manifest_contents(tmp_path):
     s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
     assert manifest["retained_mass"] == pytest.approx(s.sum() / total, rel=1e-10)
     assert 0.9999 - 1e-12 <= manifest["retained_mass"] <= 1 + 1e-12
+    # the spectra's solver paths and the tolerances they were certified to:
+    # this noisy panel's matrices are too small for a Krylov basis, while a
+    # noise-free one has a Gram of rank at most 12 whose top pairs certify
+    from lfpca.limits import EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL
+    assert manifest["config"]["eigen_residual_tol"] == EIGEN_RESIDUAL_TOL
+    assert manifest["config"]["eigen_vector_tol"] == EIGEN_VECTOR_TOL
+    assert manifest["eigensolvers"] == {name: {"path": "dense"} for name in ("gram", "k_x", "k_w")}
+    clean = simulate_small(tmp_path, name="clean", reps=1, p=100, sigma2="0", subjects=40)
+    clean_fit = fit_rep(tmp_path, clean, name="fit_clean")
+    gram = json.loads((clean_fit / "manifest.json").read_text())["eigensolvers"]["gram"]
+    assert gram["path"] == "krylov" and gram["steps"] >= 1
+    assert 0 <= gram["residual"] <= EIGEN_RESIDUAL_TOL
 
 
 def test_manifest_data_hash_is_sha256_of_file(tmp_path):

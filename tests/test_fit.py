@@ -39,8 +39,6 @@ def test_decompose_clips_negative_eigenvalues():
     basis = decompose_intrinsic(covs, n_x=1, n_w=2)
     np.testing.assert_allclose(basis.lambda_w, [3.0, 0.0])
     assert basis.clipped_w == 1 and basis.clipped_count == 1
-    # the raw spectrum keeps the negative value
-    np.testing.assert_allclose(basis.spectrum_w, [3.0, -0.1])
 
 
 def test_decompose_rejects_excess_orders():
@@ -210,11 +208,12 @@ def test_stacked_orthonormality(rng):
     assert np.abs(w.T @ w - np.eye(4)).max() <= 1e-8
 
 
-def test_trace_equals_spectrum_sum(rng):
+def test_eigenvalues_match_dense_eigh_of_covariances(rng):
     res, _ = fit_and_oracle(rng)
-    covs = res.covariances
-    assert abs(np.trace(covs.k_x) - res.model.spectrum_x.sum()) <= 1e-10
-    assert abs(np.trace(covs.k_w) - res.model.spectrum_w.sum()) <= 1e-10
+    for matrix, lam in ((res.covariances.k_x, res.model.lambda_x),
+                        (res.covariances.k_w, res.model.lambda_w)):
+        dense = np.maximum(np.linalg.eigvalsh(matrix)[::-1][:lam.size], 0.0)
+        np.testing.assert_allclose(lam, dense, rtol=1e-8, atol=1e-12)
 
 
 def test_fit_slice_invariance(rng):
@@ -332,8 +331,7 @@ def _tiny_model(trace_x, trace_w):
     return FittedModel(p=3, n=4, q=0, r=1, n_x=1, n_w=1, a_x=np.ones((1, 1)),
                        a_w=np.ones((1, 1)), lambda_x=np.ones(1), lambda_w=np.ones(1),
                        phi_x=(panel,), phi_w=panel, sigma2=0.0, trace_x=trace_x,
-                       trace_w=trace_w, clipped_count=0, mean=np.zeros(3),
-                       spectrum_x=np.ones(1), spectrum_w=np.ones(1))
+                       trace_w=trace_w, clipped_count=0, mean=np.zeros(3))
 
 
 # --- persistence -------------------------------------------------------------------
@@ -350,6 +348,25 @@ def test_model_save_load_round_trip(rng, tmp_path):
         np.testing.assert_array_equal(loaded.phi_x[k].to_array(),
                                       res.model.phi_x[k].to_array())
     assert loaded.covariate_scaling == res.model.covariate_scaling
+
+
+def test_model_json_with_full_spectra_still_scores(rng, tmp_path):
+    # model.json files written before spectrum_x/spectrum_w were dropped
+    # carry both; they load and score as before
+    import json
+    res, _ = fit_and_oracle(rng, n_x=2, n_w=2)
+    save_model(res.model, tmp_path)
+    meta = json.loads((tmp_path / "model.json").read_text())
+    assert not {"spectrum_x", "spectrum_w"} & set(meta)
+    meta["spectrum_x"] = np.linalg.eigvalsh(res.covariances.k_x)[::-1].tolist()
+    meta["spectrum_w"] = np.linalg.eigvalsh(res.covariances.k_w)[::-1].tolist()
+    (tmp_path / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    design = make_design(rng, n_subjects=6, visits=3)
+    new = DataPanel.from_array(rng.standard_normal((40, design.n)))
+    want = score_new_panel(res.model, new, design)
+    got = score_new_panel(load_model(tmp_path), new, design)
+    np.testing.assert_array_equal(got.xi, want.xi)
+    np.testing.assert_array_equal(got.zeta, want.zeta)
 
 
 def test_fit_file_backed_without_workdir(rng, tmp_path):

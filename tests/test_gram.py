@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfpca import (DataPanel, IntrinsicDecomposition, ValidationError, accumulate_gram,
-                   center_panel, eigen_gram, left_vectors, truncated_rank, write_panel,
-                   read_panel)
+from lfpca import (DataPanel, IntrinsicCovariances, IntrinsicDecomposition, ScenarioSpec,
+                   ValidationError, accumulate_gram, center_panel, decompose_intrinsic,
+                   eigen_gram, fit_panel, generate_scenario1, generate_scenario2,
+                   left_vectors, truncated_rank, write_panel, read_panel)
+from lfpca.gram import fix_signs, top_eigenpairs
 
 
 def panel(arr, n_slices=1):
@@ -99,6 +101,98 @@ def test_eigen_rejects_nonfinite():
     gram[0, 0] = np.nan
     with pytest.raises(NumericalError):
         eigen_gram(gram)
+
+
+# --- top-k eigensolver ---------------------------------------------------------
+
+def dense_top(matrix, k):
+    """Dense oracle: the k algebraically largest pairs, descending, sign-fixed."""
+    evals, evecs = np.linalg.eigh(matrix)
+    vecs = np.array(evecs[:, ::-1][:, :k])
+    fix_signs(vecs)
+    return evals[::-1][:k], vecs
+
+
+def with_spectrum(evals, seed=0):
+    """Symmetric matrix with the given eigenvalues and random eigenvectors."""
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(evals),) * 2))[0]
+    return (basis * np.asarray(evals, dtype=float)) @ basis.T
+
+
+def assert_matches_dense(evals, evecs, matrix):
+    # criterion 1 of the acceptance suite: eigenvalues to 1e-8, vectors to 1e-6
+    want_vals, want_vecs = dense_top(matrix, evals.size)
+    np.testing.assert_allclose(evals, want_vals, rtol=1e-8, atol=1e-12)
+    vecs = np.array(evecs)
+    fix_signs(vecs)
+    assert np.abs(vecs - want_vecs).max() <= 1e-6
+    assert np.abs(vecs.T @ vecs - np.eye(evals.size)).max() <= 1e-12
+
+
+def test_top_eigenpairs_accepts_krylov_on_curves_k_x():
+    spec = ScenarioSpec.curves(p=750, sigma2=1e-4, seed=4)
+    panel, design, _ = generate_scenario1(spec)
+    k_x = fit_panel(panel, design, n_x=4, n_w=4).covariances.k_x
+    evals, evecs, solver = top_eigenpairs(k_x, k=4)
+    assert solver["path"] == "krylov" and evals.size == 4
+    assert solver["steps"] * 8 <= k_x.shape[0] // 4 and solver["residual"] <= 1e-13
+    assert_matches_dense(evals, evecs, k_x)
+
+
+def test_top_eigenpairs_falls_back_on_tie_at_cut():
+    # lambda_4 = lambda_5: no gap bounds the vectors of the top four
+    matrix = with_spectrum(np.r_[[9.0, 7.0, 5.0, 3.0, 3.0], np.full(195, 0.1)])
+    evals, evecs, solver = top_eigenpairs(matrix, k=4)
+    assert solver == {"path": "dense"}
+    dense_vals, dense_vecs = np.linalg.eigh(matrix)
+    np.testing.assert_array_equal(evals, dense_vals[::-1])
+    np.testing.assert_array_equal(evecs, dense_vecs[:, ::-1])
+    # one pair later the cut is clear of the tie
+    evals, evecs, solver = top_eigenpairs(matrix, k=5)
+    assert solver["path"] == "krylov"
+    np.testing.assert_allclose(evals, [9.0, 7.0, 5.0, 3.0, 3.0], rtol=1e-12)
+
+
+def noiseless_lattice_gram():
+    panel, _, _ = generate_scenario2(ScenarioSpec.blocks(lattice=(4, 16, 2), seed=3))
+    return accumulate_gram(panel)[0]
+
+
+def test_eigen_gram_krylov_on_exactly_low_rank_gram():
+    # the lattice has rank 8 with s_9 / s_1 about 4e-15; a centred product
+    # of rank 12 needs a third block of 8, of which only 4 directions are
+    # new: the rest are rounding, which the basis must drop (or project out
+    # again once scaled up) to stay orthonormal and certify
+    factor = np.random.default_rng(7).standard_normal((300, 12)) * np.geomspace(10, 1, 12)
+    factor -= factor.mean(axis=0)
+    for gram, rank in ((noiseless_lattice_gram(), 8), (factor @ factor.T, 12)):
+        decomp = eigen_gram(gram)
+        assert decomp.r == rank and decomp.solver["path"] == "krylov"
+        assert decomp.solver["steps"] <= 3
+        assert_matches_dense(decomp.s, decomp.u, gram)
+        assert decomp.s.sum() >= 0.9999 * decomp.total_gram_trace
+        np.testing.assert_allclose(eigen_gram(gram, rank=rank).s, decomp.s, rtol=1e-12)
+
+
+def test_eigen_gram_refuses_rank_above_positive_count():
+    gram = noiseless_lattice_gram()
+    for rank in (9, 20):
+        with pytest.raises(ValidationError, match=r"rank must be in \[1, 8\]"):
+            eigen_gram(gram, rank=rank)
+
+
+def test_decompose_indefinite_matrix_keeps_algebraic_top_and_clip_count():
+    # the negative eigenvalues dominate in magnitude; the top three by value
+    # include one negative, which is clipped
+    matrix = with_spectrum(np.r_[[5.0, 3.0, -0.1, -0.7], np.linspace(-100.0, -99.99, 196)])
+    covs = IntrinsicCovariances(k_x=matrix, k_w=matrix, trace_x_raw=float(np.trace(matrix)),
+                                trace_w_raw=float(np.trace(matrix)), q=0, r=200)
+    basis = decompose_intrinsic(covs, n_x=3, n_w=3)
+    assert basis.solvers["k_x"]["path"] == basis.solvers["k_w"]["path"] == "krylov"
+    want_vals, want_vecs = dense_top(matrix, 3)
+    assert basis.clipped_x == basis.clipped_w == int(np.sum(want_vals < 0)) == 1
+    np.testing.assert_allclose(basis.lambda_w, np.maximum(want_vals, 0.0), rtol=1e-8, atol=1e-12)
+    assert np.abs(basis.a_w - want_vecs).max() <= 1e-6
 
 
 # --- rank policy -------------------------------------------------------------

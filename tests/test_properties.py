@@ -1,9 +1,11 @@
 """Metamorphic properties of a fit on small random designs.
 
 Scaling the data by c scales the variances by c^2 and the scores by c;
-adding a constant image moves only the mean. Designs are drawn with 5-9
-subjects of 1-5 visits (at least one subject with 3 or more) and q in
-{1, 2}; those the fit would refuse as unidentifiable are skipped.
+adding a constant image moves only the mean; reordering the subjects
+reorders the scores and nothing else. Designs are drawn with 5-9 subjects
+of 1-5 visits (at least one subject with 3 or more), or 40-48 subjects of
+3-5 visits for the reordering, and q in {1, 2}; those the fit would refuse
+as unidentifiable are skipped.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from conftest import make_design  # noqa: E402
-from lfpca import DataPanel, fit_panel, normalize_covariates, validate_design  # noqa: E402
+from lfpca import (DataPanel, StudyDesign, fit_panel, normalize_covariates,  # noqa: E402
+                   validate_design)
 
 P = 40
 N_X, N_W = 2, 2
@@ -73,3 +76,42 @@ def test_constant_image_moves_only_the_mean(problem, level):
     assert_rel(shifted.scores.zeta, base.scores.zeta, 1e-7)
     assert_rel(shifted.model.phi_w.to_array(), base.model.phi_w.to_array(), 1e-7)
     assert_rel(shifted.model.mean, base.model.mean + image, 1e-12)
+
+
+@st.composite
+def low_rank_problems(draw):
+    """(design, Y, order) with Y = sum_k Z_ijk Phi_xk xi_i + Phi_w zeta_ij, no
+    noise: four components per family, so G has rank 4 (q + 2) and its top
+    pairs come from the Krylov solver. ``order`` permutes the subjects."""
+    q = draw(st.sampled_from([1, 2]))
+    counts = draw(st.lists(st.integers(3, 5), min_size=40, max_size=48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    design = make_design(rng, n_subjects=len(counts), visits=counts, q=q)
+    assume(validate_design(normalize_covariates(design)[0]).ok)
+    phi_x, phi_w = rng.standard_normal((q + 1, P, 4)), rng.standard_normal((P, 4))
+    cols = []
+    for subject in design.subjects:
+        xi = rng.standard_normal(4) * [4.0, 2.8, 2.0, 1.4]
+        for z in subject.z:
+            cols.append(np.einsum("k,kpc,c->p", z, phi_x, xi)
+                        + phi_w @ (rng.standard_normal(4) * [3.0, 2.0, 1.4, 1.0]))
+    return design, np.array(cols).T, draw(st.permutations(range(len(counts))))
+
+
+@settings(max_examples=10)
+@given(low_rank_problems())
+def test_permuting_subjects_permutes_scores(problem):
+    design, y, order = problem
+    columns = np.concatenate([np.arange(design.n)[design.columns(i)] for i in order])
+    permuted = StudyDesign([design.subjects[i] for i in order])
+    base, moved = fit(design, y), fit(permuted, y[:, columns])
+    assert base.eigensolvers["gram"]["path"] == moved.eigensolvers["gram"]["path"] == "krylov"
+    assert moved.model.r == base.model.r
+    for name in ("lambda_x", "lambda_w"):
+        np.testing.assert_allclose(getattr(moved.model, name), getattr(base.model, name),
+                                   rtol=1e-8, atol=1e-12)
+    assert abs(moved.model.sigma2 - base.model.sigma2) <= 1e-8 * max(base.model.sigma2, 1e-12)
+    for got, want in zip(phi(moved.model), phi(base.model)):
+        assert_rel(got, want, 1e-6)
+    assert_rel(moved.scores.xi, base.scores.xi[order], 1e-6)
+    assert_rel(moved.scores.zeta, base.scores.zeta[columns], 1e-6)
