@@ -27,10 +27,11 @@ from .blup import score_new_panel, write_scores_csv
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .fit import DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, save_model, variance_explained
-from .gram import DEFAULT_VAR_THRESHOLD, left_vectors
+from .gram import DEFAULT_VAR_THRESHOLD
 from .limits import (BLUP_CONDITION_LIMIT, EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL,
                      FF_CONDITION_LIMIT, RANK_EPS)
-from .panel import digest_panel, panel_from_csv, panel_to_csv, read_panel, write_panel
+from .panel import (DataPanel, digest_panel, panel_from_csv, panel_to_csv, read_panel,
+                    write_panel)
 from .simulate import (ScenarioSpec, evaluate, generate_scenario1, generate_scenario2,
                        load_truth, save_truth)
 
@@ -139,17 +140,16 @@ def cmd_fit(args) -> int:
         result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
                            var_threshold=args.var_threshold,
                            order_threshold=args.order_threshold,
-                           normalize=not args.no_normalize, threads=args.threads, workdir=stage)
+                           normalize=not args.no_normalize, threads=args.threads,
+                           workdir=stage, write_v=args.write_v)
         data_hash = panel.digest.hexdigest()
         model, decomp = result.model, result.decomposition
         _write_eigenvalues(stage / "eigenvalues.csv", model)
         variance_explained(model).write_csv(stage / "variance_explained.csv")
-        np.savetxt(stage / "u.csv", decomp.u, delimiter=",", fmt="%.17g")
+        write_panel(DataPanel.from_array(decomp.u), stage / "u.lfpb")
         np.savetxt(stage / "s.csv", decomp.s, delimiter=",", fmt="%.17g")
         write_scores_csv(result.scores, stage / "scores.csv")
         save_model(model, stage)
-        if args.write_v:
-            left_vectors(panel, decomp, out_path=stage / "v.lfpb", threads=result.options["threads"])
         if args.dump_h:
             np.savetxt(stage / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
 
@@ -179,9 +179,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-# Fit outputs that depend on the options or on q: an earlier fit's copy
-# that the current fit does not write is removed from --out.
-_OPTIONAL_OUTPUTS = re.compile(r"v\.lfpb|h\.csv|phi_x_\d+\.lfpb")
+# Fit outputs that depend on the options or on q, and the u.csv of fits
+# before u.lfpb: an earlier fit's copy that the current fit does not write
+# is removed from --out.
+_OPTIONAL_OUTPUTS = re.compile(r"v\.lfpb|h\.csv|phi_x_\d+\.lfpb|u\.csv")
 
 
 @contextlib.contextmanager

@@ -19,7 +19,7 @@ from .design import (CovariateScale, DesignReport, StudyDesign, apply_covariate_
                      normalize_covariates, validate_design)
 from .errors import IdentifiabilityError, ValidationError
 from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
-                   center_factor, eigen_gram, fix_signs, mass_count, stack_coefficients,
+                   eigen_gram, fix_signs, left_factor, mass_count, stack_coefficients,
                    top_eigenpairs)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
@@ -207,15 +207,17 @@ class FitResult:
     scores: "ScorePanel"
     mom: MomDesign
     gram: np.ndarray
-    options: dict  # rank, thresholds, threads, normalize as used; None where unused
+    options: dict  # rank, thresholds, threads, normalize, write_v as used; None where unused
     eigensolvers: dict  # top_eigenpairs record of "gram", "k_x" and "k_w"
     report: DesignReport | None = None
+    v: DataPanel | None = None  # left singular vectors, only with write_v
 
 
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
               n_w: int | None = None, rank: int | None = None,
               var_threshold: float | None = None, order_threshold: float | None = None,
-              normalize: bool = True, threads: int | None = None, workdir=None) -> FitResult:
+              normalize: bool = True, threads: int | None = None, workdir=None,
+              write_v: bool = False) -> FitResult:
     """Run the full pipeline: SVD via the centered Gram matrix, moment
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
     per-subject score prediction.
@@ -233,11 +235,16 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     the outputs' layout and cap the block height, never raise it. When
     ``workdir`` is given, the lifted bases are streamed to files there, so
     peak memory stays at about ``(threads + 1) x 2 x BLOCK_BYTES + n^2``
-    plus O(p) vectors; otherwise they are kept in memory.
+    plus O(p) vectors; otherwise they are kept in memory. With ``write_v``
+    the left singular vectors V, bit for bit as :func:`left_vectors` forms
+    them, are one more output of the lift's pass (``workdir/v.lfpb`` or
+    in memory, as ``FitResult.v``); the panel is still read twice.
     """
     for name, value in (("rank", rank), ("n_x", n_x), ("n_w", n_w)):
         if value is not None and value < 1:
             raise ValidationError(f"{name} must be >= 1 (or None for auto), got {value}")
+    if not isinstance(write_v, bool):
+        raise ValidationError(f"write_v must be True or False, got {write_v!r}")
     if rank is not None and var_threshold is not None:
         raise ValidationError("var_threshold applies only to an automatic rank")
     if n_x is not None and n_w is not None and order_threshold is not None:
@@ -275,7 +282,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
 
-    phi_x, phi_w = _lift_basis(panel, decomp, basis, design.q, workdir, threads)
+    phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, threads, write_v)
     model = FittedModel(p=panel.p, n=panel.n, q=design.q, r=decomp.r, n_x=n_x, n_w=n_w,
                         a_x=basis.a_x, a_w=basis.a_w,
                         lambda_x=basis.lambda_x, lambda_w=basis.lambda_w,
@@ -286,31 +293,40 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     from .blup import score_blups
     scores = score_blups(model, decomp, design)
     return FitResult(model=model, decomposition=decomp, covariances=covs, scores=scores,
-                     mom=mom, gram=gram, report=report,
+                     mom=mom, gram=gram, report=report, v=v,
                      eigensolvers={"gram": decomp.solver, **basis.solvers}, options={
                          "rank": rank, "var_threshold": var_threshold, "normalize": normalize,
-                         "order_threshold": order_threshold, "threads": threads})
+                         "order_threshold": order_threshold, "threads": threads,
+                         "write_v": write_v})
 
 
 def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,
-                q: int, workdir: Path | None, threads: int):
-    """One streamed pass over the raw rows producing every lifted family:
-    Phi = Y (J U S^{-1/2} B), with B from :func:`stack_coefficients`."""
-    stacked = (center_factor(decomp.u / np.sqrt(decomp.s))
-               @ stack_coefficients(basis.a_x, basis.a_w))
+                q: int, workdir: Path | None, threads: int, write_v: bool):
+    """One streamed pass over the raw rows producing every lifted family,
+    Phi = Y (F B) with F = J U S^{-1/2} from :func:`left_factor` and B from
+    :func:`stack_coefficients`, and with ``write_v`` also V = Y F."""
+    factor = left_factor(decomp)
+    stacked = factor @ stack_coefficients(basis.a_x, basis.a_w)
     widths = [basis.a_x.shape[1]] * (q + 1) + [basis.a_w.shape[1]]
     edges = np.cumsum(widths)[:-1]
     names = [f"phi_x_{k}.lfpb" for k in range(q + 1)] + ["phi_w.lfpb"]
+    if write_v:
+        widths, names = widths + [decomp.r], names + ["v.lfpb"]
 
     def _lift(rows, blocks, outs):
         # one product reads the block once; the families are its column ranges
+        # and the first outputs (zip stops before V)
         for out, part in zip(outs, np.split(blocks[0] @ stacked, edges, axis=1)):
             out[:] = part
+        if write_v:
+            # V as its own product: the columns of one wide product with F
+            # appended would differ from left_vectors (and move Phi) in the last bits
+            np.matmul(blocks[0], factor, out=outs[-1])
 
     _, panels = stream([panel], _lift,
                        [(width, workdir / name if workdir is not None else None)
                         for width, name in zip(widths, names)], threads)
-    return tuple(panels[:q + 1]), panels[-1]
+    return tuple(panels[:q + 1]), panels[q + 1], panels[-1] if write_v else None
 
 
 # ---------------------------------------------------------------------------

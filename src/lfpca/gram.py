@@ -247,21 +247,22 @@ def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, out_path=None
     Returned as a p x r panel in the same slice layout as the input; written
     to ``out_path`` when given, else kept in memory.
     """
-    if np.any(decomp.s <= 0):
-        raise ValidationError("cannot form left vectors for non-positive singular values")
-    proj = center_factor(decomp.u / np.sqrt(decomp.s))
+    factor = left_factor(decomp)
 
     def _left(rows, blocks, outs):
-        np.matmul(blocks[0], proj, out=outs[0])
+        np.matmul(blocks[0], factor, out=outs[0])
 
     _, (v,) = stream([panel], _left, [(decomp.r, out_path)], threads)
     return v
 
 
-def center_factor(factor: np.ndarray) -> np.ndarray:
-    """J F, so raw rows times J F equal centered rows times F. Formed in C
-    order: the column means then do not depend on the caller's layout."""
-    factor = np.ascontiguousarray(factor)
+def left_factor(decomp: IntrinsicDecomposition) -> np.ndarray:
+    """F = J U S^{-1/2}, so raw rows times F are the left singular vectors.
+    Formed in C order: the column means of U S^{-1/2}, and so the bits of
+    every product with F, do not depend on the layout of ``decomp.u``."""
+    if np.any(decomp.s <= 0):
+        raise ValidationError("cannot form left vectors for non-positive singular values")
+    factor = np.ascontiguousarray(decomp.u / np.sqrt(decomp.s))
     return factor - factor.mean(axis=0)
 
 

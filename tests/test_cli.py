@@ -47,7 +47,7 @@ def test_full_pipeline_round_trip(tmp_path):
     fits = [fit_rep(tmp_path, sim, rep=f"rep_{i:03d}") for i in range(2)]
     for fit_dir in fits:
         for artifact in ("eigenvalues.csv", "variance_explained.csv", "phi_x_0.lfpb",
-                         "phi_x_1.lfpb", "phi_w.lfpb", "u.csv", "s.csv", "scores.csv",
+                         "phi_x_1.lfpb", "phi_w.lfpb", "u.lfpb", "s.csv", "scores.csv",
                          "manifest.json", "model.json", "mean.lfpb"):
             assert (fit_dir / artifact).is_file(), artifact
         assert not (fit_dir / "centered.lfpb").exists()
@@ -55,7 +55,8 @@ def test_full_pipeline_round_trip(tmp_path):
     code = run("evaluate", "--truth", str(sim), "--fit", str(tmp_path / "fit"),
                "--out", str(metrics))
     assert code == 0
-    rows = list(csv.DictReader(open(metrics)))
+    with open(metrics) as fh:
+        rows = list(csv.DictReader(fh))
     kinds = {row["kind"] for row in rows}
     assert kinds == {"replication", "aggregate"}
     agg = [row for row in rows if row["kind"] == "aggregate" and row["family"] == "x0"]
@@ -107,7 +108,7 @@ def test_manifest_contents(tmp_path):
 
 def test_manifest_data_hash_is_sha256_of_file(tmp_path):
     # taken from the Gram pass's reads at any slicing and thread count; the
-    # lift and --write-v read the rows again without feeding it
+    # lift (with or without --write-v) reads the rows again without feeding it
     sim = simulate_small(tmp_path, reps=1)
     data, meta = tmp_path / "panel3.lfpb", sim / "rep_000" / "meta.csv"
     write_panel(read_panel(sim / "rep_000" / "panel.lfpb").with_slices(3), data)
@@ -189,8 +190,9 @@ def test_fit_reads_each_data_row_twice(tmp_path, rng, monkeypatch):
 
 def test_fit_one_slice_file_in_budget_blocks(tmp_path, rng, monkeypatch):
     # a one-slice file under a small block budget: each payload row is still
-    # read twice, the manifest hash is still the file's sha256, phi_*.lfpb
-    # and v.lfpb keep the one-slice table and match the unsplit fit
+    # read twice, also with --write-v, the manifest hash is still the file's
+    # sha256, phi_*.lfpb and v.lfpb keep the one-slice table and match the
+    # unsplit fit
     design = make_design(rng, n_subjects=6, visits=3)
     p = 20000
     data, meta = tmp_path / "p.lfpb", tmp_path / "m.csv"
@@ -211,16 +213,18 @@ def test_fit_one_slice_file_in_budget_blocks(tmp_path, rng, monkeypatch):
         return read_rows(self, start, stop)
 
     monkeypatch.setattr(DataPanel, "read_rows", counting)
-    assert run(*argv[:-1], "--out", str(tmp_path / "split")) == 0
-    counts = np.zeros(p, dtype=int)
-    for start, stop in reads:
-        counts[start:stop] += 1
-    np.testing.assert_array_equal(counts, 2)
-    assert max(stop - start for start, stop in reads) == budget // (8 * design.n)
-    manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
-    assert manifest["input_hashes"][str(data)] == hashlib.sha256(data.read_bytes()).hexdigest()
+    for out, extra in (("split", argv[:-1]), ("split_v", argv)):
+        reads.clear()
+        assert run(*extra, "--out", str(tmp_path / out)) == 0
+        counts = np.zeros(p, dtype=int)
+        for start, stop in reads:
+            counts[start:stop] += 1
+        np.testing.assert_array_equal(counts, 2)
+        assert max(stop - start for start, stop in reads) == budget // (8 * design.n)
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["input_hashes"][str(data)] == \
+            hashlib.sha256(data.read_bytes()).hexdigest()
 
-    assert run(*argv, "--out", str(tmp_path / "split_v")) == 0
     for name in ("phi_x_0.lfpb", "phi_x_1.lfpb", "phi_w.lfpb", "v.lfpb"):
         split = read_panel(tmp_path / ("split_v" if name == "v.lfpb" else "split") / name)
         assert split.row_starts == [0, p]
@@ -261,13 +265,16 @@ def test_failed_refit_leaves_earlier_model(tmp_path, monkeypatch):
 
 def test_refit_removes_stale_optional_outputs(tmp_path):
     # a plain re-fit removes the v.lfpb and h.csv of an earlier --write-v
-    # --dump-h fit and leaves files that lfpca fit never writes alone
+    # --dump-h fit and the u.csv of a fit before u.lfpb, and leaves files
+    # that lfpca fit never writes alone
     sim = simulate_small(tmp_path, reps=1)
     fit_dir = fit_rep(tmp_path, sim, extra=("--write-v", "--dump-h"))
     assert (fit_dir / "v.lfpb").is_file() and (fit_dir / "h.csv").is_file()
     (fit_dir / "notes.txt").write_text("kept")
+    (fit_dir / "u.csv").write_text("0.5,0.5\n")
     fit_rep(tmp_path, sim, extra=("--rank", "10"))
     assert not (fit_dir / "v.lfpb").exists() and not (fit_dir / "h.csv").exists()
+    assert not (fit_dir / "u.csv").exists() and (fit_dir / "u.lfpb").is_file()
     assert (fit_dir / "notes.txt").read_text() == "kept"
     manifest = json.loads((fit_dir / "manifest.json").read_text())
     assert manifest["config"]["rank"] == 10 and manifest["config"]["var_threshold"] is None
@@ -296,7 +303,7 @@ def test_fit_numeric_artifacts_deterministic(tmp_path):
     sim = simulate_small(tmp_path, reps=1)
     fit_a = fit_rep(tmp_path, sim, name="fa")
     fit_b = fit_rep(tmp_path, sim, name="fb")
-    for artifact in ("eigenvalues.csv", "u.csv", "s.csv", "scores.csv",
+    for artifact in ("eigenvalues.csv", "u.lfpb", "s.csv", "scores.csv",
                      "variance_explained.csv", "model.json", "phi_w.lfpb"):
         assert (fit_a / artifact).read_bytes() == (fit_b / artifact).read_bytes(), artifact
 
@@ -567,7 +574,7 @@ def test_threads_flag_matches_serial(tmp_path):
     sim = simulate_small(tmp_path, reps=1)
     serial = fit_rep(tmp_path, sim, name="serial", extra=("--threads", "1", "--slices", "5"))
     threaded = fit_rep(tmp_path, sim, name="threaded", extra=("--threads", "4", "--slices", "5"))
-    for artifact in ("u.csv", "s.csv", "scores.csv", "phi_w.lfpb"):
+    for artifact in ("u.lfpb", "s.csv", "scores.csv", "phi_w.lfpb"):
         assert (serial / artifact).read_bytes() == (threaded / artifact).read_bytes()
     outputs = []
     for threads in ("1", "4"):
@@ -590,12 +597,39 @@ def test_dump_h_and_write_v(tmp_path):
     # dense left vectors of the centered array
     raw = read_panel(sim / "rep_000" / "panel.lfpb")
     mem = DataPanel.from_array(raw.to_array(), n_slices=raw.n_slices)
-    u = np.loadtxt(fit_dir / "u.csv", delimiter=",", ndmin=2)
+    u = read_panel(fit_dir / "u.lfpb").to_array()
     s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
     decomp = IntrinsicDecomposition(u=u, s=s, r=s.size, total_gram_trace=float(s.sum()))
     np.testing.assert_array_equal(arr, left_vectors(mem, decomp).to_array())
     cen = mem.to_array() - mem.to_array().mean(axis=1, keepdims=True)
     np.testing.assert_allclose(arr, cen @ (u / np.sqrt(s)), atol=1e-12)
+
+
+def test_u_lfpb_holds_the_fitted_u(tmp_path):
+    # the n x r right singular vectors as one LFPB slice, with their exact bits
+    sim = simulate_small(tmp_path, reps=1)
+    fit_dir = fit_rep(tmp_path, sim)
+    rep = sim / "rep_000"
+    res = fit_panel(read_panel(rep / "panel.lfpb"), read_metadata(rep / "meta.csv"),
+                    n_x=4, n_w=4)
+    u = read_panel(fit_dir / "u.lfpb")
+    assert (u.p, u.n, u.row_starts) == (*res.decomposition.u.shape, [0, u.p])
+    np.testing.assert_array_equal(u.to_array(), res.decomposition.u)
+    assert not (fit_dir / "u.csv").exists()
+
+
+def test_write_v_leaves_other_outputs_byte_identical(tmp_path):
+    # V is its own product in the lift's pass, so asking for it moves no bit
+    # of U, s, the scores or any lifted basis
+    sim = simulate_small(tmp_path, reps=1)
+    plain = fit_rep(tmp_path, sim, name="plain", extra=("--slices", "3", "--threads", "2"))
+    with_v = fit_rep(tmp_path, sim, name="with_v",
+                     extra=("--slices", "3", "--threads", "2", "--write-v"))
+    phis = sorted(f.name for f in with_v.glob("phi_*.lfpb"))
+    assert phis == ["phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb"]
+    for artifact in ("u.lfpb", "s.csv", "scores.csv", *phis):
+        assert (plain / artifact).read_bytes() == (with_v / artifact).read_bytes(), artifact
+    assert not (plain / "v.lfpb").exists() and (with_v / "v.lfpb").is_file()
 
 
 def test_convert_round_trip(tmp_path, rng):
@@ -664,7 +698,8 @@ def test_evaluate_exact_recovery_regime(tmp_path):
     metrics = tmp_path / "self_metrics.csv"
     assert run("evaluate", "--truth", str(truth_dir), "--fit", str(fit_dir),
                "--out", str(metrics)) == 0
-    rows = [r for r in csv.DictReader(open(metrics)) if r["kind"] == "replication"]
+    with open(metrics) as fh:
+        rows = [r for r in csv.DictReader(fh) if r["kind"] == "replication"]
     assert rows and all(float(r["evec_sq_dist"]) < 1e-6 for r in rows)
 
 
@@ -681,6 +716,6 @@ def test_scenario2_cli_small_cohort(tmp_path):
     metrics = tmp_path / "m2.csv"
     assert run("evaluate", "--truth", str(out), "--fit", str(tmp_path / "fit2"),
                "--out", str(metrics)) == 0
-    rows = [r for r in csv.DictReader(open(metrics))
-            if r["kind"] == "aggregate" and r["family"] == "w"]
+    with open(metrics) as fh:
+        rows = [r for r in csv.DictReader(fh) if r["kind"] == "aggregate" and r["family"] == "w"]
     assert len(rows) == 2

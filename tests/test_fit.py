@@ -7,7 +7,8 @@ import pytest
 from conftest import make_design, map_times
 from lfpca import (DataPanel, IdentifiabilityError, NumericalError, StudyDesign,
                    ValidationError, decompose_intrinsic,
-                   estimate_sigma2, fit_panel, generate_from_model, load_model, reconstruct,
+                   estimate_sigma2, fit_panel, generate_from_model, left_vectors, load_model,
+                   reconstruct,
                    save_model, score_new_panel, select_orders, stream,
                    variance_explained, write_panel, read_panel)
 from lfpca import panel as panel_module
@@ -407,6 +408,7 @@ def test_fit_file_backed_deletes_centered_copy(rng, tmp_path):
     (dict(rank=-2), "rank must be >= 1"),
     (dict(threads=0), "threads must be >= 1"),
     (dict(threads=-3), "threads must be >= 1"),
+    (dict(write_v=1), "write_v must be True or False"),
 ])
 def test_fit_refuses_option_before_reading(rng, monkeypatch, options, message):
     # an option the fit cannot honour costs no pass over the data
@@ -444,6 +446,32 @@ def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):
     np.testing.assert_array_equal(reads, 2)
     assert sorted(f.name for f in (tmp_path / "wd").iterdir()) == [
         "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb"]
+
+
+def test_fit_write_v_matches_left_vectors(rng, tmp_path, monkeypatch):
+    # V is one more output of the lift's pass: in the workdir or in memory,
+    # bit for bit left_vectors of the fitted decomposition, in the panel's
+    # slice layout, and leaving Phi as it is without write_v
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", 4 * 8 * 18)  # 4-row blocks
+    design = make_design(rng, n_subjects=6, visits=3)
+    path = tmp_path / "p.lfpb"
+    write_panel(DataPanel.from_array(rng.standard_normal((30, design.n)), n_slices=3), path)
+    panel = read_panel(path)
+    plain = fit_panel(panel, design, n_x=2, n_w=2)
+    assert plain.v is None and plain.options["write_v"] is False
+    for workdir, threads in ((None, 1), (tmp_path / "wd", 2)):
+        res = fit_panel(panel, design, n_x=2, n_w=2, threads=threads, workdir=workdir,
+                        write_v=True)
+        assert res.options["write_v"] is True
+        assert res.v.file_backed == (workdir is not None)
+        assert res.v.row_starts == panel.row_starts and res.v.n == res.decomposition.r
+        np.testing.assert_array_equal(res.v.to_array(),
+                                      left_vectors(panel, res.decomposition).to_array())
+        for got, want in zip((*res.model.phi_x, res.model.phi_w),
+                             (*plain.model.phi_x, plain.model.phi_w)):
+            np.testing.assert_array_equal(got.to_array(), want.to_array())
+    assert sorted(f.name for f in (tmp_path / "wd").iterdir()) == [
+        "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb", "v.lfpb"]
 
 
 def test_one_slice_panel_is_fitted_in_budget_blocks(rng, tmp_path, monkeypatch):
