@@ -182,7 +182,9 @@ def write_scores_csv(scores: ScorePanel, path) -> None:
 
 
 def read_scores_csv(path) -> ScorePanel:
-    """Read a scores CSV; no subject is flagged rank deficient."""
+    """Read a scores CSV; no subject is flagged rank deficient. A row with
+    the wrong field count, an unknown score type or a value that does not
+    parse raises ValidationError naming ``path:line``."""
     xi: dict[str, dict[int, float]] = {}
     zeta: dict[str, dict[tuple[int, int], float]] = {}
     with open(path, newline="") as fh:
@@ -190,18 +192,24 @@ def read_scores_csv(path) -> ScorePanel:
         header = next(reader, None)
         if header != SCORES_HEADER:
             raise ValidationError(f"unexpected scores header in {path}: {header}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(SCORES_HEADER):
+                raise ValidationError(f"{path}:{lineno}: expected {len(SCORES_HEADER)} fields, "
+                                      f"got {len(row)}")
             sid, kind, visit, comp, value = row
             if sid not in xi:
                 xi[sid], zeta[sid] = {}, {}
-            if kind == "xi":
-                xi[sid][int(comp)] = float(value)
-            elif kind == "zeta":
-                zeta[sid][(int(visit), int(comp))] = float(value)
-            else:
-                raise ValidationError(f"unknown score_type {kind!r} in {path}")
+            try:
+                if kind == "xi":
+                    xi[sid][int(comp)] = float(value)
+                elif kind == "zeta":
+                    zeta[sid][(int(visit), int(comp))] = float(value)
+                else:
+                    raise ValueError(f"unknown score_type {kind!r}")
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
     ids = list(xi)
     n_x = 1 + max((c for sid in ids for c in xi[sid]), default=-1)
     n_w = 1 + max((c for sid in ids for _, c in zeta[sid]), default=-1)

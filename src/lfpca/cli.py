@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -26,7 +25,8 @@ from . import __version__
 from .blup import score_new_panel, write_scores_csv
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
-from .fit import DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, save_model, variance_explained
+from .fit import (DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, phi_x_files_in, save_model,
+                  variance_explained)
 from .gram import DEFAULT_VAR_THRESHOLD
 from .limits import (BLUP_CONDITION_LIMIT, EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL,
                      FF_CONDITION_LIMIT, RANK_EPS)
@@ -179,10 +179,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-# Fit outputs that depend on the options or on q, and the u.csv of fits
-# before u.lfpb: an earlier fit's copy that the current fit does not write
-# is removed from --out.
-_OPTIONAL_OUTPUTS = re.compile(r"v\.lfpb|h\.csv|phi_x_\d+\.lfpb|u\.csv")
+# Fit outputs that depend on the options, and the u.csv of fits before
+# u.lfpb: an earlier fit's copy that the current fit does not write is
+# removed from --out, as are the phi_x files of an earlier fit of larger q.
+_OPTIONAL_OUTPUTS = ("v.lfpb", "h.csv", "u.csv")
 
 
 @contextlib.contextmanager
@@ -196,9 +196,9 @@ def _staged_dir(outdir: Path):
     try:
         yield stage
         outdir.mkdir(exist_ok=True)
-        for path in outdir.iterdir():
-            if _OPTIONAL_OUTPUTS.fullmatch(path.name) and not (stage / path.name).exists():
-                path.unlink()
+        for name in [*_OPTIONAL_OUTPUTS, *phi_x_files_in(outdir)]:
+            if not (stage / name).exists():
+                (outdir / name).unlink(missing_ok=True)
         for path in stage.iterdir():
             os.replace(path, outdir / path.name)
     finally:

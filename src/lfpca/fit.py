@@ -108,14 +108,14 @@ def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int, n_w
 
 @dataclass
 class FittedModel:
-    """Everything needed to interpret, score, and reconstruct observations."""
+    """Everything needed to interpret, score, and reconstruct observations.
 
-    p: int
+    The sizes are read from the arrays: p from ``mean``, q from ``phi_x``
+    (one basis per covariate), r and n_w from ``a_w`` (r x n_w) and n_x from
+    ``a_x`` ((q+1)r x n_x). n is the training panel's column count.
+    """
+
     n: int
-    q: int
-    r: int
-    n_x: int
-    n_w: int
     a_x: np.ndarray
     a_w: np.ndarray
     lambda_x: np.ndarray
@@ -128,6 +128,26 @@ class FittedModel:
     clipped_count: int
     mean: np.ndarray
     covariate_scaling: tuple[CovariateScale, ...] = ()
+
+    @property
+    def p(self) -> int:
+        return self.mean.size
+
+    @property
+    def q(self) -> int:
+        return len(self.phi_x) - 1
+
+    @property
+    def r(self) -> int:
+        return self.a_w.shape[0]
+
+    @property
+    def n_x(self) -> int:
+        return self.a_x.shape[1]
+
+    @property
+    def n_w(self) -> int:
+        return self.a_w.shape[1]
 
     def in_model_units(self, design: StudyDesign) -> StudyDesign:
         """A design in original units through the stored scaling; refused unless q matches."""
@@ -279,12 +299,10 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     mom = compute_weights(build_design_matrix(design))
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
     basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
-    n_x, n_w = basis.lambda_x.size, basis.lambda_w.size
-    sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, n_w)
+    sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, basis.lambda_w.size)
 
     phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, threads, write_v)
-    model = FittedModel(p=panel.p, n=panel.n, q=design.q, r=decomp.r, n_x=n_x, n_w=n_w,
-                        a_x=basis.a_x, a_w=basis.a_w,
+    model = FittedModel(n=panel.n, a_x=basis.a_x, a_w=basis.a_w,
                         lambda_x=basis.lambda_x, lambda_w=basis.lambda_w,
                         phi_x=phi_x, phi_w=phi_w, sigma2=sigma2,
                         trace_x=covs.trace_x_raw, trace_w=covs.trace_w_raw,
@@ -309,7 +327,7 @@ def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: Intrins
     stacked = factor @ stack_coefficients(basis.a_x, basis.a_w)
     widths = [basis.a_x.shape[1]] * (q + 1) + [basis.a_w.shape[1]]
     edges = np.cumsum(widths)[:-1]
-    names = [f"phi_x_{k}.lfpb" for k in range(q + 1)] + ["phi_w.lfpb"]
+    names = basis_files(q)
     if write_v:
         widths, names = widths + [decomp.r], names + ["v.lfpb"]
 
@@ -335,6 +353,30 @@ def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: Intrins
 
 MODEL_FILE = "model.json"
 MEAN_FILE = "mean.lfpb"
+_SIZES = ("p", "n", "q", "r", "n_x", "n_w")  # stored in model.json, read from the arrays
+_KEYS = _SIZES + ("a_x", "a_w", "lambda_x", "lambda_w", "sigma2", "trace_x", "trace_w",
+                  "clipped_count", "covariate_scaling")
+
+
+def basis_file(k: int | None = None) -> str:
+    """File name of the lifted basis Phi_xk in a model directory, or of
+    Phi_w when ``k`` is None: the one place these names are spelled."""
+    return "phi_w.lfpb" if k is None else f"phi_x_{k}.lfpb"
+
+
+def basis_files(q: int) -> list[str]:
+    """The basis file names of a model with ``q`` covariates, in family
+    order Phi_x0 ... Phi_xq, Phi_w."""
+    return [basis_file(k) for k in range(q + 1)] + [basis_file()]
+
+
+def phi_x_files_in(directory) -> list[str]:
+    """The Phi_x basis file names present in ``directory``, counted from
+    Phi_x0 up to the first one missing."""
+    names = []
+    while (Path(directory) / basis_file(len(names))).is_file():
+        names.append(basis_file(len(names)))
+    return names
 
 
 def save_model(model: FittedModel, outdir) -> None:
@@ -342,8 +384,7 @@ def save_model(model: FittedModel, outdir) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "p": model.p, "n": model.n, "q": model.q, "r": model.r,
-        "n_x": model.n_x, "n_w": model.n_w,
+        **{name: getattr(model, name) for name in _SIZES},
         "a_x": model.a_x.tolist(), "a_w": model.a_w.tolist(),
         "lambda_x": model.lambda_x.tolist(), "lambda_w": model.lambda_w.tolist(),
         "sigma2": model.sigma2, "trace_x": model.trace_x, "trace_w": model.trace_w,
@@ -354,9 +395,8 @@ def save_model(model: FittedModel, outdir) -> None:
     with open(outdir / MODEL_FILE, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     write_panel(DataPanel.from_array(model.mean[:, None]), outdir / MEAN_FILE)
-    for k, phi in enumerate(model.phi_x):
-        _ensure_panel_file(phi, outdir / f"phi_x_{k}.lfpb")
-    _ensure_panel_file(model.phi_w, outdir / "phi_w.lfpb")
+    for phi, name in zip([*model.phi_x, model.phi_w], basis_files(model.q)):
+        _ensure_panel_file(phi, outdir / name)
 
 
 def _ensure_panel_file(panel: DataPanel, path: Path) -> None:
@@ -366,23 +406,82 @@ def _ensure_panel_file(panel: DataPanel, path: Path) -> None:
 
 
 def load_model(model_dir) -> FittedModel:
-    """Open a saved model; phi panels stay on disk and are read lazily."""
+    """Open a saved model; phi panels stay on disk and are read lazily.
+
+    This is the one check of a model directory. It raises ValidationError,
+    naming the file and the key, when ``model.json`` does not parse or lacks
+    a key, when a stored size disagrees with the arrays (a_x is (q+1)r x n_x,
+    a_w is r x n_w, lambda_x and lambda_w hold n_x and n_w values), or when
+    ``mean.lfpb`` is not p x 1 or a basis file is not p x n_x (p x n_w for
+    Phi_w). Of the panels only the headers are read before the checks pass.
+    Keys it does not know, such as the ``spectrum_x`` of older files, are
+    ignored.
+    """
     model_dir = Path(model_dir)
     meta_path = model_dir / MODEL_FILE
     if not meta_path.is_file():
         raise ValidationError(f"no {MODEL_FILE} in {model_dir}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    mean = read_panel(model_dir / MEAN_FILE).to_array()[:, 0]
-    phi_x = tuple(read_panel(model_dir / f"phi_x_{k}.lfpb") for k in range(meta["q"] + 1))
-    phi_w = read_panel(model_dir / "phi_w.lfpb")
-    scaling = tuple(CovariateScale(column=s["column"], shift=s["shift"], scale=s["scale"])
-                    for s in meta["covariate_scaling"])
-    return FittedModel(p=meta["p"], n=meta["n"], q=meta["q"], r=meta["r"],
-                       n_x=meta["n_x"], n_w=meta["n_w"],
-                       a_x=np.array(meta["a_x"]), a_w=np.array(meta["a_w"]),
-                       lambda_x=np.array(meta["lambda_x"]), lambda_w=np.array(meta["lambda_w"]),
-                       phi_x=phi_x, phi_w=phi_w, sigma2=meta["sigma2"],
-                       trace_x=meta["trace_x"], trace_w=meta["trace_w"],
-                       clipped_count=meta["clipped_count"], mean=mean,
-                       covariate_scaling=scaling)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{meta_path} does not parse: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{meta_path} must hold a JSON object")
+    missing = [key for key in _KEYS if key not in meta]
+    if missing:
+        raise ValidationError(f"{meta_path}: missing key(s) {', '.join(map(repr, missing))}")
+
+    def value(key, convert):
+        try:
+            return convert(meta[key])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValidationError(f"{meta_path}: bad {key!r}: {exc!r}") from None
+
+    def array(key, ndim):
+        arr = value(key, lambda v: np.array(v, dtype=np.float64))
+        if arr.ndim != ndim:
+            raise ValidationError(f"{meta_path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
+        return arr
+
+    sizes = {key: value(key, _size) for key in _SIZES}
+    p, q, r = sizes["p"], sizes["q"], sizes["r"]
+    a_x, a_w = array("a_x", 2), array("a_w", 2)
+    lambda_x, lambda_w = array("lambda_x", 1), array("lambda_w", 1)
+    for key, got, what in (("r", a_w.shape[0], "rows in 'a_w'"),
+                           ("n_w", a_w.shape[1], "columns in 'a_w'"),
+                           ("n_x", a_x.shape[1], "columns in 'a_x'"),
+                           ("n_x", lambda_x.size, "values in 'lambda_x'"),
+                           ("n_w", lambda_w.size, "values in 'lambda_w'")):
+        if sizes[key] != got:
+            raise ValidationError(f"{meta_path}: {key!r} is {sizes[key]}, "
+                                  f"but there are {got} {what}")
+    if a_x.shape[0] != (q + 1) * r:
+        raise ValidationError(f"{meta_path}: 'a_x' has {a_x.shape[0]} rows, "
+                              f"expected (q+1) r = {(q + 1) * r} for q={q}, r={r}")
+    scaling = value("covariate_scaling", lambda entries: tuple(
+        CovariateScale(column=s["column"], shift=s["shift"], scale=s["scale"])
+        for s in entries))
+    scalars = {key: value(key, float) for key in ("sigma2", "trace_x", "trace_w")}
+    clipped = value("clipped_count", _size)
+    mean = _model_panel(model_dir / MEAN_FILE, p, 1, "p x 1")
+    *phi_x, phi_w = [_model_panel(model_dir / name, p, sizes[key], f"p x {key}")
+                     for name, key in zip(basis_files(q), ["n_x"] * (q + 1) + ["n_w"])]
+    return FittedModel(n=sizes["n"], a_x=a_x, a_w=a_w, lambda_x=lambda_x, lambda_w=lambda_w,
+                       phi_x=tuple(phi_x), phi_w=phi_w, **scalars, clipped_count=clipped,
+                       mean=mean.to_array()[:, 0], covariate_scaling=scaling)
+
+
+def _size(raw) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        raise ValueError(f"expected a non-negative integer, got {raw!r}")
+    return raw
+
+
+def _model_panel(path: Path, p: int, width: int, shape: str) -> DataPanel:
+    """The panel at ``path``, refused unless its header says p x width."""
+    panel = read_panel(path)
+    if (panel.p, panel.n) != (p, width):
+        raise ValidationError(f"{path} is {panel.p} x {panel.n}, but {MODEL_FILE} "
+                              f"gives {shape} = {p} x {width}")
+    return panel

@@ -35,9 +35,12 @@ class IntrinsicDecomposition:
 
     u: np.ndarray
     s: np.ndarray
-    r: int
     total_gram_trace: float
     solver: dict | None = None
+
+    @property
+    def r(self) -> int:
+        return self.s.size
 
 
 def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +92,7 @@ def eigen_gram(gram: np.ndarray, rank: int | None = None,
     r = truncated_rank(evals, rank=rank, var_threshold=var_threshold, total=trace)
     u = evecs[:, :r]
     fix_signs(u)
-    return IntrinsicDecomposition(u=u, s=evals[:r], r=r, total_gram_trace=trace, solver=solver)
+    return IntrinsicDecomposition(u=u, s=evals[:r], total_gram_trace=trace, solver=solver)
 
 
 def top_eigenpairs(matrix: np.ndarray, k: int | None = None,

@@ -106,8 +106,7 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
             f"decomposition has {decomp.u.shape[0]} columns, design expects {design.n}")
     if gram.shape != (design.n, design.n):
         raise ValidationError(f"Gram matrix shape {gram.shape} does not match n={design.n}")
-    q, r = mom.q, decomp.r
-    d = mom.n_rows
+    q, d = mom.q, mom.n_rows
     coords = np.sqrt(decomp.s)[:, None] * decomp.u.T  # (r, n)
     k_x, k_w, traces = _weighted_products(coords, mom, design, gram)
     trace_x = float(np.trace(traces[:d - 1].reshape(q + 1, q + 1)))
@@ -116,8 +115,7 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     k_w = (k_w + k_w.T) / 2
     if not (np.all(np.isfinite(k_x)) and np.all(np.isfinite(k_w))):
         raise NumericalError("intrinsic covariance accumulation produced non-finite values")
-    return IntrinsicCovariances(k_x=k_x, k_w=k_w, trace_x_raw=trace_x, trace_w_raw=trace_w,
-                                q=q, r=r)
+    return IntrinsicCovariances(k_x=k_x, k_w=k_w, trace_x_raw=trace_x, trace_w_raw=trace_w)
 
 
 def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign",
@@ -161,5 +159,11 @@ class IntrinsicCovariances:
     k_w: np.ndarray
     trace_x_raw: float
     trace_w_raw: float
-    q: int
-    r: int
+
+    @property
+    def q(self) -> int:
+        return self.k_x.shape[0] // self.k_w.shape[0] - 1
+
+    @property
+    def r(self) -> int:
+        return self.k_w.shape[0]

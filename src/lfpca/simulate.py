@@ -21,7 +21,7 @@ import numpy as np
 from .blup import ScorePanel, read_scores_csv, write_scores_csv
 from .design import StudyDesign, Subject, normalize_covariates
 from .errors import ValidationError
-from .fit import FittedModel
+from .fit import FittedModel, basis_file, basis_files, phi_x_files_in
 from .panel import DataPanel, read_panel, write_panel
 
 LATTICE_DIMS = (38, 72, 11)
@@ -376,9 +376,8 @@ def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
     }
     with open(outdir / TRUTH_MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    for k, basis in enumerate(truth.phi_x):
-        write_panel(DataPanel.from_array(basis), outdir / f"phi_x_{k}.lfpb")
-    write_panel(DataPanel.from_array(truth.phi_w), outdir / "phi_w.lfpb")
+    for basis, name in zip([*truth.phi_x, truth.phi_w], basis_files(len(truth.phi_x) - 1)):
+        write_panel(DataPanel.from_array(basis), outdir / name)
     scores = ScorePanel(subject_ids=[s.subject_id for s in design.subjects],
                         visit_counts=design.visit_counts, xi=truth.xi, zeta=truth.zeta,
                         rank_deficient=np.zeros(design.n_subjects, dtype=bool))
@@ -392,14 +391,10 @@ def load_truth(truth_dir) -> GroundTruth:
         raise ValidationError(f"no {TRUTH_MANIFEST} in {truth_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    phi_x = []
-    k = 0
-    while (truth_dir / f"phi_x_{k}.lfpb").is_file():
-        phi_x.append(read_panel(truth_dir / f"phi_x_{k}.lfpb").to_array())
-        k += 1
+    phi_x = [read_panel(truth_dir / name).to_array() for name in phi_x_files_in(truth_dir)]
     if not phi_x:
-        raise ValidationError(f"no phi_x_*.lfpb files in {truth_dir}")
-    phi_w = read_panel(truth_dir / "phi_w.lfpb").to_array()
+        raise ValidationError(f"no {basis_file(0)} in {truth_dir}")
+    phi_w = read_panel(truth_dir / basis_file()).to_array()
     scores = read_scores_csv(truth_dir / "scores.csv")
     return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w,
                        lambda_x=np.array(manifest["lambda_x"]),

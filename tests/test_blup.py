@@ -240,6 +240,24 @@ def test_read_scores_csv_rejects_ragged_components(tmp_path):
             read_scores_csv(path)
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("a,xi,,0,1.5,7", "expected 5 fields, got 6"),
+    ("a,xi,,0", "expected 5 fields, got 4"),
+    ("a,xi,,0,abc", "could not convert"),
+    ("a,xi,,x,1.5", "invalid literal for int"),
+    ("a,zeta,y,0,1.5", "invalid literal for int"),
+    ("a,eta,0,0,1.5", "unknown score_type 'eta'"),
+])
+def test_read_scores_csv_names_the_malformed_line(tmp_path, row, problem):
+    # like read_metadata: path:line and the fault, not a bare unpacking or
+    # conversion error (lfpca evaluate would end with a traceback)
+    path = tmp_path / "scores.csv"
+    path.write_text("subject_id,score_type,visit_index,component,value\n"
+                    "a,xi,,0,1\n" + row + "\na,zeta,0,0,2\n")
+    with pytest.raises(ValidationError, match=f"scores.csv:3: {problem}"):
+        read_scores_csv(path)
+
+
 def test_reconstruction_residual_tracks_noise_floor(rng):
     # noisy curves data: per-voxel mean squared residual of the fitted
     # reconstruction stays within a small multiple of the noise variance

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -395,6 +396,86 @@ def test_order_threshold_outside_unit_interval_exits_2(tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+def _score_and_evaluate(rep_dir, fit_dir, out_dir):
+    """Exit codes of ``lfpca scores`` and ``lfpca evaluate`` against ``fit_dir``."""
+    return (run("scores", "--model", str(fit_dir), "--data", str(rep_dir / "panel.lfpb"),
+                "--meta", str(rep_dir / "meta.csv"), "--out", str(out_dir / "s.csv")),
+            run("evaluate", "--truth", str(rep_dir), "--fit", str(fit_dir),
+                "--out", str(out_dir / "m.csv")))
+
+
+@pytest.fixture(scope="module")
+def saved_fit(tmp_path_factory):
+    """A simulated p=200 replication directory and a q=1 fit of it, which
+    scores and evaluates as it is."""
+    tmp = tmp_path_factory.mktemp("saved")
+    sim = simulate_small(tmp, reps=1, p=200)
+    fit_dir = fit_rep(tmp, sim)
+    assert _score_and_evaluate(sim / "rep_000", fit_dir, tmp) == (0, 0)
+    return sim / "rep_000", fit_dir
+
+
+def _edit_json(change):
+    def corrupt(fit_dir):
+        meta = json.loads((fit_dir / "model.json").read_text())
+        change(meta)
+        (fit_dir / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    return corrupt
+
+
+def _edit_panel(name, change):
+    def corrupt(fit_dir):
+        arr = read_panel(fit_dir / name).to_array()
+        write_panel(DataPanel.from_array(change(arr)), fit_dir / name)
+    return corrupt
+
+
+MODEL_CORRUPTIONS = {
+    "r": (_edit_json(lambda m: m.update(r=m["r"] + 1)), r"model\.json: 'r' is"),
+    "n_x": (_edit_json(lambda m: m.update(n_x=m["n_x"] - 1)), r"model\.json: 'n_x' is"),
+    "p": (_edit_json(lambda m: m.update(p=m["p"] - 1)),
+          r"mean\.lfpb is 200 x 1, but model\.json gives p x 1 = 199 x 1"),
+    "short-lambda_x": (_edit_json(lambda m: m["lambda_x"].pop()), r"model\.json: .*'lambda_x'"),
+    "a_x-column": (_edit_json(lambda m: [row.pop() for row in m["a_x"]]),
+                   r"model\.json: .*'a_x'"),
+    "no-sigma2": (_edit_json(lambda m: m.pop("sigma2")), r"model\.json: missing key.*'sigma2'"),
+    "bad-json": (lambda fit_dir: (fit_dir / "model.json").write_text('{"p": 200,'),
+                 r"model\.json does not parse"),
+    "phi_w-rows": (_edit_panel("phi_w.lfpb", lambda a: a[:120]), r"phi_w\.lfpb is 120 x"),
+    "mean-columns": (_edit_panel("mean.lfpb", lambda a: np.hstack([a, a])),
+                     r"mean\.lfpb is 200 x 2"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", MODEL_CORRUPTIONS.values(),
+                         ids=list(MODEL_CORRUPTIONS))
+def test_corrupt_model_directory_exits_2(saved_fit, tmp_path, capsys, corrupt, message):
+    # a model directory is input from outside: every fault is refused by
+    # name, never scored without a word or ended by a traceback
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(fit_dir, tmp_path / "fit")
+    corrupt(tmp_path / "fit")
+    capsys.readouterr()
+    scores, evaluate = _score_and_evaluate(rep_dir, tmp_path / "fit", tmp_path)
+    errors = capsys.readouterr().err.splitlines()
+    assert (scores, evaluate) == (2, 2)
+    assert len(errors) == 2 and all(re.search(message, line) for line in errors), errors
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.csv").exists()
+
+
+def test_malformed_scores_row_exits_2_from_evaluate(saved_fit, tmp_path, capsys):
+    # read_scores_csv's refusals (see test_blup) reach the user as exit 2
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(fit_dir, tmp_path / "fit")
+    scores_path = tmp_path / "fit" / "scores.csv"
+    lines = scores_path.read_text().splitlines()
+    scores_path.write_text("\n".join(lines + ["s000,xi,,0,1.5,7"]) + "\n")
+    capsys.readouterr()
+    assert run("evaluate", "--truth", str(rep_dir), "--fit", str(tmp_path / "fit"),
+               "--out", str(tmp_path / "m.csv")) == 2
+    assert f"scores.csv:{len(lines) + 1}:" in capsys.readouterr().err
+
+
 def _fit_reads_nothing(tmp_path, monkeypatch, *extra):
     """Exit code of a fit on a small simulated panel, asserting that it read
     no data row."""
@@ -599,7 +680,7 @@ def test_dump_h_and_write_v(tmp_path):
     mem = DataPanel.from_array(raw.to_array(), n_slices=raw.n_slices)
     u = read_panel(fit_dir / "u.lfpb").to_array()
     s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
-    decomp = IntrinsicDecomposition(u=u, s=s, r=s.size, total_gram_trace=float(s.sum()))
+    decomp = IntrinsicDecomposition(u=u, s=s, total_gram_trace=float(s.sum()))
     np.testing.assert_array_equal(arr, left_vectors(mem, decomp).to_array())
     cen = mem.to_array() - mem.to_array().mean(axis=1, keepdims=True)
     np.testing.assert_allclose(arr, cen @ (u / np.sqrt(s)), atol=1e-12)

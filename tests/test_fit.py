@@ -16,18 +16,17 @@ from lfpca.mom import IntrinsicCovariances
 from oracle import aligned_vec_err, oracle_fit, well_separated
 
 
-def covs_from(k_x, k_w, q=1):
-    r = k_w.shape[0]
+def covs_from(k_x, k_w):
     return IntrinsicCovariances(k_x=np.asarray(k_x, dtype=float),
                                 k_w=np.asarray(k_w, dtype=float),
                                 trace_x_raw=float(np.trace(k_x)),
-                                trace_w_raw=float(np.trace(k_w)), q=q, r=r)
+                                trace_w_raw=float(np.trace(k_w)))
 
 
 # --- intrinsic eigendecomposition ---------------------------------------------
 
 def test_decompose_diagonal():
-    covs = covs_from(np.diag([2.0, 1.0]), np.eye(1), q=1)
+    covs = covs_from(np.diag([2.0, 1.0]), np.eye(1))
     basis = decompose_intrinsic(covs, n_x=2, n_w=1)
     np.testing.assert_allclose(basis.lambda_x, [2.0, 1.0])
     np.testing.assert_allclose(np.abs(basis.a_x), np.eye(2), atol=1e-14)
@@ -36,14 +35,14 @@ def test_decompose_diagonal():
 
 def test_decompose_clips_negative_eigenvalues():
     k_w = np.diag([3.0, -0.1])
-    covs = covs_from(np.diag([1.0, 1.0, 1.0, 1.0]), k_w, q=1)
+    covs = covs_from(np.diag([1.0, 1.0, 1.0, 1.0]), k_w)
     basis = decompose_intrinsic(covs, n_x=1, n_w=2)
     np.testing.assert_allclose(basis.lambda_w, [3.0, 0.0])
     assert basis.clipped_w == 1 and basis.clipped_count == 1
 
 
 def test_decompose_rejects_excess_orders():
-    covs = covs_from(np.eye(4), np.eye(2), q=1)
+    covs = covs_from(np.eye(4), np.eye(2))
     with pytest.raises(ValidationError):
         decompose_intrinsic(covs, n_x=5, n_w=1)
     with pytest.raises(ValidationError):
@@ -53,7 +52,7 @@ def test_decompose_rejects_excess_orders():
 def test_decompose_sign_convention():
     vec = np.array([0.6, -0.8])
     k_w = 2.0 * np.outer(-vec, -vec)
-    covs = covs_from(np.eye(2), k_w, q=0)
+    covs = covs_from(np.eye(2), k_w)
     basis = decompose_intrinsic(covs, n_x=1, n_w=1)
     assert basis.a_w[np.abs(basis.a_w[:, 0]).argmax(), 0] > 0
 
@@ -61,25 +60,25 @@ def test_decompose_sign_convention():
 # --- sigma2 --------------------------------------------------------------------
 
 def test_sigma2_zero_when_trace_matches():
-    covs = covs_from(np.eye(2), np.diag([2.0, 1.0]), q=0)
+    covs = covs_from(np.eye(2), np.diag([2.0, 1.0]))
     assert estimate_sigma2(covs, np.array([2.0, 1.0]), p=100, n_w=2) == 0.0
 
 
 def test_sigma2_clamped_at_zero():
-    covs = covs_from(np.eye(2), np.diag([2.0, -0.5]), q=0)
+    covs = covs_from(np.eye(2), np.diag([2.0, -0.5]))
     # trace (1.5) < retained eigenvalue sum (2.0) after clipping
     assert estimate_sigma2(covs, np.array([2.0, 0.0]), p=50, n_w=2) == 0.0
 
 
 def test_sigma2_positive_surplus():
     k_w = np.diag([4.0, 1.0, 0.5, 0.5])
-    covs = covs_from(np.eye(2), k_w, q=0)
+    covs = covs_from(np.eye(2), k_w)
     got = estimate_sigma2(covs, np.array([4.0, 1.0]), p=102, n_w=2)
     assert abs(got - 1.0 / 100) < 1e-15
 
 
 def test_sigma2_requires_more_voxels_than_components():
-    covs = covs_from(np.eye(2), np.eye(2), q=0)
+    covs = covs_from(np.eye(2), np.eye(2))
     with pytest.raises(ValidationError):
         estimate_sigma2(covs, np.ones(2), p=2, n_w=2)
 
@@ -329,7 +328,7 @@ def test_variance_rejects_nonpositive_total():
 def _tiny_model(trace_x, trace_w):
     from lfpca.fit import FittedModel
     panel = DataPanel.from_array(np.zeros((3, 1)))
-    return FittedModel(p=3, n=4, q=0, r=1, n_x=1, n_w=1, a_x=np.ones((1, 1)),
+    return FittedModel(n=4, a_x=np.ones((1, 1)),
                        a_w=np.ones((1, 1)), lambda_x=np.ones(1), lambda_w=np.ones(1),
                        phi_x=(panel,), phi_w=panel, sigma2=0.0, trace_x=trace_x,
                        trace_w=trace_w, clipped_count=0, mean=np.zeros(3))
@@ -349,6 +348,56 @@ def test_model_save_load_round_trip(rng, tmp_path):
         np.testing.assert_array_equal(loaded.phi_x[k].to_array(),
                                       res.model.phi_x[k].to_array())
     assert loaded.covariate_scaling == res.model.covariate_scaling
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("file_backed", [False, True])
+def test_model_round_trips_every_field(rng, tmp_path, q, file_backed):
+    # save -> load gives back every field and size, and saving the loaded
+    # model again writes the same bytes; q=0 cannot be fitted (a design
+    # needs a time column), so the model is built from random arrays
+    from dataclasses import fields
+    from lfpca import CovariateScale
+    from lfpca.fit import FittedModel, basis_files
+    p, r, n_x, n_w = 30, 5, 3, 2
+    saved = tmp_path / "saved"
+    saved.mkdir()
+    phis = []
+    for name, width in zip(basis_files(q), [n_x] * (q + 1) + [n_w]):
+        phi = DataPanel.from_array(rng.standard_normal((p, width)), n_slices=2)
+        if file_backed:
+            write_panel(phi, saved / name)
+            phi = read_panel(saved / name)
+        phis.append(phi)
+    model = FittedModel(n=17, a_x=rng.standard_normal(((q + 1) * r, n_x)),
+                        a_w=rng.standard_normal((r, n_w)), lambda_x=rng.uniform(size=n_x),
+                        lambda_w=rng.uniform(size=n_w), phi_x=tuple(phis[:-1]),
+                        phi_w=phis[-1], sigma2=0.1, trace_x=2.5, trace_w=1.25,
+                        clipped_count=1, mean=rng.standard_normal(p),
+                        covariate_scaling=tuple(CovariateScale(column=k, shift=0.5 * k, scale=2.0)
+                                                for k in range(1, q + 1)))
+    assert (model.p, model.q, model.r, model.n_x, model.n_w) == (p, q, r, n_x, n_w)
+    save_model(model, saved)
+    loaded = load_model(saved)
+    for field in fields(FittedModel):
+        got, want = getattr(loaded, field.name), getattr(model, field.name)
+        if field.name in ("phi_x", "phi_w"):
+            got, want = ([b.to_array() for b in (x if isinstance(x, tuple) else (x,))]
+                         for x in (got, want))
+            assert len(got) == len(want), field.name
+            got, want = np.concatenate(got, axis=1), np.concatenate(want, axis=1)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+    for name in ("p", "q", "r", "n_x", "n_w"):
+        assert getattr(loaded, name) == getattr(model, name), name
+    save_model(loaded, tmp_path / "again")
+    assert sorted(path.name for path in saved.iterdir()) == sorted(
+        ["model.json", "mean.lfpb", *basis_files(q)])
+    for path in saved.iterdir():
+        assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
 
 
 def test_model_json_with_full_spectra_still_scores(rng, tmp_path):

@@ -186,7 +186,7 @@ def test_decompose_indefinite_matrix_keeps_algebraic_top_and_clip_count():
     # include one negative, which is clipped
     matrix = with_spectrum(np.r_[[5.0, 3.0, -0.1, -0.7], np.linspace(-100.0, -99.99, 196)])
     covs = IntrinsicCovariances(k_x=matrix, k_w=matrix, trace_x_raw=float(np.trace(matrix)),
-                                trace_w_raw=float(np.trace(matrix)), q=0, r=200)
+                                trace_w_raw=float(np.trace(matrix)))
     basis = decompose_intrinsic(covs, n_x=3, n_w=3)
     assert basis.solvers["k_x"]["path"] == basis.solvers["k_w"]["path"] == "krylov"
     want_vals, want_vecs = dense_top(matrix, 3)
@@ -267,7 +267,7 @@ def test_left_vectors_centers_slices_of_panel_with_mean(rng, tmp_path):
     write_panel(DataPanel.from_array(arr, n_slices=3), tmp_path / "raw.lfpb")
     raw = read_panel(tmp_path / "raw.lfpb")
     u = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-    decomp = IntrinsicDecomposition(u=u, s=np.array([3.0, 2.0, 1.0]), r=3, total_gram_trace=6.0)
+    decomp = IntrinsicDecomposition(u=u, s=np.array([3.0, 2.0, 1.0]), total_gram_trace=6.0)
     dense = centered(arr) @ (u / np.sqrt(decomp.s))
     np.testing.assert_allclose(left_vectors(raw, decomp).to_array(), dense, atol=1e-13)
     view = center_panel(raw, arr.mean(axis=1))

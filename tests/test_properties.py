@@ -2,7 +2,8 @@
 
 Scaling the data by c scales the variances by c^2 and the scores by c;
 adding a constant image moves only the mean; reordering the subjects
-reorders the scores and nothing else. Designs are drawn with 5-9 subjects
+reorders the scores and nothing else; the thread count changes no bit and
+the slice count only the last bits. Designs are drawn with 5-9 subjects
 of 1-5 visits (at least one subject with 3 or more), or 40-48 subjects of
 3-5 visits for the reordering, and q in {1, 2}; those the fit would refuse
 as unidentifiable are skipped.
@@ -115,3 +116,26 @@ def test_permuting_subjects_permutes_scores(problem):
         assert_rel(got, want, 1e-6)
     assert_rel(moved.scores.xi, base.scores.xi[order], 1e-6)
     assert_rel(moved.scores.zeta, base.scores.zeta[columns], 1e-6)
+
+
+def outputs(result):
+    """Every array a fit reports: eigenpairs, bases, scores, mean and sigma^2."""
+    model = result.model
+    return [model.lambda_x, model.lambda_w, model.a_x, model.a_w, *phi(model),
+            result.scores.xi, result.scores.zeta, model.mean, np.array([model.sigma2])]
+
+
+@settings(max_examples=10)
+@given(problems(), st.integers(2, P))
+def test_slice_and_thread_counts_change_nothing(problem, slices):
+    design, y = problem
+    panel = DataPanel.from_array(y).with_slices(slices)
+    base = fit(design, y)
+    serial, pooled = (fit_panel(panel, design, n_x=N_X, n_w=N_W, threads=threads)
+                      for threads in (1, 2))
+    # slice results are summed in slice order whatever the thread count
+    for got, want in zip(outputs(pooled), outputs(serial)):
+        assert got.tobytes() == want.tobytes()
+    # the Gram sums one product per slice, so only the last bits may move
+    for got, want in zip(outputs(serial), outputs(base)):
+        assert_rel(got, want, 1e-10)
