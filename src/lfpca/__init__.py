@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .blup import (ScorePanel, read_scores_csv, reconstruct, score_blups, score_new_panel,
                    write_scores_csv)
-from .design import (CovariateScale, DesignReport, StudyDesign, Subject,
-                     apply_covariate_scaling, normalize_covariates, read_metadata,
-                     validate_design, write_metadata)
+from .design import (CovariateScale, DesignReport, StudyDesign, apply_covariate_scaling,
+                     normalize_covariates, read_metadata, validate_design, write_metadata)
 from .errors import IdentifiabilityError, LfpcaError, NumericalError, ValidationError
 from .fit import (FitResult, FittedModel, IntrinsicBasis, VarianceTable, decompose_intrinsic,
                   estimate_sigma2, fit_panel, load_model, save_model, select_orders,

@@ -22,7 +22,6 @@ from .design import StudyDesign
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
-from .mom import _visit_groups
 from .panel import DataPanel, center_panel, stream
 
 if TYPE_CHECKING:
@@ -89,7 +88,7 @@ def _solve_scores(model: "FittedModel", design: StudyDesign, proj: np.ndarray) -
     xi = np.empty((design.n_subjects, n_x))
     zeta = np.empty((design.n, n_w))
     deficient = np.empty(design.n_subjects, dtype=bool)
-    for j, idx, cols in _visit_groups(design):
+    for j, idx, cols in design.visit_groups():
         g = idx.size
         z = z_all[cols]  # (G, J, q+1)
         m = np.empty((g, n_x + j * n_w, n_x + j * n_w))
@@ -109,8 +108,8 @@ def _solve_scores(model: "FittedModel", design: StudyDesign, proj: np.ndarray) -
         xi[idx] = omega[:, :n_x]
         zeta[cols.ravel()] = omega[:, n_x:].reshape(g * j, n_w)
         deficient[idx] = bad
-    return ScorePanel(subject_ids=[s.subject_id for s in design.subjects],
-                      visit_counts=design.visit_counts, xi=xi, zeta=zeta,
+    return ScorePanel(subject_ids=list(design.subject_ids),
+                      visit_counts=design.visit_counts.tolist(), xi=xi, zeta=zeta,
                       rank_deficient=deficient)
 
 
@@ -143,15 +142,14 @@ def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
     """Fitted observation for one visit, assembled slice by slice, from ``scores``
     and the design they were solved under, in original units."""
     design = model.in_model_units(design)
-    if ([s.subject_id for s in design.subjects] != scores.subject_ids
-            or design.visit_counts != scores.visit_counts):
+    if (list(design.subject_ids) != scores.subject_ids
+            or design.visit_counts.tolist() != scores.visit_counts):
         raise ValidationError("design and scores disagree on subject ids or visit counts")
     if not 0 <= subject_index < design.n_subjects:
         raise ValidationError(f"no subject index {subject_index}")
     col = design.column_of(subject_index, visit_index)
-    z = design.subjects[subject_index].z
     xi = scores.xi[subject_index]
-    coef = np.concatenate([z_k * xi for z_k in z[visit_index]] + [scores.zeta[col]])
+    coef = np.concatenate([z_k * xi for z_k in design.stacked_z()[col]] + [scores.zeta[col]])
 
     def _fitted(rows, blocks, outs):
         np.matmul(np.hstack(blocks), coef, out=outs[0])

@@ -1,4 +1,4 @@
-"""Study designs: subjects, visits, covariates, and the column layout.
+"""Study designs: subject ids, visit counts, covariates, and the column layout.
 
 The data matrix columns are ordered subject by subject, visit by visit;
 the column of visit (i, j) is sum(J_1..J_{i-1}) + j and every module in
@@ -19,60 +19,47 @@ from .errors import ValidationError
 from .limits import FF_CONDITION_LIMIT
 
 
-@dataclass
-class Subject:
-    """One subject: an identifier and a (J_i, q+1) covariate matrix."""
-
-    subject_id: str
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.atleast_2d(np.asarray(self.z, dtype=np.float64))
-        if self.z.ndim != 2 or self.z.shape[0] < 1 or self.z.shape[1] < 2:
-            raise ValidationError(
-                f"subject {self.subject_id!r}: covariates must be (J_i, q+1) with J_i >= 1, "
-                f"q >= 1, got shape {self.z.shape}")
-        if not np.all(self.z[:, 0] == 1.0):
-            raise ValidationError(f"subject {self.subject_id!r}: intercept column must be all ones")
-        if not np.all(np.isfinite(self.z)):
-            raise ValidationError(f"subject {self.subject_id!r}: non-finite covariate values")
-
-    @property
-    def n_visits(self) -> int:
-        return self.z.shape[0]
-
-
 class StudyDesign:
-    """Ordered subjects plus the derived column index map."""
+    """Subjects as arrays: ``subject_ids`` in design order, ``visit_counts``
+    J_i, and the (n, q+1) covariate rows Z_ij stacked in column order, with
+    the derived column offsets. The arrays are read-only."""
 
-    def __init__(self, subjects):
-        self.subjects = list(subjects)
-        if not self.subjects:
+    def __init__(self, subject_ids, visit_counts, z):
+        self.subject_ids = tuple(subject_ids)
+        counts = np.asarray(visit_counts)
+        if not self.subject_ids:
             raise ValidationError("design has no subjects")
-        widths = {s.z.shape[1] for s in self.subjects}
-        if len(widths) != 1:
-            raise ValidationError(f"subjects disagree on covariate count: {sorted(widths)}")
-        ids = [s.subject_id for s in self.subjects]
-        if len(set(ids)) != len(ids):
+        if counts.shape != (len(self.subject_ids),) or not np.issubdtype(counts.dtype, np.integer):
+            raise ValidationError(f"need one integer visit count per subject, got {counts.dtype} "
+                                  f"counts of shape {counts.shape} for {len(self.subject_ids)}")
+        if counts.min() < 1:
+            raise ValidationError(f"visit counts must be >= 1, got {counts.min()}")
+        if len(set(self.subject_ids)) != len(self.subject_ids):
             raise ValidationError("duplicate subject_id in design")
-        self.q = widths.pop() - 1
-        counts = [s.n_visits for s in self.subjects]
-        self.col_offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.visit_counts = _read_only(counts.astype(np.int64))
+        self.col_offsets = _read_only(np.concatenate([[0], np.cumsum(self.visit_counts)]))
         self.n = int(self.col_offsets[-1])
+        z = np.array(z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[0] != self.n or z.shape[1] < 2:
+            raise ValidationError(f"covariates must be (n, q+1) with n = {self.n} visits and "
+                                  f"q >= 1, got shape {z.shape}")
+        for bad, what in ((z[:, 0] != 1.0, "intercept column must be all ones"),
+                          (~np.isfinite(z).all(axis=1), "non-finite covariate values")):
+            if np.any(bad):
+                subject = np.searchsorted(self.col_offsets, np.argmax(bad), side="right") - 1
+                raise ValidationError(f"subject {self.subject_ids[subject]!r}: {what}")
+        self.q = z.shape[1] - 1
+        self._z = _read_only(z)
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
-
-    @property
-    def visit_counts(self) -> list[int]:
-        return [s.n_visits for s in self.subjects]
+        return len(self.subject_ids)
 
     def column_of(self, subject_index: int, visit_index: int) -> int:
-        subj = self.subjects[subject_index]
-        if not 0 <= visit_index < subj.n_visits:
-            raise ValidationError(
-                f"subject {subj.subject_id!r} has {subj.n_visits} visits, no visit {visit_index}")
+        count = int(self.visit_counts[subject_index])
+        if not 0 <= visit_index < count:
+            raise ValidationError(f"subject {self.subject_ids[subject_index]!r} has {count} "
+                                  f"visits, no visit {visit_index}")
         return int(self.col_offsets[subject_index]) + visit_index
 
     def columns(self, subject_index: int) -> slice:
@@ -80,8 +67,19 @@ class StudyDesign:
         return slice(int(self.col_offsets[subject_index]), int(self.col_offsets[subject_index + 1]))
 
     def stacked_z(self) -> np.ndarray:
-        """All covariate rows stacked in column order, shape (n, q+1)."""
-        return np.vstack([s.z for s in self.subjects])
+        """All covariate rows stacked in column order, shape (n, q+1), read-only."""
+        return self._z
+
+    def visit_groups(self):
+        """Subjects grouped by visit count: yields (J, subject indices, (G, J) columns)."""
+        for j in sorted(set(self.visit_counts.tolist())):  # np.unique would import numpy.ma, ~1 MB
+            idx = np.flatnonzero(self.visit_counts == j)
+            yield j, idx, self.col_offsets[idx][:, None] + np.arange(j)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +89,14 @@ class StudyDesign:
 def write_metadata(design: StudyDesign, path) -> None:
     """Write the sidecar table: subject_id,visit_index,col,Z0,...,Zq."""
     header = ["subject_id", "visit_index", "col"] + [f"Z{k}" for k in range(design.q + 1)]
+    z = design.stacked_z()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         col = 0
-        for subj in design.subjects:
-            for j in range(subj.n_visits):
-                writer.writerow([subj.subject_id, j, col]
-                                + [f"{v:.17g}" for v in subj.z[j]])
+        for subject_id, count in zip(design.subject_ids, design.visit_counts):
+            for j in range(count):
+                writer.writerow([subject_id, j, col] + [f"{v:.17g}" for v in z[col]])
                 col += 1
 
 
@@ -131,23 +129,20 @@ def read_metadata(path) -> StudyDesign:
     if not rows:
         raise ValidationError(f"metadata file {path} has no visit rows")
     rows.sort(key=lambda r: r[2])
-    subjects: list[Subject] = []
-    current_id, z_rows, expect_visit = None, [], 0
-    for col, (sid, visit, col_idx, z) in enumerate(rows):
+    ids, counts, seen = [], [], set()
+    for col, (sid, visit, col_idx, _) in enumerate(rows):
         if col_idx != col:
             raise ValidationError(f"metadata column indices must be 0..n-1; missing or duplicate col {col}")
-        if sid != current_id:
-            if current_id is not None:
-                subjects.append(Subject(current_id, np.array(z_rows)))
-            if any(s.subject_id == sid for s in subjects):
+        if not ids or sid != ids[-1]:
+            if sid in seen:
                 raise ValidationError(f"subject {sid!r} occupies non-contiguous columns")
-            current_id, z_rows, expect_visit = sid, [], 0
-        if visit != expect_visit:
+            ids.append(sid)
+            counts.append(0)
+            seen.add(sid)
+        if visit != counts[-1]:
             raise ValidationError(f"subject {sid!r}: visit_index must run 0..J-1 in column order")
-        z_rows.append(z)
-        expect_visit += 1
-    subjects.append(Subject(current_id, np.array(z_rows)))
-    return StudyDesign(subjects)
+        counts[-1] += 1
+    return StudyDesign(ids, counts, [z for *_, z in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +180,12 @@ def normalize_covariates(design: StudyDesign):
 
 def apply_covariate_scaling(design: StudyDesign, scales) -> StudyDesign:
     """Map a design in original units through stored transforms."""
-    z = design.stacked_z()
+    z = design.stacked_z().copy()
     for sc in scales:
         if not 1 <= sc.column <= design.q:
             raise ValidationError(f"scaling refers to column Z{sc.column}, design has q={design.q}")
         z[:, sc.column] = (z[:, sc.column] - sc.shift) / sc.scale
-    subjects = [Subject(s.subject_id, z[design.columns(i)])
-                for i, s in enumerate(design.subjects)]
-    return StudyDesign(subjects)
+    return StudyDesign(design.subject_ids, design.visit_counts, z)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ V^l A = Y^l (J U S^{-1/2} A), where J = I - 11'/n centers the columns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -411,65 +412,51 @@ def load_model(model_dir) -> FittedModel:
     This is the one check of a model directory. It raises ValidationError,
     naming the file and the key, when ``model.json`` does not parse or lacks
     a key, when a stored size disagrees with the arrays (a_x is (q+1)r x n_x,
-    a_w is r x n_w, lambda_x and lambda_w hold n_x and n_w values), or when
+    a_w is r x n_w, lambda_x and lambda_w hold n_x and n_w values), when a
+    coefficient, eigenvalue, ``sigma2`` or trace is not finite, when a
+    covariate scaling entry does not name a column in [1, q] or has a shift
+    or scale that is not a finite number or a scale <= 0, or when
     ``mean.lfpb`` is not p x 1 or a basis file is not p x n_x (p x n_w for
     Phi_w). Of the panels only the headers are read before the checks pass.
     Keys it does not know, such as the ``spectrum_x`` of older files, are
     ignored.
     """
     model_dir = Path(model_dir)
-    meta_path = model_dir / MODEL_FILE
-    if not meta_path.is_file():
-        raise ValidationError(f"no {MODEL_FILE} in {model_dir}")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{meta_path} does not parse: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{meta_path} must hold a JSON object")
-    missing = [key for key in _KEYS if key not in meta]
-    if missing:
-        raise ValidationError(f"{meta_path}: missing key(s) {', '.join(map(repr, missing))}")
-
-    def value(key, convert):
-        try:
-            return convert(meta[key])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ValidationError(f"{meta_path}: bad {key!r}: {exc!r}") from None
-
-    def array(key, ndim):
-        arr = value(key, lambda v: np.array(v, dtype=np.float64))
-        if arr.ndim != ndim:
-            raise ValidationError(f"{meta_path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
-        return arr
-
-    sizes = {key: value(key, _size) for key in _SIZES}
+    meta = CheckedJson(model_dir / MODEL_FILE, _KEYS)
+    sizes = {key: meta.size(key) for key in _SIZES}
     p, q, r = sizes["p"], sizes["q"], sizes["r"]
-    a_x, a_w = array("a_x", 2), array("a_w", 2)
-    lambda_x, lambda_w = array("lambda_x", 1), array("lambda_w", 1)
+    a_x, a_w = meta.array("a_x", 2), meta.array("a_w", 2)
+    lambda_x, lambda_w = meta.array("lambda_x", 1), meta.array("lambda_w", 1)
     for key, got, what in (("r", a_w.shape[0], "rows in 'a_w'"),
                            ("n_w", a_w.shape[1], "columns in 'a_w'"),
                            ("n_x", a_x.shape[1], "columns in 'a_x'"),
                            ("n_x", lambda_x.size, "values in 'lambda_x'"),
                            ("n_w", lambda_w.size, "values in 'lambda_w'")):
         if sizes[key] != got:
-            raise ValidationError(f"{meta_path}: {key!r} is {sizes[key]}, "
+            raise ValidationError(f"{meta.path}: {key!r} is {sizes[key]}, "
                                   f"but there are {got} {what}")
     if a_x.shape[0] != (q + 1) * r:
-        raise ValidationError(f"{meta_path}: 'a_x' has {a_x.shape[0]} rows, "
+        raise ValidationError(f"{meta.path}: 'a_x' has {a_x.shape[0]} rows, "
                               f"expected (q+1) r = {(q + 1) * r} for q={q}, r={r}")
-    scaling = value("covariate_scaling", lambda entries: tuple(
-        CovariateScale(column=s["column"], shift=s["shift"], scale=s["scale"])
-        for s in entries))
-    scalars = {key: value(key, float) for key in ("sigma2", "trace_x", "trace_w")}
-    clipped = value("clipped_count", _size)
-    mean = _model_panel(model_dir / MEAN_FILE, p, 1, "p x 1")
-    *phi_x, phi_w = [_model_panel(model_dir / name, p, sizes[key], f"p x {key}")
+    scaling = meta.value("covariate_scaling",
+                         lambda entries: tuple(_covariate_scale(s, q) for s in entries))
+    scalars = {key: meta.number(key) for key in ("sigma2", "trace_x", "trace_w")}
+    mean = checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1")
+    *phi_x, phi_w = [checked_panel(model_dir / name, meta.path, p, sizes[key], f"p x {key}")
                      for name, key in zip(basis_files(q), ["n_x"] * (q + 1) + ["n_w"])]
     return FittedModel(n=sizes["n"], a_x=a_x, a_w=a_w, lambda_x=lambda_x, lambda_w=lambda_w,
-                       phi_x=tuple(phi_x), phi_w=phi_w, **scalars, clipped_count=clipped,
+                       phi_x=tuple(phi_x), phi_w=phi_w, **scalars,
+                       clipped_count=meta.size("clipped_count"),
                        mean=mean.to_array()[:, 0], covariate_scaling=scaling)
+
+
+def _covariate_scale(entry: dict, q: int) -> CovariateScale:
+    column, shift, scale = _size(entry["column"]), _finite(entry["shift"]), _finite(entry["scale"])
+    if not 1 <= column <= q:
+        raise ValueError(f"column must be in [1, {q}], got {column}")
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return CovariateScale(column=column, shift=shift, scale=scale)
 
 
 def _size(raw) -> int:
@@ -478,10 +465,64 @@ def _size(raw) -> int:
     return raw
 
 
-def _model_panel(path: Path, p: int, width: int, shape: str) -> DataPanel:
-    """The panel at ``path``, refused unless its header says p x width."""
+def _finite(raw) -> float:
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or (isinstance(raw, float) and not math.isfinite(raw))):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return float(raw)
+
+
+class CheckedJson:
+    """A JSON object file that a model or truth directory carries, refused
+    with ValidationError naming the file (and the key) when it is missing,
+    does not parse, lacks one of ``keys`` or holds a value of the wrong kind."""
+
+    def __init__(self, path: Path, keys):
+        self.path = path
+        if not path.is_file():
+            raise ValidationError(f"no {path.name} in {path.parent}")
+        try:
+            with open(path) as fh:
+                self.data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path} does not parse: {exc}") from None
+        if not isinstance(self.data, dict):
+            raise ValidationError(f"{path} must hold a JSON object")
+        missing = [key for key in keys if key not in self.data]
+        if missing:
+            raise ValidationError(f"{path}: missing key(s) {', '.join(map(repr, missing))}")
+
+    def value(self, key: str, convert):
+        """``convert`` of the value at ``key``; its TypeError, ValueError or
+        KeyError becomes a ValidationError naming the key."""
+        try:
+            return convert(self.data[key])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValidationError(f"{self.path}: bad {key!r}: {exc!r}") from None
+
+    def array(self, key: str, ndim: int) -> np.ndarray:
+        """A finite float array of ``ndim`` dimensions."""
+        arr = self.value(key, lambda v: np.array(v, dtype=np.float64))
+        if arr.ndim != ndim:
+            raise ValidationError(f"{self.path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{self.path}: {key!r} holds non-finite values")
+        return arr
+
+    def number(self, key: str) -> float:
+        """A finite number."""
+        return self.value(key, _finite)
+
+    def size(self, key: str) -> int:
+        """A non-negative integer."""
+        return self.value(key, _size)
+
+
+def checked_panel(path: Path, json_path: Path, p: int, width: int, shape: str) -> DataPanel:
+    """The panel at ``path``, refused unless its header says p x width, the
+    ``shape`` that the file at ``json_path`` gives."""
     panel = read_panel(path)
     if (panel.p, panel.n) != (p, width):
-        raise ValidationError(f"{path} is {panel.p} x {panel.n}, but {MODEL_FILE} "
+        raise ValidationError(f"{path} is {panel.p} x {panel.n}, but {json_path.name} "
                               f"gives {shape} = {p} x {width}")
     return panel

@@ -46,14 +46,6 @@ class MomDesign:
         return (self.q + 1) ** 2 + 1
 
 
-def _visit_groups(design: "StudyDesign"):
-    """Subjects grouped by visit count: yields (J, subject indices, (G, J) columns)."""
-    counts = np.asarray(design.visit_counts)
-    for j in sorted(set(design.visit_counts)):  # np.unique would import numpy.ma, ~1 MB
-        idx = np.flatnonzero(counts == j)
-        yield int(j), idx, design.col_offsets[idx][:, None] + np.arange(j)
-
-
 def build_design_matrix(design: "StudyDesign") -> MomDesign:
     """Build F for a validated design from the covariate products
     Z_{ij1,k} Z_{ij2,s}; for q = 1 its columns are (1, T_{ij2}, T_{ij1},
@@ -65,7 +57,7 @@ def build_design_matrix(design: "StudyDesign") -> MomDesign:
     offsets = np.concatenate([[0], np.cumsum(counts * counts)]).astype(np.int64)
     f = np.empty((d, int(offsets[-1])))
     z_all = design.stacked_z()
-    for j, idx, cols in _visit_groups(design):
+    for j, idx, cols in design.visit_groups():
         z = z_all[cols]  # (G, J, q+1)
         pairs = (offsets[idx][:, None] + np.arange(j * j)).ravel()
         f[:d - 1, pairs] = np.einsum("gak,gbs->gabks", z, z).reshape(pairs.size, d - 1).T
@@ -127,7 +119,7 @@ def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign"
     d = mom.n_rows
     groups = []
     traces = np.zeros(d)
-    for j, idx, cols in _visit_groups(design):
+    for j, idx, cols in design.visit_groups():
         pairs = mom.pair_offsets[idx][:, None] + np.arange(j * j)
         weights = mom.h[pairs].reshape(idx.size, j, j, d)
         c_g = coords.T[cols]  # (G, J, r)

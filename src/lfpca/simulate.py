@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .blup import ScorePanel, read_scores_csv, write_scores_csv
-from .design import StudyDesign, Subject, normalize_covariates
+from .design import StudyDesign, normalize_covariates
 from .errors import ValidationError
-from .fit import FittedModel, basis_file, basis_files, phi_x_files_in
-from .panel import DataPanel, read_panel, write_panel
+from .fit import (CheckedJson, FittedModel, basis_file, basis_files, checked_panel,
+                  phi_x_files_in)
+from .panel import DataPanel, write_panel
 
 LATTICE_DIMS = (38, 72, 11)
 
@@ -130,13 +131,11 @@ def draw_scores(rng: np.random.Generator, lambdas: np.ndarray, count: int,
 def sample_design(rng: np.random.Generator, n_subjects: int, n_visits: int) -> StudyDesign:
     """Visit times: first visit uniform on (0,1), positive uniform increments,
     then all times standardized over the pooled study."""
-    subjects = []
-    for i in range(n_subjects):
-        steps = rng.uniform(0, 1, n_visits)
-        times = np.cumsum(steps)
-        z = np.column_stack([np.ones(n_visits), times])
-        subjects.append(Subject(f"subj{i:04d}", z))
-    design, _ = normalize_covariates(StudyDesign(subjects))
+    # one draw, row-major: the same stream as one draw of n_visits per subject
+    times = np.cumsum(rng.uniform(0, 1, (n_subjects, n_visits)), axis=1)
+    z = np.column_stack([np.ones(times.size), times.ravel()])
+    design, _ = normalize_covariates(StudyDesign(
+        [f"subj{i:04d}" for i in range(n_subjects)], [n_visits] * n_subjects, z))
     return design
 
 
@@ -357,6 +356,7 @@ def _sign(value: float) -> float:
 # ---------------------------------------------------------------------------
 
 TRUTH_MANIFEST = "truth.json"
+TRUTH_KEYS = ("lambda_x", "lambda_w", "sigma2", "seed", "score_law", "n_x", "n_w", "p")
 
 
 def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
@@ -378,28 +378,46 @@ def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     for basis, name in zip([*truth.phi_x, truth.phi_w], basis_files(len(truth.phi_x) - 1)):
         write_panel(DataPanel.from_array(basis), outdir / name)
-    scores = ScorePanel(subject_ids=[s.subject_id for s in design.subjects],
-                        visit_counts=design.visit_counts, xi=truth.xi, zeta=truth.zeta,
+    scores = ScorePanel(subject_ids=list(design.subject_ids),
+                        visit_counts=design.visit_counts.tolist(), xi=truth.xi, zeta=truth.zeta,
                         rank_deficient=np.zeros(design.n_subjects, dtype=bool))
     write_scores_csv(scores, outdir / "scores.csv")
 
 
 def load_truth(truth_dir) -> GroundTruth:
+    """Open a truth directory, checked like a model directory: ValidationError,
+    naming the file and the key, when ``truth.json`` does not parse, lacks
+    one of TRUTH_KEYS or holds a value of the wrong kind (``lambda_x`` and
+    ``lambda_w`` must hold n_x and n_w finite values), when a basis file
+    is not p x n_x (p x n_w for Phi_w; only the basis headers are read
+    before that), or when ``scores.csv`` does not hold n_x xi and n_w zeta
+    components. ``block_coords`` is optional."""
     truth_dir = Path(truth_dir)
-    manifest_path = truth_dir / TRUTH_MANIFEST
-    if not manifest_path.is_file():
-        raise ValidationError(f"no {TRUTH_MANIFEST} in {truth_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    phi_x = [read_panel(truth_dir / name).to_array() for name in phi_x_files_in(truth_dir)]
-    if not phi_x:
+    meta = CheckedJson(truth_dir / TRUTH_MANIFEST, TRUTH_KEYS)
+    sizes = {key: meta.size(key) for key in ("p", "n_x", "n_w")}
+    lambda_x, lambda_w = meta.array("lambda_x", 1), meta.array("lambda_w", 1)
+    for key, values, count in (("lambda_x", lambda_x, "n_x"), ("lambda_w", lambda_w, "n_w")):
+        if values.size != sizes[count]:
+            raise ValidationError(f"{meta.path}: {count!r} is {sizes[count]}, "
+                                  f"but there are {values.size} values in {key!r}")
+    names = phi_x_files_in(truth_dir)
+    if not names:
         raise ValidationError(f"no {basis_file(0)} in {truth_dir}")
-    phi_w = read_panel(truth_dir / basis_file()).to_array()
+    panels = [checked_panel(truth_dir / name, meta.path, sizes["p"], sizes[key], f"p x {key}")
+              for name, key in zip(names + [basis_file()], ["n_x"] * len(names) + ["n_w"])]
+    *phi_x, phi_w = [panel.to_array() for panel in panels]
     scores = read_scores_csv(truth_dir / "scores.csv")
-    return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w,
-                       lambda_x=np.array(manifest["lambda_x"]),
-                       lambda_w=np.array(manifest["lambda_w"]),
-                       xi=scores.xi, zeta=scores.zeta,
-                       sigma2=manifest["sigma2"], seed=manifest["seed"],
-                       score_law=manifest["score_law"],
-                       block_coords=manifest.get("block_coords"))
+    if (scores.xi.shape[1], scores.zeta.shape[1]) != (sizes["n_x"], sizes["n_w"]):
+        raise ValidationError(f"{truth_dir / 'scores.csv'} has {scores.xi.shape[1]} xi and "
+                              f"{scores.zeta.shape[1]} zeta components, but {meta.path.name} "
+                              f"gives n_x = {sizes['n_x']} and n_w = {sizes['n_w']}")
+    return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w, lambda_x=lambda_x, lambda_w=lambda_w,
+                       xi=scores.xi, zeta=scores.zeta, sigma2=meta.number("sigma2"),
+                       seed=meta.size("seed"), score_law=meta.value("score_law", _score_law),
+                       block_coords=meta.data.get("block_coords"))
+
+
+def _score_law(raw) -> str:
+    if raw not in ("mixture", "normal"):
+        raise ValueError(f"expected 'mixture' or 'normal', got {raw!r}")
+    return raw

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lfpca import StudyDesign, Subject
+from lfpca import StudyDesign
 
 try:
     from hypothesis import settings
@@ -24,22 +24,40 @@ def make_design(rng, n_subjects=8, visits=4, q=1, spread=2.0):
     ``visits`` may be an int or a per-subject sequence.
     """
     counts = [visits] * n_subjects if np.isscalar(visits) else list(visits)
-    subjects = []
+    pairs = []
     for i, j_i in enumerate(counts):
         times = np.sort(rng.uniform(0.0, spread, j_i))
         cols = [np.ones(j_i), times]
         for _ in range(q - 1):
             cols.append(rng.uniform(-1.0, 1.0, j_i))
-        subjects.append(Subject(f"s{i:03d}", np.column_stack(cols)))
-    return StudyDesign(subjects)
+        pairs.append((f"s{i:03d}", np.column_stack(cols)))
+    return design_of(pairs)
+
+
+def design_of(pairs):
+    """The design of (subject id, (J_i, q+1) covariate rows) pairs, in order."""
+    pairs = list(pairs)
+    return StudyDesign([sid for sid, _ in pairs], [len(z) for _, z in pairs],
+                       np.vstack([z for _, z in pairs]))
+
+
+def subject_rows(design):
+    """Each subject's (J_i, q+1) covariate rows, in design order."""
+    z = design.stacked_z()
+    return [z[design.columns(i)] for i in range(design.n_subjects)]
+
+
+def reordered(design, order):
+    """The design with its subjects taken in ``order``."""
+    rows = subject_rows(design)
+    return design_of((design.subject_ids[i], rows[i]) for i in order)
 
 
 def map_times(design, shift, scale):
     """The design with every visit time T replaced by shift + scale * T."""
-    z = design.stacked_z()
+    z = design.stacked_z().copy()
     z[:, 1] = shift + scale * z[:, 1]
-    return StudyDesign([Subject(s.subject_id, z[design.columns(i)])
-                        for i, s in enumerate(design.subjects)])
+    return StudyDesign(design.subject_ids, design.visit_counts, z)
 
 
 @pytest.fixture

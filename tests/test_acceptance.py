@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_design
+from conftest import make_design, subject_rows
 from lfpca import (DataPanel, ScenarioSpec, evaluate, fit_panel, generate_from_model,
                    generate_scenario1, generate_scenario2, read_panel, write_panel,
                    variance_explained)
@@ -56,7 +56,7 @@ def test_criterion_1_oracle_equivalence():
         panel = DataPanel.from_array(rng.standard_normal((p, design.n)))
         res = fit_panel(panel, design, n_x=n_x, n_w=n_w, normalize=False)
         centered = panel.to_array() - res.model.mean[:, None]
-        ora = oracle_fit(centered, [s.z for s in design.subjects], n_x, n_w)
+        ora = oracle_fit(centered, subject_rows(design), n_x, n_w)
 
         lam1 = max(ora["spectrum_x"][0], 1e-30)
         for lam_est, lam_ora in ((res.model.lambda_x, ora["lambda_x"]),

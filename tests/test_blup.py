@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_design
-from lfpca import (DataPanel, StudyDesign, ValidationError, apply_covariate_scaling, fit_panel,
+from conftest import design_of, make_design, reordered, subject_rows
+from lfpca import (DataPanel, ValidationError, apply_covariate_scaling, fit_panel,
                    generate_from_model, read_scores_csv, reconstruct, score_blups,
                    score_new_panel, write_scores_csv)
 from oracle import oracle_basis_matrix, oracle_scores
@@ -83,7 +83,7 @@ def test_training_scores_match_dense_normal_equations(rng):
         centered = arr - model.mean[:, None]
         std = apply_covariate_scaling(design, model.covariate_scaling)
         dense = oracle_scores([p.to_array() for p in model.phi_x], model.phi_w.to_array(),
-                              [s.z for s in std.subjects], centered)
+                              subject_rows(std), centered)
         streamed = score_new_panel(model, DataPanel.from_array(arr), design)
         for scores in (res.scores, streamed):
             for i, omega in enumerate(dense):
@@ -105,7 +105,7 @@ def test_scores_residual_for_spanned_data(rng):
         cols = design.columns(i)
         y_i = arr[:, cols] - model.mean[:, None]
         b = oracle_basis_matrix([p.to_array() for p in model.phi_x],
-                                model.phi_w.to_array(), std.subjects[i].z)
+                                model.phi_w.to_array(), subject_rows(std)[i])
         omega = np.concatenate([scores.xi[i], scores.zeta[cols].ravel()])
         resid = np.linalg.norm(y_i.T.ravel() - b @ omega)
         assert resid <= 1e-8 * max(np.linalg.norm(y_i), 1e-30)
@@ -126,7 +126,7 @@ def test_scores_invariant_to_subject_permutation(rng):
     arr = rng.standard_normal((40, design.n))
     res = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
     perm = rng.permutation(design.n_subjects)
-    design_p = StudyDesign([design.subjects[i] for i in perm])
+    design_p = reordered(design, perm)
     cols = np.concatenate([np.arange(design.columns(i).start, design.columns(i).stop)
                            for i in perm])
     res_p = fit_panel(DataPanel.from_array(arr[:, cols]), design_p, n_x=2, n_w=2)
@@ -140,8 +140,7 @@ def test_rank_deficient_solve_is_flagged_not_fatal(rng):
     model = fitted_model(rng, p=30, n_subjects=4, visits=6, n_x=2, n_w=2)[0].model
     # degenerate design: all covariates identical makes columns collide
     z = np.column_stack([np.ones(6), np.zeros(6) + 1.0])
-    from lfpca import Subject
-    design = StudyDesign([Subject("dup", z)])
+    design = design_of([("dup", z)])
     scores = score_new_panel(model, mean_panel(model, 6), design)
     assert scores.rank_deficient[0] or np.abs(scores.xi[0]).max() == 0.0
 
@@ -151,20 +150,20 @@ def test_rank_deficient_solve_is_flagged_not_fatal(rng):
     from lfpca.limits import BLUP_CONDITION_LIMIT
     model = fitted_model(rng, p=30, n_subjects=2, visits=3, n_x=3, n_w=3)[0].model
     assert model.r - model.n_w < model.n_x
-    design = StudyDesign([Subject("dup", np.ones((2, 2))),
-                          Subject("ok", np.column_stack([np.ones(2), [0.0, 1.0]])),
-                          Subject("dup2", np.ones((2, 2)))])
+    design = design_of([("dup", np.ones((2, 2))),
+                        ("ok", np.column_stack([np.ones(2), [0.0, 1.0]])),
+                        ("dup2", np.ones((2, 2)))])
     arr = rng.standard_normal((30, design.n))
     scores = score_new_panel(model, DataPanel.from_array(arr), design)
     phi_x, phi_w = [p.to_array() for p in model.phi_x], model.phi_w.to_array()
     cond = [np.linalg.cond(b.T @ b) for b in
-            (oracle_basis_matrix(phi_x, phi_w, s.z)
-             for s in apply_covariate_scaling(design, model.covariate_scaling).subjects)]
+            (oracle_basis_matrix(phi_x, phi_w, z)
+             for z in subject_rows(apply_covariate_scaling(design, model.covariate_scaling)))]
     np.testing.assert_array_equal(scores.rank_deficient, np.array(cond) > BLUP_CONDITION_LIMIT)
     assert scores.rank_deficient.tolist() == [True, False, True]
     assert np.all(np.isfinite(scores.xi)) and np.all(np.isfinite(scores.zeta))
     solo = score_new_panel(model, DataPanel.from_array(arr[:, 2:4]),
-                           StudyDesign(design.subjects[1:2]))
+                           reordered(design, [1]))
     got = np.concatenate([scores.xi[1], scores.zeta[2:4].ravel()])
     want = np.concatenate([solo.xi[0], solo.zeta.ravel()])
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -444,6 +444,18 @@ MODEL_CORRUPTIONS = {
     "phi_w-rows": (_edit_panel("phi_w.lfpb", lambda a: a[:120]), r"phi_w\.lfpb is 120 x"),
     "mean-columns": (_edit_panel("mean.lfpb", lambda a: np.hstack([a, a])),
                      r"mean\.lfpb is 200 x 2"),
+    "nan-a_x": (_edit_json(lambda m: m["a_x"][0].__setitem__(0, float("nan"))),
+                r"model\.json: 'a_x' holds non-finite values"),
+    "inf-sigma2": (_edit_json(lambda m: m.update(sigma2=float("inf"))),
+                   r"model\.json: bad 'sigma2'.*expected a finite number"),
+    "text-scale": (_edit_json(lambda m: m["covariate_scaling"][0].update(scale="x")),
+                   r"model\.json: bad 'covariate_scaling'.*expected a finite number"),
+    "inf-scale": (_edit_json(lambda m: m["covariate_scaling"][0].update(scale=float("inf"))),
+                  r"model\.json: bad 'covariate_scaling'.*expected a finite number"),
+    "zero-scale": (_edit_json(lambda m: m["covariate_scaling"][0].update(scale=0)),
+                   r"model\.json: bad 'covariate_scaling'.*scale must be positive"),
+    "scale-column": (_edit_json(lambda m: m["covariate_scaling"][0].update(column=2)),
+                     r"model\.json: bad 'covariate_scaling'.*column must be in \[1, 1\]"),
 }
 
 
@@ -461,6 +473,50 @@ def test_corrupt_model_directory_exits_2(saved_fit, tmp_path, capsys, corrupt, m
     assert (scores, evaluate) == (2, 2)
     assert len(errors) == 2 and all(re.search(message, line) for line in errors), errors
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.csv").exists()
+
+
+def _edit_truth_json(change):
+    def corrupt(truth_dir):
+        meta = json.loads((truth_dir / "truth.json").read_text())
+        change(meta)
+        (truth_dir / "truth.json").write_text(json.dumps(meta))
+    return corrupt
+
+
+def _drop_lines(name, marker):
+    def corrupt(directory):
+        lines = (directory / name).read_text().splitlines(keepends=True)
+        (directory / name).write_text("".join(line for line in lines if marker not in line))
+    return corrupt
+
+
+TRUTH_CORRUPTIONS = {
+    "no-lambda_w": (_edit_truth_json(lambda m: m.pop("lambda_w")),
+                    r"truth\.json: missing key.*'lambda_w'"),
+    "bad-json": (lambda truth_dir: (truth_dir / "truth.json").write_text("{"),
+                 r"truth\.json does not parse"),
+    "short-lambda_x": (_edit_truth_json(lambda m: m.update(lambda_x=m["lambda_x"][:3])),
+                       r"truth\.json: 'n_x' is 4, but there are 3 values in 'lambda_x'"),
+    "phi_x_1-columns": (_edit_panel("phi_x_1.lfpb", lambda a: a[:, :3]),
+                        r"phi_x_1\.lfpb is 200 x 3, but truth\.json gives p x n_x = 200 x 4"),
+    "xi-components": (_drop_lines("scores.csv", ",xi,,3,"),
+                      r"scores\.csv has 3 xi and 4 zeta components, but truth\.json gives n_x = 4"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", TRUTH_CORRUPTIONS.values(),
+                         ids=list(TRUTH_CORRUPTIONS))
+def test_corrupt_truth_directory_exits_2(saved_fit, tmp_path, capsys, corrupt, message):
+    # a truth directory is checked like a model directory: refused by name
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(rep_dir / "truth", tmp_path / "rep" / "truth")
+    corrupt(tmp_path / "rep" / "truth")
+    capsys.readouterr()
+    assert run("evaluate", "--truth", str(tmp_path / "rep"), "--fit", str(fit_dir),
+               "--out", str(tmp_path / "m.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(message, errors[0]), errors
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_malformed_scores_row_exits_2_from_evaluate(saved_fit, tmp_path, capsys):

@@ -4,13 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_design, map_times
-from lfpca import (DataPanel, IdentifiabilityError, NumericalError, StudyDesign,
-                   ValidationError, decompose_intrinsic,
-                   estimate_sigma2, fit_panel, generate_from_model, left_vectors, load_model,
-                   reconstruct,
-                   save_model, score_new_panel, select_orders, stream,
-                   variance_explained, write_panel, read_panel)
+from conftest import make_design, map_times, reordered, subject_rows
+from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
+                   decompose_intrinsic, estimate_sigma2, fit_panel, generate_from_model,
+                   left_vectors, load_model, reconstruct, save_model, score_new_panel,
+                   select_orders, stream, variance_explained, write_panel, read_panel)
 from lfpca import panel as panel_module
 from lfpca.mom import IntrinsicCovariances
 from oracle import aligned_vec_err, oracle_fit, well_separated
@@ -143,7 +141,7 @@ def fit_and_oracle(rng, p=40, n_subjects=6, visits=3, q=1, n_x=3, n_w=3, noise=1
     panel = DataPanel.from_array(noise * rng.standard_normal((p, design.n)))
     res = fit_panel(panel, design, n_x=n_x, n_w=n_w, normalize=False)
     centered = panel.to_array() - panel.to_array().mean(axis=1, keepdims=True)
-    ora = oracle_fit(centered, [s.z for s in design.subjects], n_x, n_w)
+    ora = oracle_fit(centered, subject_rows(design), n_x, n_w)
     return res, ora
 
 
@@ -180,7 +178,7 @@ def test_fit_large_mean_matches_dense_oracle(rng, tmp_path):
     signal[:, -1] = -signal[:, :-1].sum(axis=1)  # rows with mean exactly zero
     arr = 1e4 * np.round(rng.uniform(1.0, 2.0, (40, 1)) / grid) * grid + signal
     assert np.array_equal(arr - arr[:, :1] + signal[:, :1], signal)
-    ora = oracle_fit(signal, [s.z for s in design.subjects], 3, 3)
+    ora = oracle_fit(signal, subject_rows(design), 3, 3)
     write_panel(DataPanel.from_array(arr), tmp_path / "p.lfpb")
     for raw in (DataPanel.from_array(arr), read_panel(tmp_path / "p.lfpb")):
         for slices in (1, 3):
@@ -235,7 +233,7 @@ def test_fit_sigma2_invariant_to_subject_order(rng):
     arr = rng.standard_normal((30, design.n))
     res = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
     perm = rng.permutation(design.n_subjects)
-    design_p = StudyDesign([design.subjects[i] for i in perm])
+    design_p = reordered(design, perm)
     cols = np.concatenate([np.arange(design.columns(i).start, design.columns(i).stop)
                            for i in perm])
     res_p = fit_panel(DataPanel.from_array(arr[:, cols]), design_p, n_x=2, n_w=2)

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import make_design
-from lfpca import (DataPanel, IdentifiabilityError, StudyDesign, Subject, accumulate_gram,
-                   build_design_matrix, compute_weights, eigen_gram, intrinsic_covariances,
-                   left_vectors)
+from conftest import design_of, make_design, reordered, subject_rows
+from lfpca import (DataPanel, IdentifiabilityError, accumulate_gram, build_design_matrix,
+                   compute_weights, eigen_gram, intrinsic_covariances, left_vectors)
 from oracle import oracle_covariances, oracle_design_matrix, oracle_pair_columns
 
 
-def two_visit_subject(times):
-    return Subject("a", np.column_stack([np.ones(len(times)), times]))
+def one_subject_design(times):
+    return design_of([("a", np.column_stack([np.ones(len(times)), times]))])
 
 
 # --- design matrix construction ----------------------------------------------
 
 def test_columns_match_literal_formula():
-    design = StudyDesign([two_visit_subject([-1.0, 1.0])])
+    design = one_subject_design([-1.0, 1.0])
     f = build_design_matrix(design).f
     # pair (j1=0, j2=1): (1, T_2, T_1, T_1 T_2, same-visit)
     np.testing.assert_array_equal(f[:, 1], [1.0, 1.0, -1.0, -1.0, 0.0])
@@ -28,7 +27,7 @@ def test_matches_brute_force_construction(rng):
     for q in (1, 2):
         design = make_design(rng, n_subjects=5, visits=[3, 4, 3, 5, 4], q=q)
         f = build_design_matrix(design).f
-        np.testing.assert_allclose(f, oracle_design_matrix([s.z for s in design.subjects]),
+        np.testing.assert_allclose(f, oracle_design_matrix(subject_rows(design)),
                                    atol=1e-15)
 
 
@@ -41,7 +40,7 @@ def test_pair_enumeration_is_row_major(rng):
 # --- weights -------------------------------------------------------------------
 
 def test_weights_invert_design_matrix():
-    design = StudyDesign([two_visit_subject([-1.0, 0.0, 1.0])])
+    design = one_subject_design([-1.0, 0.0, 1.0])
     mom = compute_weights(build_design_matrix(design))
     product = mom.f @ mom.h
     assert np.abs(product - np.eye(5)).max() <= 1e-10
@@ -89,7 +88,7 @@ def test_lifted_covariances_match_dense_oracle(rng):
     design = make_design(rng, n_subjects=4, visits=3)  # n = 12
     arr, panel, decomp, covs = fit_covs(rng, 40, design)
     v = left_vectors(panel, decomp).to_array()
-    k_x_oracle, k_w_oracle = oracle_covariances(arr, [s.z for s in design.subjects])
+    k_x_oracle, k_w_oracle = oracle_covariances(arr, subject_rows(design))
     lifted_w = v @ covs.k_w @ v.T
     assert np.abs(lifted_w - k_w_oracle).max() <= 1e-10
     d = np.zeros((2 * 40, 2 * decomp.r))
@@ -115,7 +114,7 @@ def test_unbalanced_designs_match_dense_oracle(rng):
     visits = [1, 3, 2, 5, 1, 4]
     for q in (1, 2):
         design = make_design(rng, n_subjects=len(visits), visits=visits, q=q)
-        z_list = [s.z for s in design.subjects]
+        z_list = subject_rows(design)
         mom = build_design_matrix(design)
         np.testing.assert_allclose(mom.f, oracle_design_matrix(z_list), atol=1e-15)
         arr, panel, decomp, covs = fit_covs(rng, 40, design, n_slices=2)
@@ -135,7 +134,7 @@ def test_block_weight_column_mapping(rng):
     mom = compute_weights(build_design_matrix(design))
     coords = np.sqrt(decomp.s)[:, None] * decomp.u.T
     expected = np.zeros((decomp.r, decomp.r))
-    for idx, (c1, c2) in enumerate(oracle_pair_columns([s.z for s in design.subjects])):
+    for idx, (c1, c2) in enumerate(oracle_pair_columns(subject_rows(design))):
         expected += np.outer(coords[:, c1], coords[:, c2]) * mom.h[idx, 2]
     r = decomp.r
     np.testing.assert_allclose(covs.k_x[r:, :r], expected, atol=1e-12)
@@ -149,10 +148,9 @@ def test_estimates_invariant_to_subject_order(rng):
     arr -= arr.mean(axis=1, keepdims=True)
 
     perm = rng.permutation(design.n_subjects)
-    subjects_p = [design.subjects[i] for i in perm]
     cols = np.concatenate([np.arange(design.columns(i).start, design.columns(i).stop)
                            for i in perm])
-    design_p = StudyDesign(subjects_p)
+    design_p = reordered(design, perm)
     arr_p = arr[:, cols]
 
     def covs_of(a, d):
@@ -179,7 +177,7 @@ def test_unbalanced_estimates_invariant_to_subject_order(rng):
     perm = np.array([3, 0, 5, 2, 4, 1])
     cols = np.concatenate([np.arange(design.columns(i).start, design.columns(i).stop)
                            for i in perm])
-    design_p = StudyDesign([design.subjects[i] for i in perm])
+    design_p = reordered(design, perm)
 
     def covs_of(a, d):
         panel = DataPanel.from_array(a)

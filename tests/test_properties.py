@@ -15,9 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from conftest import make_design  # noqa: E402
-from lfpca import (DataPanel, StudyDesign, fit_panel, normalize_covariates,  # noqa: E402
-                   validate_design)
+from conftest import make_design, reordered, subject_rows  # noqa: E402
+from lfpca import DataPanel, fit_panel, normalize_covariates, validate_design  # noqa: E402
 
 P = 40
 N_X, N_W = 2, 2
@@ -91,9 +90,9 @@ def low_rank_problems(draw):
     assume(validate_design(normalize_covariates(design)[0]).ok)
     phi_x, phi_w = rng.standard_normal((q + 1, P, 4)), rng.standard_normal((P, 4))
     cols = []
-    for subject in design.subjects:
+    for rows in subject_rows(design):
         xi = rng.standard_normal(4) * [4.0, 2.8, 2.0, 1.4]
-        for z in subject.z:
+        for z in rows:
             cols.append(np.einsum("k,kpc,c->p", z, phi_x, xi)
                         + phi_w @ (rng.standard_normal(4) * [3.0, 2.0, 1.4, 1.0]))
     return design, np.array(cols).T, draw(st.permutations(range(len(counts))))
@@ -104,7 +103,7 @@ def low_rank_problems(draw):
 def test_permuting_subjects_permutes_scores(problem):
     design, y, order = problem
     columns = np.concatenate([np.arange(design.n)[design.columns(i)] for i in order])
-    permuted = StudyDesign([design.subjects[i] for i in order])
+    permuted = reordered(design, order)
     base, moved = fit(design, y), fit(permuted, y[:, columns])
     assert base.eigensolvers["gram"]["path"] == moved.eigensolvers["gram"]["path"] == "krylov"
     assert moved.model.r == base.model.r
