@@ -11,10 +11,6 @@ projections against the stored lifted bases.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ._parallel import resolve_threads
@@ -22,37 +18,19 @@ from .design import StudyDesign
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
-from .panel import DataPanel, center_panel, stream
-
-if TYPE_CHECKING:
-    from .fit import FittedModel
-
-
-@dataclass
-class ScorePanel:
-    """Scores in design order: a row of ``xi`` per subject, a row of ``zeta``
-    per visit (in column order), and the subjects solved by least squares."""
-
-    subject_ids: list[str]
-    visit_counts: list[int]
-    xi: np.ndarray              # (N, n_x)
-    zeta: np.ndarray            # (n, n_w)
-    rank_deficient: np.ndarray  # (N,) bool
-
-    def xi_matrix(self) -> np.ndarray:
-        return self.xi
-
-    def zeta_matrix(self) -> np.ndarray:
-        return self.zeta
+from .panel import DataPanel, center_panel, finite_row_sums, stream
+from .store import FittedModel, ScorePanel
+from .store import read_scores_csv  # lfbench imports it as lfpca.blup.read_scores_csv
 
 
-def panel_projections(model: "FittedModel", panel: DataPanel,
+def panel_projections(model: FittedModel, panel: DataPanel,
                       threads: int | None = None) -> np.ndarray:
     """Streamed projections Phi'(Y - mean 1') of (possibly new) data against
     the stored bases, one row per column of B (see :func:`stack_coefficients`).
 
     The data is read through a view centered by the model mean, and each
-    block is projected onto all the bases in one product.
+    block is projected onto all the bases in one product. Non-finite input
+    raises NumericalError as in the fit (see :func:`finite_row_sums`).
     """
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
@@ -60,6 +38,7 @@ def panel_projections(model: "FittedModel", panel: DataPanel,
 
     def _project(rows, blocks, outs):
         *parts, block = blocks
+        finite_row_sums(rows, block)
         return (np.hstack(parts).T @ block,)
 
     (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project,
@@ -67,7 +46,7 @@ def panel_projections(model: "FittedModel", panel: DataPanel,
     return stacked
 
 
-def _solve_scores(model: "FittedModel", design: StudyDesign, proj: np.ndarray) -> ScorePanel:
+def _solve_scores(model: FittedModel, design: StudyDesign, proj: np.ndarray) -> ScorePanel:
     """Per-subject normal equations, stacked and solved one visit-count group
     at a time; minimum-norm least squares for the ill-conditioned ones.
 
@@ -113,7 +92,7 @@ def _solve_scores(model: "FittedModel", design: StudyDesign, proj: np.ndarray) -
                       rank_deficient=deficient)
 
 
-def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
+def score_blups(model: FittedModel, decomp: IntrinsicDecomposition,
                 design: StudyDesign) -> ScorePanel:
     """Predicted scores for the training panel, all in the intrinsic space."""
     if decomp.r != model.r:
@@ -124,7 +103,7 @@ def score_blups(model: "FittedModel", decomp: IntrinsicDecomposition,
     return _solve_scores(model, design, stack_coefficients(model.a_x, model.a_w).T @ coords)
 
 
-def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
+def score_new_panel(model: FittedModel, panel: DataPanel, design: StudyDesign,
                     threads: int | None = None) -> ScorePanel:
     """Scores for new data under a saved model.
 
@@ -137,7 +116,7 @@ def score_new_panel(model: "FittedModel", panel: DataPanel, design: StudyDesign,
                          panel_projections(model, panel, threads=threads))
 
 
-def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
+def reconstruct(model: FittedModel, scores: ScorePanel, design: StudyDesign,
                 subject_index: int, visit_index: int) -> np.ndarray:
     """Fitted observation for one visit, assembled slice by slice, from ``scores``
     and the design they were solved under, in original units."""
@@ -157,68 +136,3 @@ def reconstruct(model: "FittedModel", scores: ScorePanel, design: StudyDesign,
 
     _, (fitted,) = stream([*model.phi_x, model.phi_w], _fitted, [(None, None)])
     return fitted
-
-
-# ---------------------------------------------------------------------------
-# scores CSV
-# ---------------------------------------------------------------------------
-
-SCORES_HEADER = ["subject_id", "score_type", "visit_index", "component", "value"]
-
-
-def write_scores_csv(scores: ScorePanel, path) -> None:
-    starts = np.concatenate([[0], np.cumsum(scores.visit_counts, dtype=np.int64)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_HEADER)
-        for i, sid in enumerate(scores.subject_ids):
-            for c, v in enumerate(scores.xi[i]):
-                writer.writerow([sid, "xi", "", c, f"{v:.17g}"])
-            for j, row in enumerate(scores.zeta[starts[i]:starts[i + 1]]):
-                for c, v in enumerate(row):
-                    writer.writerow([sid, "zeta", j, c, f"{v:.17g}"])
-
-
-def read_scores_csv(path) -> ScorePanel:
-    """Read a scores CSV; no subject is flagged rank deficient. A row with
-    the wrong field count, an unknown score type or a value that does not
-    parse raises ValidationError naming ``path:line``."""
-    xi: dict[str, dict[int, float]] = {}
-    zeta: dict[str, dict[tuple[int, int], float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise ValidationError(f"unexpected scores header in {path}: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCORES_HEADER):
-                raise ValidationError(f"{path}:{lineno}: expected {len(SCORES_HEADER)} fields, "
-                                      f"got {len(row)}")
-            sid, kind, visit, comp, value = row
-            if sid not in xi:
-                xi[sid], zeta[sid] = {}, {}
-            try:
-                if kind == "xi":
-                    xi[sid][int(comp)] = float(value)
-                elif kind == "zeta":
-                    zeta[sid][(int(visit), int(comp))] = float(value)
-                else:
-                    raise ValueError(f"unknown score_type {kind!r}")
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    ids = list(xi)
-    n_x = 1 + max((c for sid in ids for c in xi[sid]), default=-1)
-    n_w = 1 + max((c for sid in ids for _, c in zeta[sid]), default=-1)
-    counts = [1 + max((j for j, _ in zeta[sid]), default=-1) for sid in ids]
-    for sid, count in zip(ids, counts):
-        if (xi[sid].keys() != set(range(n_x))
-                or zeta[sid].keys() != {(j, c) for j in range(count) for c in range(n_w)}):
-            raise ValidationError(f"{path}: subject {sid} does not have {n_x} xi components "
-                                  f"and {n_w} zeta components for each of its visits")
-    zeta_values = [v for sid in ids for _, v in sorted(zeta[sid].items())]
-    return ScorePanel(subject_ids=ids, visit_counts=counts,
-                      xi=np.array([[xi[sid][c] for c in range(n_x)] for sid in ids]),
-                      zeta=np.array(zeta_values).reshape(sum(counts), n_w),
-                      rank_deficient=np.zeros(len(ids), dtype=bool))

@@ -22,18 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blup import score_new_panel, write_scores_csv
+from .blup import score_new_panel
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
-from .fit import (DEFAULT_ORDER_THRESHOLD, fit_panel, load_model, phi_x_files_in, save_model,
-                  variance_explained)
+from .fit import DEFAULT_ORDER_THRESHOLD, fit_panel, variance_explained
 from .gram import DEFAULT_VAR_THRESHOLD
 from .limits import (BLUP_CONDITION_LIMIT, EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL,
                      FF_CONDITION_LIMIT, RANK_EPS)
 from .panel import (DataPanel, digest_panel, panel_from_csv, panel_to_csv, read_panel,
                     write_panel)
-from .simulate import (ScenarioSpec, evaluate, generate_scenario1, generate_scenario2,
-                       load_truth, save_truth)
+from .simulate import ScenarioSpec, evaluate, generate_scenario1, generate_scenario2
+from .store import (MODEL_FILE, SCORES_FILE, TRUTH_DIR, TRUTH_FILE, V_FILE, load_model,
+                    load_truth, phi_x_files_in, read_checked_scores, save_model, save_truth,
+                    write_scores_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--threads", type=int, default=None)
     fit.add_argument("--no-normalize", action="store_true",
                      help="skip covariate standardization")
-    fit.add_argument("--write-v", action="store_true", help="also write v.lfpb")
+    fit.add_argument("--write-v", action="store_true", help=f"also write {V_FILE}")
     fit.add_argument("--dump-h", action="store_true", help="also write the weight matrix H as CSV")
     fit.add_argument("--out", default="lfpca_fit", help="output directory")
     fit.set_defaults(func=cmd_fit)
@@ -148,7 +149,7 @@ def cmd_fit(args) -> int:
         variance_explained(model).write_csv(stage / "variance_explained.csv")
         write_panel(DataPanel.from_array(decomp.u), stage / "u.lfpb")
         np.savetxt(stage / "s.csv", decomp.s, delimiter=",", fmt="%.17g")
-        write_scores_csv(result.scores, stage / "scores.csv")
+        write_scores_csv(result.scores, stage / SCORES_FILE)
         save_model(model, stage)
         if args.dump_h:
             np.savetxt(stage / "h.csv", result.mom.h, delimiter=",", fmt="%.17g")
@@ -182,7 +183,7 @@ def cmd_fit(args) -> int:
 # Fit outputs that depend on the options, and the u.csv of fits before
 # u.lfpb: an earlier fit's copy that the current fit does not write is
 # removed from --out, as are the phi_x files of an earlier fit of larger q.
-_OPTIONAL_OUTPUTS = ("v.lfpb", "h.csv", "u.csv")
+_OPTIONAL_OUTPUTS = (V_FILE, "h.csv", "u.csv")
 
 
 @contextlib.contextmanager
@@ -251,7 +252,7 @@ def cmd_simulate(args) -> int:
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_panel(panel, rep_dir / "panel.lfpb")
         write_metadata(design, rep_dir / "meta.csv")
-        save_truth(truth, design, rep_dir / "truth")
+        save_truth(truth, design, rep_dir / TRUTH_DIR)
     print(f"simulated {args.reps} replication(s) into {outdir}")
     return EXIT_OK
 
@@ -267,20 +268,38 @@ def format_cell(mean: float, sd: float) -> str:
 
 def _find_pairs(truth_root: Path, fit_root: Path):
     """Match truth and fit directories, either a single pair or rep_* trees."""
-    if (truth_root / "truth.json").is_file():
-        return [("", truth_root, fit_root)]
-    if (truth_root / "truth" / "truth.json").is_file():
-        return [("", truth_root / "truth", fit_root)]
+    for truth_dir in (truth_root, truth_root / TRUTH_DIR):
+        if (truth_dir / TRUTH_FILE).is_file():
+            return [("", truth_dir, fit_root)]
     reps = sorted(d.name for d in truth_root.glob("rep_*") if d.is_dir())
     if not reps:
-        raise ValidationError(f"{truth_root} contains no ground truth (truth.json or rep_*)")
+        raise ValidationError(f"{truth_root} contains no ground truth ({TRUTH_FILE} or rep_*)")
     pairs = []
     for name in reps:
         fit_dir = fit_root / name
         if not fit_dir.is_dir():
             raise ValidationError(f"fit directory missing replication {name}")
-        pairs.append((name, truth_root / name / "truth", fit_dir))
+        pairs.append((name, truth_root / name / TRUTH_DIR, fit_dir))
     return pairs
+
+
+def _checked_pair(truth_dir: Path, fit_dir: Path):
+    """The truth, the model and the fit's scores (None without a scores file),
+    refused by the fit's file name unless the model's q is the truth's and the
+    scores hold the model's components for the truth's subjects and visits."""
+    truth, model = load_truth(truth_dir), load_model(fit_dir)
+    if model.q != len(truth.phi_x) - 1:
+        raise ValidationError(f"{fit_dir / MODEL_FILE}: 'q' is {model.q}, but the truth in "
+                              f"{truth_dir} has q = {len(truth.phi_x) - 1}")
+    path = fit_dir / SCORES_FILE
+    if not path.is_file():
+        return truth, model, None
+    scores = read_checked_scores(path, model.n_x, model.n_w, MODEL_FILE)
+    rows, want = (len(scores.xi), len(scores.zeta)), (len(truth.xi), len(truth.zeta))
+    if rows != want:
+        raise ValidationError(f"{path} has scores for {rows[0]} subjects and {rows[1]} visits, "
+                              f"but the truth in {truth_dir} has {want[0]} and {want[1]}")
+    return truth, model, scores
 
 
 def cmd_evaluate(args) -> int:
@@ -289,17 +308,8 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(f"truth directory not found: {truth_root}")
     if not fit_root.is_dir():
         raise ValidationError(f"fit directory not found: {fit_root}")
-    pairs = _find_pairs(truth_root, fit_root)
-    per_rep = []
-    for name, truth_dir, fit_dir in pairs:
-        truth = load_truth(truth_dir)
-        model = load_model(fit_dir)
-        scores_path = fit_dir / "scores.csv"
-        scores = None
-        if scores_path.is_file():
-            from .blup import read_scores_csv
-            scores = read_scores_csv(scores_path)
-        per_rep.append((name, evaluate(truth, model, scores)))
+    per_rep = [(name, evaluate(*_checked_pair(truth_dir, fit_dir)))
+               for name, truth_dir, fit_dir in _find_pairs(truth_root, fit_root)]
 
     quant_names = ["score_q005", "score_q05", "score_q50", "score_q95", "score_q995"]
     header = (["kind", "replication", "family", "component", "evec_sq_dist", "lambda_rel_err"]

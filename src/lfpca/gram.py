@@ -4,7 +4,7 @@ Centering is the right product Y J with J = I - 11'/n, so no centered copy
 is made. The centered Gram matrix G = J Y'Y J is accumulated slice by slice
 from the raw rows, its eigendecomposition G = U S U' gives the right
 singular vectors and squared singular values, and the left singular
-vectors V = Y (J U S^{-1/2}) are formed in a second streamed pass. All
+vectors V = Y (J U S^{-1/2}) are formed in the fit's second streamed pass. All
 heavy work is therefore linear in p.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .limits import EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL, RANK_EPS
-from .panel import DataPanel, stream
+from .panel import DataPanel, finite_row_sums, stream
 
 DEFAULT_VAR_THRESHOLD = 0.9999  # spectrum mass an automatic rank keeps
 KRYLOV_BLOCK = 8  # columns of the start block of top_eigenpairs
@@ -49,16 +49,11 @@ def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.
     Each row is shifted by its first column before the slice products are
     summed; J removes the shift exactly, and without it a large mean would
     cancel the signal in J Y'Y J. Non-finite input raises NumericalError
-    naming the rows of its block and the first bad row.
+    (see :func:`finite_row_sums`).
     """
     def _slice(rows, blocks, outs):
         block = blocks[0]
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.sum(block, axis=1, out=outs[0])
-        bad = np.flatnonzero(~np.isfinite(outs[0]))
-        if bad.size:
-            raise NumericalError(f"non-finite input in rows [{rows.start}, {rows.stop}), "
-                                 f"first at row {rows.start + int(bad[0])}")
+        finite_row_sums(rows, block, out=outs[0])
         shifted = block - block[:, :1]
         return (shifted.T @ shifted,)
 
@@ -240,23 +235,6 @@ def mass_count(spectrum: np.ndarray, threshold: float, total: float | None = Non
         return 1
     mass = np.cumsum(pos) / (pos.sum() if total is None else total)
     return min(int(np.searchsorted(mass, threshold - 1e-15) + 1), pos.size)
-
-
-def left_vectors(panel: DataPanel, decomp: IntrinsicDecomposition, out_path=None,
-                 threads: int = 1) -> DataPanel:
-    """Left singular vectors V = Y (J U S^{-1/2}) of the centered panel Y J.
-
-    Streamed over the raw rows; centering is folded into the n x r factor.
-    Returned as a p x r panel in the same slice layout as the input; written
-    to ``out_path`` when given, else kept in memory.
-    """
-    factor = left_factor(decomp)
-
-    def _left(rows, blocks, outs):
-        np.matmul(blocks[0], factor, out=outs[0])
-
-    _, (v,) = stream([panel], _left, [(decomp.r, out_path)], threads)
-    return v
 
 
 def left_factor(decomp: IntrinsicDecomposition) -> np.ndarray:

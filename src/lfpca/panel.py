@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 MAGIC = b"LFPB"
 FORMAT_VERSION = 1
@@ -268,6 +268,19 @@ def stream(panels, fn, outputs=(), threads: int = 1):
                   else dest if width is None
                   else DataPanel(p=layout.p, n=width, row_starts=layout.row_starts, _array=dest)
                   for dest, (width, path) in zip(memory, outputs)]
+
+
+def finite_row_sums(rows: slice, block: np.ndarray, out=None) -> np.ndarray:
+    """Sums of the rows ``rows`` of a panel, read as ``block``, into ``out``
+    when given: the one refusal of non-finite input. A sum that is not finite
+    raises NumericalError naming the rows of the block and the first bad row."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = np.sum(block, axis=1, out=out)
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NumericalError(f"non-finite input in rows [{rows.start}, {rows.stop}), "
+                             f"first at row {rows.start + int(bad[0])}")
+    return sums
 
 
 def center_panel(panel: DataPanel, mean) -> DataPanel:

@@ -12,18 +12,14 @@ component eigenvalues carry the full scale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .blup import ScorePanel, read_scores_csv, write_scores_csv
 from .design import StudyDesign, normalize_covariates
 from .errors import ValidationError
-from .fit import (CheckedJson, FittedModel, basis_file, basis_files, checked_panel,
-                  phi_x_files_in)
-from .panel import DataPanel, write_panel
+from .panel import DataPanel
+from .store import FittedModel, GroundTruth, ScorePanel
 
 LATTICE_DIMS = (38, 72, 11)
 
@@ -81,30 +77,6 @@ class ScenarioSpec:
                lattice: tuple[int, int, int] | None = None) -> "ScenarioSpec":
         return cls(scenario=2, seed=seed, n_subjects=n_subjects, n_visits=n_visits,
                    lattice=lattice)
-
-
-@dataclass
-class GroundTruth:
-    """Generating bases, eigenvalues, and scores for one synthetic panel."""
-
-    phi_x: tuple[np.ndarray, ...]
-    phi_w: np.ndarray
-    lambda_x: np.ndarray
-    lambda_w: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    sigma2: float
-    seed: int
-    score_law: str
-    block_coords: list | None = None
-
-    @property
-    def n_x(self) -> int:
-        return self.phi_x[0].shape[1]
-
-    @property
-    def n_w(self) -> int:
-        return self.phi_w.shape[1]
 
 
 def default_eigenvalues(count: int) -> np.ndarray:
@@ -349,75 +321,3 @@ def evaluate(truth: GroundTruth, model: FittedModel,
 
 def _sign(value: float) -> float:
     return -1.0 if value < 0 else 1.0
-
-
-# ---------------------------------------------------------------------------
-# truth persistence
-# ---------------------------------------------------------------------------
-
-TRUTH_MANIFEST = "truth.json"
-TRUTH_KEYS = ("lambda_x", "lambda_w", "sigma2", "seed", "score_law", "n_x", "n_w", "p")
-
-
-def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
-    """Write the ground-truth manifest, bases, and scores for one panel."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "lambda_x": truth.lambda_x.tolist(),
-        "lambda_w": truth.lambda_w.tolist(),
-        "sigma2": truth.sigma2,
-        "seed": truth.seed,
-        "score_law": truth.score_law,
-        "n_x": truth.n_x,
-        "n_w": truth.n_w,
-        "p": int(truth.phi_w.shape[0]),
-        "block_coords": truth.block_coords,
-    }
-    with open(outdir / TRUTH_MANIFEST, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    for basis, name in zip([*truth.phi_x, truth.phi_w], basis_files(len(truth.phi_x) - 1)):
-        write_panel(DataPanel.from_array(basis), outdir / name)
-    scores = ScorePanel(subject_ids=list(design.subject_ids),
-                        visit_counts=design.visit_counts.tolist(), xi=truth.xi, zeta=truth.zeta,
-                        rank_deficient=np.zeros(design.n_subjects, dtype=bool))
-    write_scores_csv(scores, outdir / "scores.csv")
-
-
-def load_truth(truth_dir) -> GroundTruth:
-    """Open a truth directory, checked like a model directory: ValidationError,
-    naming the file and the key, when ``truth.json`` does not parse, lacks
-    one of TRUTH_KEYS or holds a value of the wrong kind (``lambda_x`` and
-    ``lambda_w`` must hold n_x and n_w finite values), when a basis file
-    is not p x n_x (p x n_w for Phi_w; only the basis headers are read
-    before that), or when ``scores.csv`` does not hold n_x xi and n_w zeta
-    components. ``block_coords`` is optional."""
-    truth_dir = Path(truth_dir)
-    meta = CheckedJson(truth_dir / TRUTH_MANIFEST, TRUTH_KEYS)
-    sizes = {key: meta.size(key) for key in ("p", "n_x", "n_w")}
-    lambda_x, lambda_w = meta.array("lambda_x", 1), meta.array("lambda_w", 1)
-    for key, values, count in (("lambda_x", lambda_x, "n_x"), ("lambda_w", lambda_w, "n_w")):
-        if values.size != sizes[count]:
-            raise ValidationError(f"{meta.path}: {count!r} is {sizes[count]}, "
-                                  f"but there are {values.size} values in {key!r}")
-    names = phi_x_files_in(truth_dir)
-    if not names:
-        raise ValidationError(f"no {basis_file(0)} in {truth_dir}")
-    panels = [checked_panel(truth_dir / name, meta.path, sizes["p"], sizes[key], f"p x {key}")
-              for name, key in zip(names + [basis_file()], ["n_x"] * len(names) + ["n_w"])]
-    *phi_x, phi_w = [panel.to_array() for panel in panels]
-    scores = read_scores_csv(truth_dir / "scores.csv")
-    if (scores.xi.shape[1], scores.zeta.shape[1]) != (sizes["n_x"], sizes["n_w"]):
-        raise ValidationError(f"{truth_dir / 'scores.csv'} has {scores.xi.shape[1]} xi and "
-                              f"{scores.zeta.shape[1]} zeta components, but {meta.path.name} "
-                              f"gives n_x = {sizes['n_x']} and n_w = {sizes['n_w']}")
-    return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w, lambda_x=lambda_x, lambda_w=lambda_w,
-                       xi=scores.xi, zeta=scores.zeta, sigma2=meta.number("sigma2"),
-                       seed=meta.size("seed"), score_law=meta.value("score_law", _score_law),
-                       block_coords=meta.data.get("block_coords"))
-
-
-def _score_law(raw) -> str:
-    if raw not in ("mixture", "normal"):
-        raise ValueError(f"expected 'mixture' or 'normal', got {raw!r}")
-    return raw

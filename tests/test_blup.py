@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import design_of, make_design, reordered, subject_rows
-from lfpca import (DataPanel, ValidationError, apply_covariate_scaling, fit_panel,
-                   generate_from_model, read_scores_csv, reconstruct, score_blups,
+from lfpca import (DataPanel, NumericalError, ValidationError, apply_covariate_scaling,
+                   fit_panel, generate_from_model, read_scores_csv, reconstruct, score_blups,
                    score_new_panel, write_scores_csv)
+from lfpca import panel as panel_module
 from oracle import oracle_basis_matrix, oracle_scores
 
 
@@ -52,6 +53,20 @@ def test_score_new_panel_refuses_threads_below_one(rng):
     res, design = fitted_model(rng)
     with pytest.raises(ValidationError, match="threads must be >= 1"):
         score_new_panel(res.model, mean_panel(res.model, design.n), design, threads=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_score_new_panel_refuses_nonfinite_input(rng, monkeypatch, bad):
+    # each block is checked as the Gram pass checks it, past the first block
+    # and on two threads: the rows of the block and its first bad row
+    res, design = fitted_model(rng)
+    width = 3 * 2 + design.n  # the bases read beside the data: phi_x0, phi_x1, phi_w
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", 8 * 8 * width)  # 8-row blocks
+    arr = rng.standard_normal((60, design.n))
+    arr[21, 4] = arr[23, 0] = bad
+    with pytest.raises(NumericalError, match=r"non-finite input in rows \[16, 24\), "
+                                              r"first at row 21"):
+        score_new_panel(res.model, DataPanel.from_array(arr), design, threads=2)
 
 
 def test_exact_model_data_recovers_scores(rng):

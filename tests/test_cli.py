@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import make_design, map_times
-from lfpca import (DataPanel, IdentifiabilityError, IntrinsicDecomposition, NumericalError,
-                   ValidationError, fit_panel, left_vectors, load_model, normalize_covariates,
+from lfpca import (DataPanel, IdentifiabilityError, NumericalError, StudyDesign,
+                   ValidationError, fit_panel, load_model, normalize_covariates,
                    read_metadata, read_panel, read_scores_csv, validate_design, write_metadata,
                    write_panel)
 from lfpca import cli
@@ -532,6 +532,63 @@ def test_malformed_scores_row_exits_2_from_evaluate(saved_fit, tmp_path, capsys)
     assert f"scores.csv:{len(lines) + 1}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("marker, message", [
+    (",xi,,3,", r"fit/scores\.csv has 3 xi and 4 zeta components, "
+                r"but model\.json gives n_x = 4 and n_w = 4"),
+    ("subj0019,", r"fit/scores\.csv has scores for 19 subjects and 76 visits, "
+                  r"but the truth in .* has 20 and 80"),
+], ids=["xi-component", "subject"])
+def test_evaluate_checks_fit_scores_against_model_and_truth(saved_fit, tmp_path, capsys,
+                                                            marker, message):
+    # a fit's scores.csv that lacks a component or a subject is refused by
+    # name before anything is compared, not ended by a broadcast error
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(fit_dir, tmp_path / "fit")
+    _drop_lines("scores.csv", marker)(tmp_path / "fit")
+    capsys.readouterr()
+    assert run("evaluate", "--truth", str(rep_dir), "--fit", str(tmp_path / "fit"),
+               "--out", str(tmp_path / "m.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(message, errors[0]), errors
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_evaluate_checks_fit_q_against_truth(saved_fit, tmp_path, capsys):
+    # a fit with a second covariate against a q=1 truth is refused by name,
+    # not ended by an IndexError
+    rep_dir, _ = saved_fit
+    design = read_metadata(rep_dir / "meta.csv")
+    z = np.column_stack([design.stacked_z(), np.random.default_rng(3).uniform(-1, 1, design.n)])
+    write_metadata(StudyDesign(design.subject_ids, design.visit_counts, z), tmp_path / "meta.csv")
+    assert run("fit", "--data", str(rep_dir / "panel.lfpb"), "--meta", str(tmp_path / "meta.csv"),
+               "--nx", "4", "--nw", "4", "--out", str(tmp_path / "fit")) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--truth", str(rep_dir), "--fit", str(tmp_path / "fit"),
+               "--out", str(tmp_path / "m.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(
+        r"fit/model\.json: 'q' is 2, but the truth in .* has q = 1", errors[0]), errors
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_scores_nonfinite_panel_exits_4_like_fit(saved_fit, tmp_path, capsys):
+    # scoring refuses a NaN as the fit does, with the same message, and
+    # writes no scores
+    rep_dir, fit_dir = saved_fit
+    arr = read_panel(rep_dir / "panel.lfpb").to_array()
+    arr[17, 5] = np.nan
+    write_panel(DataPanel.from_array(arr), tmp_path / "nan.lfpb")
+    meta = str(rep_dir / "meta.csv")
+    capsys.readouterr()
+    assert run("scores", "--model", str(fit_dir), "--data", str(tmp_path / "nan.lfpb"),
+               "--meta", meta, "--out", str(tmp_path / "s.csv")) == 4
+    assert run("fit", "--data", str(tmp_path / "nan.lfpb"), "--meta", meta,
+               "--out", str(tmp_path / "f")) == 4
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == ["numerical error: non-finite input in rows [0, 200), first at row 17"] * 2
+    assert not (tmp_path / "s.csv").exists()
+
+
 def _fit_reads_nothing(tmp_path, monkeypatch, *extra):
     """Exit code of a fit on a small simulated panel, asserting that it read
     no data row."""
@@ -730,14 +787,15 @@ def test_dump_h_and_write_v(tmp_path):
     assert v.p == 60
     arr = v.to_array()
     assert np.abs(arr.T @ arr - np.eye(arr.shape[1])).max() < 1e-8
-    # the same bits as the left vectors of the panel held in memory, and the
+    # the same bits as the V of a fit of the panel held in memory, and the
     # dense left vectors of the centered array
     raw = read_panel(sim / "rep_000" / "panel.lfpb")
     mem = DataPanel.from_array(raw.to_array(), n_slices=raw.n_slices)
     u = read_panel(fit_dir / "u.lfpb").to_array()
     s = np.loadtxt(fit_dir / "s.csv", delimiter=",", ndmin=1)
-    decomp = IntrinsicDecomposition(u=u, s=s, total_gram_trace=float(s.sum()))
-    np.testing.assert_array_equal(arr, left_vectors(mem, decomp).to_array())
+    in_memory = fit_panel(mem, read_metadata(sim / "rep_000" / "meta.csv"), n_x=4, n_w=4,
+                          write_v=True)
+    np.testing.assert_array_equal(arr, in_memory.v.to_array())
     cen = mem.to_array() - mem.to_array().mean(axis=1, keepdims=True)
     np.testing.assert_allclose(arr, cen @ (u / np.sqrt(s)), atol=1e-12)
 
@@ -820,7 +878,7 @@ def test_evaluate_exact_recovery_regime(tmp_path):
     sim = simulate_small(tmp_path, reps=1)
     fit_dir = fit_rep(tmp_path, sim)
     from lfpca import load_model, read_metadata
-    from lfpca.simulate import GroundTruth, save_truth
+    from lfpca.store import GroundTruth, save_truth
     import lfpca
     model = load_model(fit_dir)
     design = read_metadata(sim / "rep_000" / "meta.csv")

@@ -7,9 +7,10 @@ import pytest
 from conftest import make_design, map_times, reordered, subject_rows
 from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
                    decompose_intrinsic, estimate_sigma2, fit_panel, generate_from_model,
-                   left_vectors, load_model, reconstruct, save_model, score_new_panel,
-                   select_orders, stream, variance_explained, write_panel, read_panel)
+                   load_model, reconstruct, save_model, score_new_panel, stream,
+                   variance_explained, write_panel, read_panel)
 from lfpca import panel as panel_module
+from lfpca.gram import left_factor
 from lfpca.mom import IntrinsicCovariances
 from oracle import aligned_vec_err, oracle_fit, well_separated
 
@@ -83,21 +84,24 @@ def test_sigma2_requires_more_voxels_than_components():
 
 # --- order selection -------------------------------------------------------------
 
+# An order left as None is the fewest leading eigenvalues of its matrix that
+# hold the threshold of the positive mass, at most ORDER_CAP.
+
 def test_select_orders_threshold():
-    n_x, n_w = select_orders(np.array([8.0, 1.0, 1.0]), np.array([8.0, 1.0, 1.0]),
-                             threshold=0.9)
-    assert n_x == 2 and n_w == 2
+    spectrum = np.diag([8.0, 1.0, 1.0])
+    basis = decompose_intrinsic(covs_from(spectrum, spectrum), threshold=0.9)
+    assert basis.lambda_x.size == 2 and basis.lambda_w.size == 2
 
 
 def test_select_orders_ignores_negative_mass():
-    n_x, _ = select_orders(np.array([5.0, 3.0, -2.0]), np.array([1.0]), threshold=0.9)
-    assert n_x == 2
+    basis = decompose_intrinsic(covs_from(np.diag([5.0, 3.0, -2.0]), np.eye(1)), threshold=0.9)
+    assert basis.lambda_x.size == 2
 
 
 def test_select_orders_cap():
-    spec = np.ones(100)
-    n_x, _ = select_orders(spec, spec, threshold=0.999)
-    assert n_x == 30
+    spectrum = np.eye(100)
+    basis = decompose_intrinsic(covs_from(spectrum, spectrum), threshold=0.999)
+    assert basis.lambda_x.size == 30 and basis.lambda_w.size == 30
 
 
 def test_user_override_wins(rng):
@@ -324,7 +328,7 @@ def test_variance_rejects_nonpositive_total():
 
 
 def _tiny_model(trace_x, trace_w):
-    from lfpca.fit import FittedModel
+    from lfpca.store import FittedModel
     panel = DataPanel.from_array(np.zeros((3, 1)))
     return FittedModel(n=4, a_x=np.ones((1, 1)),
                        a_w=np.ones((1, 1)), lambda_x=np.ones(1), lambda_w=np.ones(1),
@@ -356,7 +360,7 @@ def test_model_round_trips_every_field(rng, tmp_path, q, file_backed):
     # needs a time column), so the model is built from random arrays
     from dataclasses import fields
     from lfpca import CovariateScale
-    from lfpca.fit import FittedModel, basis_files
+    from lfpca.store import FittedModel, basis_files
     p, r, n_x, n_w = 30, 5, 3, 2
     saved = tmp_path / "saved"
     saved.mkdir()
@@ -497,8 +501,8 @@ def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):
 
 def test_fit_write_v_matches_left_vectors(rng, tmp_path, monkeypatch):
     # V is one more output of the lift's pass: in the workdir or in memory,
-    # bit for bit left_vectors of the fitted decomposition, in the panel's
-    # slice layout, and leaving Phi as it is without write_v
+    # with one or two threads, the same bits, in the panel's slice layout,
+    # the raw rows times left_factor, and leaving Phi as it is without write_v
     monkeypatch.setattr(panel_module, "BLOCK_BYTES", 4 * 8 * 18)  # 4-row blocks
     design = make_design(rng, n_subjects=6, visits=3)
     path = tmp_path / "p.lfpb"
@@ -506,17 +510,21 @@ def test_fit_write_v_matches_left_vectors(rng, tmp_path, monkeypatch):
     panel = read_panel(path)
     plain = fit_panel(panel, design, n_x=2, n_w=2)
     assert plain.v is None and plain.options["write_v"] is False
+    vs = []
     for workdir, threads in ((None, 1), (tmp_path / "wd", 2)):
         res = fit_panel(panel, design, n_x=2, n_w=2, threads=threads, workdir=workdir,
                         write_v=True)
         assert res.options["write_v"] is True
         assert res.v.file_backed == (workdir is not None)
         assert res.v.row_starts == panel.row_starts and res.v.n == res.decomposition.r
-        np.testing.assert_array_equal(res.v.to_array(),
-                                      left_vectors(panel, res.decomposition).to_array())
+        vs.append(res.v.to_array())
+        # one dense product against the per-block products: not the same bits
+        np.testing.assert_allclose(vs[-1], panel.to_array() @ left_factor(res.decomposition),
+                                   rtol=0, atol=1e-12)
         for got, want in zip((*res.model.phi_x, res.model.phi_w),
                              (*plain.model.phi_x, plain.model.phi_w)):
             np.testing.assert_array_equal(got.to_array(), want.to_array())
+    np.testing.assert_array_equal(vs[0], vs[1])
     assert sorted(f.name for f in (tmp_path / "wd").iterdir()) == [
         "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb", "v.lfpb"]
 

@@ -6,8 +6,8 @@ import pytest
 from lfpca import (DataPanel, IntrinsicCovariances, IntrinsicDecomposition, ScenarioSpec,
                    ValidationError, accumulate_gram, center_panel, decompose_intrinsic,
                    eigen_gram, fit_panel, generate_scenario1, generate_scenario2,
-                   left_vectors, truncated_rank, write_panel, read_panel)
-from lfpca.gram import fix_signs, top_eigenpairs
+                   truncated_rank, write_panel, read_panel)
+from lfpca.gram import fix_signs, left_factor, top_eigenpairs
 
 
 def panel(arr, n_slices=1):
@@ -213,12 +213,12 @@ def test_truncated_rank_explicit_is_used_as_given():
         truncated_rank(s, rank=11)
 
 
-# --- left singular vectors ---------------------------------------------------
+# --- left singular vectors V = Y F, F = left_factor(decomp) -------------------
 
 def test_left_vectors_identity():
     eye = panel(np.eye(4))
     decomp = eigen_gram(accumulate_gram(eye)[0])
-    v = left_vectors(eye, decomp).to_array()
+    v = np.eye(4) @ left_factor(decomp)
     recon = v @ np.diag(np.sqrt(decomp.s)) @ decomp.u.T
     assert np.abs(recon - centered(np.eye(4))).max() <= 1e-12
 
@@ -228,7 +228,7 @@ def test_left_vectors_full_rank_reconstruction(rng):
     arr -= arr.mean(axis=1, keepdims=True)
     data = panel(arr, n_slices=3)
     decomp = eigen_gram(accumulate_gram(data)[0])
-    v = left_vectors(data, decomp).to_array()
+    v = arr @ left_factor(decomp)
     assert np.abs(v.T @ v - np.eye(decomp.r)).max() <= 1e-10
     recon = v @ (np.sqrt(decomp.s)[:, None] * decomp.u.T)
     assert np.linalg.norm(recon - arr) <= 1e-10 * np.linalg.norm(arr)
@@ -245,35 +245,24 @@ def test_left_vectors_rank_two_exact(rng):
     data = panel(arr, n_slices=4)
     decomp = eigen_gram(accumulate_gram(data)[0])
     assert decomp.r == 2
-    v = left_vectors(data, decomp).to_array()
+    v = arr @ left_factor(decomp)
     recon = v @ (np.sqrt(decomp.s)[:, None] * decomp.u.T)
     assert np.linalg.norm(recon - centered(arr)) <= 1e-10 * np.linalg.norm(centered(arr))
 
 
-def test_left_vectors_to_file(rng, tmp_path):
-    data = panel(rng.standard_normal((20, 5)), n_slices=3)
-    decomp = eigen_gram(accumulate_gram(data)[0])
-    v_file = left_vectors(data, decomp, out_path=tmp_path / "v.lfpb")
-    v_mem = left_vectors(data, decomp)
-    np.testing.assert_array_equal(v_file.to_array(), v_mem.to_array())
-
-
-
 def test_left_vectors_centers_slices_of_panel_with_mean(rng, tmp_path):
     # raw rows times J U S^{-1/2} are centered rows times U S^{-1/2} for any
-    # U, not only one orthogonal to the ones vector; from a file, from
-    # memory, or through a view centered by the mean
+    # U, not only one orthogonal to the ones vector; rows read from a file
+    # or through a view centered by the mean
     arr = rng.standard_normal((20, 5)) + 3.0
     write_panel(DataPanel.from_array(arr, n_slices=3), tmp_path / "raw.lfpb")
     raw = read_panel(tmp_path / "raw.lfpb")
     u = np.linalg.qr(rng.standard_normal((5, 3)))[0]
     decomp = IntrinsicDecomposition(u=u, s=np.array([3.0, 2.0, 1.0]), total_gram_trace=6.0)
     dense = centered(arr) @ (u / np.sqrt(decomp.s))
-    np.testing.assert_allclose(left_vectors(raw, decomp).to_array(), dense, atol=1e-13)
+    np.testing.assert_allclose(raw.to_array() @ left_factor(decomp), dense, atol=1e-13)
     view = center_panel(raw, arr.mean(axis=1))
-    np.testing.assert_allclose(left_vectors(view, decomp).to_array(), dense, atol=1e-13)
-    np.testing.assert_array_equal(left_vectors(raw, decomp).to_array(),
-                                  left_vectors(panel(arr, 3), decomp).to_array())
+    np.testing.assert_allclose(view.to_array() @ left_factor(decomp), dense, atol=1e-13)
 
 
 # --- memory scaling ----------------------------------------------------------

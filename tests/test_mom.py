@@ -3,7 +3,8 @@ import pytest
 
 from conftest import design_of, make_design, reordered, subject_rows
 from lfpca import (DataPanel, IdentifiabilityError, accumulate_gram, build_design_matrix,
-                   compute_weights, eigen_gram, intrinsic_covariances, left_vectors)
+                   compute_weights, eigen_gram, intrinsic_covariances)
+from lfpca.gram import left_factor
 from oracle import oracle_covariances, oracle_design_matrix, oracle_pair_columns
 
 
@@ -87,7 +88,7 @@ def test_output_exactly_symmetric(rng):
 def test_lifted_covariances_match_dense_oracle(rng):
     design = make_design(rng, n_subjects=4, visits=3)  # n = 12
     arr, panel, decomp, covs = fit_covs(rng, 40, design)
-    v = left_vectors(panel, decomp).to_array()
+    v = panel.to_array() @ left_factor(decomp)
     k_x_oracle, k_w_oracle = oracle_covariances(arr, subject_rows(design))
     lifted_w = v @ covs.k_w @ v.T
     assert np.abs(lifted_w - k_w_oracle).max() <= 1e-10
@@ -102,8 +103,8 @@ def test_lifted_covariances_match_dense_oracle(rng):
 
 
 def lifted(panel, decomp, covs):
-    """k_x and k_w lifted to voxel space through V = Y U S^{-1/2}."""
-    v = left_vectors(panel, decomp).to_array()
+    """k_x and k_w lifted to voxel space through V = Y J U S^{-1/2}."""
+    v = panel.to_array() @ left_factor(decomp)
     blocks = np.kron(np.eye(covs.q + 1), v)
     return blocks @ covs.k_x @ blocks.T, v @ covs.k_w @ v.T
 
@@ -159,7 +160,7 @@ def test_estimates_invariant_to_subject_order(rng):
         decomp = eigen_gram(gram)
         mom = compute_weights(build_design_matrix(d))
         covs = intrinsic_covariances(decomp, mom, d, gram=gram)
-        v = left_vectors(panel, decomp).to_array()
+        v = panel.to_array() @ left_factor(decomp)
         return v @ covs.k_w @ v.T, covs.trace_w_raw
 
     lifted, trace = covs_of(arr, design)

@@ -288,11 +288,13 @@ def test_noiseless_curves_rank_at_most_twelve():
 
 
 def test_auto_orders_on_noiseless_curves():
-    from lfpca import fit_panel, select_orders
+    from lfpca import IntrinsicCovariances, decompose_intrinsic, fit_panel
     # population spectra of the generator: each stacked component carries
     # its full eigenvalue, so the 0.99 threshold needs all four components
-    lam = default_eigenvalues(4)
-    assert select_orders(lam, lam, threshold=0.99) == (4, 4)
+    lam = np.diag(default_eigenvalues(4))
+    basis = decompose_intrinsic(IntrinsicCovariances(k_x=lam, k_w=lam, trace_x_raw=lam.trace(),
+                                                     trace_w_raw=lam.trace()), threshold=0.99)
+    assert (basis.lambda_x.size, basis.lambda_w.size) == (4, 4)
     # fitted spectra: the visit-level selection matches; the subject-level
     # spectrum carries extra dispersion mass (moment-estimator eigenvalue
     # spreading), so the auto policy may keep a few more, never fewer
