@@ -15,7 +15,7 @@ from .design import (CovariateScale, DesignReport, StudyDesign, apply_covariate_
 from .errors import IdentifiabilityError, LfpcaError, NumericalError, ValidationError
 from .fit import (FitResult, VarianceTable, decompose_intrinsic, estimate_sigma2, fit_panel,
                   variance_explained)
-from .gram import IntrinsicDecomposition, accumulate_gram, eigen_gram, truncated_rank
+from .gram import IntrinsicDecomposition, accumulate_gram, eigen_gram
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
 from .panel import (DataPanel, PanelWriter, center_panel, panel_from_csv, panel_to_csv,

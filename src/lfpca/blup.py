@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
 from .panel import DataPanel, center_panel, finite_row_sums, stream
-from .store import FittedModel, ScorePanel
+from .store import FittedModel, ScorePanel, basis_files
 from .store import read_scores_csv  # lfbench imports it as lfpca.blup.read_scores_csv
 
 
@@ -30,14 +30,18 @@ def panel_projections(model: FittedModel, panel: DataPanel,
 
     The data is read through a view centered by the model mean, and each
     block is projected onto all the bases in one product. Non-finite input
-    raises NumericalError as in the fit (see :func:`finite_row_sums`).
+    raises NumericalError as in the fit, and a non-finite basis value
+    ValidationError naming the basis file (see :func:`finite_row_sums`).
     """
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
     bases = [*model.phi_x, model.phi_w]
+    sources = [basis._path or name for basis, name in zip(bases, basis_files(model.q))]
 
     def _project(rows, blocks, outs):
         *parts, block = blocks
+        for part, source in zip(parts, sources):
+            finite_row_sums(rows, part, source=source)
         finite_row_sums(rows, block)
         return (np.hstack(parts).T @ block,)
 

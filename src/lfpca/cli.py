@@ -252,7 +252,7 @@ def cmd_simulate(args) -> int:
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_panel(panel, rep_dir / "panel.lfpb")
         write_metadata(design, rep_dir / "meta.csv")
-        save_truth(truth, design, rep_dir / TRUTH_DIR)
+        save_truth(truth, rep_dir / TRUTH_DIR)
     print(f"simulated {args.reps} replication(s) into {outdir}")
     return EXIT_OK
 
@@ -286,7 +286,8 @@ def _find_pairs(truth_root: Path, fit_root: Path):
 def _checked_pair(truth_dir: Path, fit_dir: Path):
     """The truth, the model and the fit's scores (None without a scores file),
     refused by the fit's file name unless the model's q is the truth's and the
-    scores hold the model's components for the truth's subjects and visits."""
+    scores hold the model's components for the truth's subjects and visits,
+    subject by subject in the truth's order."""
     truth, model = load_truth(truth_dir), load_model(fit_dir)
     if model.q != len(truth.phi_x) - 1:
         raise ValidationError(f"{fit_dir / MODEL_FILE}: 'q' is {model.q}, but the truth in "
@@ -299,6 +300,12 @@ def _checked_pair(truth_dir: Path, fit_dir: Path):
     if rows != want:
         raise ValidationError(f"{path} has scores for {rows[0]} subjects and {rows[1]} visits, "
                               f"but the truth in {truth_dir} has {want[0]} and {want[1]}")
+    pairs = zip(scores.subject_ids, scores.visit_counts, truth.subject_ids, truth.visit_counts)
+    for i, (sid, count, want_sid, want_count) in enumerate(pairs):
+        if (sid, count) != (want_sid, want_count):
+            raise ValidationError(f"{path}: subject {i + 1} is {sid} with {count} visits, but "
+                                  f"in the truth in {truth_dir} it is {want_sid} with "
+                                  f"{want_count}")
     return truth, model, scores
 
 

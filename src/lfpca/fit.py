@@ -19,8 +19,8 @@ from .blup import score_blups
 from .design import CovariateScale, DesignReport, StudyDesign, normalize_covariates, validate_design
 from .errors import IdentifiabilityError, ValidationError
 from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
-                   eigen_gram, fix_signs, left_factor, mass_count, stack_coefficients,
-                   top_eigenpairs)
+                   check_count, check_share, eigen_gram, fix_signs, left_factor, mass_count,
+                   stack_coefficients, top_eigenpairs)
 from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
                   intrinsic_covariances)
 from .panel import DataPanel, stream
@@ -60,9 +60,10 @@ def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: 
 
     An order left as None is the fewest leading eigenvalues of the matrix
     (``eigvalsh``) that hold ``threshold`` of its positive mass, at most
-    ORDER_CAP; the pairs come from :func:`top_eigenpairs`. Eigenvector
-    columns are sign-normalized so their largest-magnitude entry is
-    positive, which makes outputs reproducible across platforms.
+    ORDER_CAP (``threshold`` is :func:`fit_panel`'s ``order_threshold``); the
+    pairs come from :func:`top_eigenpairs`. Eigenvector columns are
+    sign-normalized so their largest-magnitude entry is positive, which makes
+    outputs reproducible across platforms.
     """
     a_x, lam_x, clip_x, solver_x = _top_eigen(cov.k_x, n_x, "n_x", threshold)
     a_w, lam_w, clip_w, solver_w = _top_eigen(cov.k_w, n_w, "n_w", threshold)
@@ -75,26 +76,25 @@ def _top_eigen(matrix: np.ndarray, count: int | None, name: str, threshold: floa
     """Leading ``count`` pairs of ``matrix``, sign-fixed and clipped at 0, with
     the number clipped and the solver record."""
     if count is None:
-        count = min(mass_count(np.linalg.eigvalsh(matrix)[::-1], threshold), ORDER_CAP)
-    if not 1 <= count <= matrix.shape[0]:
-        raise ValidationError(f"{name} must be in [1, {matrix.shape[0]}], got {count}")
-    evals, evecs, solver = top_eigenpairs(matrix, k=count)
+        share = check_share("order_threshold", threshold)
+        count = min(mass_count(np.linalg.eigvalsh(matrix)[::-1], share), ORDER_CAP)
+    evals, evecs, solver = top_eigenpairs(matrix, k=check_count(name, count, matrix.shape[0]))
     top, vecs = evals[:count], np.array(evecs[:, :count])
     fix_signs(vecs)
     return vecs, np.maximum(top, 0.0), int(np.sum(top < 0)), solver
 
 
-def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int, n_w: int) -> float:
+def estimate_sigma2(cov: IntrinsicCovariances, lambda_w: np.ndarray, p: int) -> float:
     """White-noise variance from the visit-level trace surplus.
 
     The visit-level moment estimator absorbs sigma^2 I, so under a low-rank
     model the per-voxel noise variance is the trace left over after the
     retained eigenvalues, divided by the remaining dimensions; clamped at 0.
     """
+    n_w = lambda_w.size
     if p <= n_w:
         raise ValidationError(f"sigma2 estimator needs p > n_w, got p={p}, n_w={n_w}")
-    surplus = cov.trace_w_raw - float(np.sum(lambda_w[:n_w]))
-    return max(surplus / (p - n_w), 0.0)
+    return max((cov.trace_w_raw - float(np.sum(lambda_w))) / (p - n_w), 0.0)
 
 
 @dataclass
@@ -187,9 +187,10 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     validated, so the identifiability check and ``report`` describe the
     design that is fitted, whatever the units of the covariates; the model
     stores the transform, so callers keep their design in original units.
-    Options are checked before any row is read. An explicit ``rank`` is used
-    as given and orders it cannot hold are refused; a None threshold takes its
-    default where it is used, and a threshold that nothing automatic uses is refused.
+    Options are checked before any row is read, as the steps check them; a
+    count must fit its matrix (n for the rank, the rank or n for ``n_w``, (q+1)
+    times that for ``n_x``). A None threshold takes its default where it is
+    used, and one that nothing automatic uses is refused.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
@@ -201,9 +202,6 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.
     """
-    for name, value in (("rank", rank), ("n_x", n_x), ("n_w", n_w)):
-        if value is not None and value < 1:
-            raise ValidationError(f"{name} must be >= 1 (or None for auto), got {value}")
     if not isinstance(write_v, bool):
         raise ValidationError(f"write_v must be True or False, got {write_v!r}")
     if rank is not None and var_threshold is not None:
@@ -215,14 +213,15 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     if (n_x is None or n_w is None) and order_threshold is None:
         order_threshold = DEFAULT_ORDER_THRESHOLD
     for name, value in (("var_threshold", var_threshold), ("order_threshold", order_threshold)):
-        if value is not None and not 0 < value <= 1:
-            raise ValidationError(f"{name} must be in (0, 1], got {value}")
+        if value is not None:
+            check_share(name, value)
     threads = resolve_threads(threads)
-    if rank is not None and ((n_w or 0) > rank or (n_x or 0) > (design.q + 1) * rank):
-        raise ValidationError(f"rank {rank} cannot hold n_x={n_x} (at most (q+1) x rank) "
-                              f"and n_w={n_w} (at most rank) components")
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
+    r = panel.n if rank is None else check_count("rank", rank, panel.n)
+    for name, count, limit in (("n_x", n_x, (design.q + 1) * r), ("n_w", n_w, r)):
+        if count is not None:
+            check_count(name, count, limit)
     scaling: tuple[CovariateScale, ...] = ()
     if normalize:
         design, scaling = normalize_covariates(design)
@@ -240,7 +239,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     mom = compute_weights(build_design_matrix(design))
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
     basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
-    sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p, basis.lambda_w.size)
+    sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p)
 
     phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, threads, write_v)
     model = FittedModel(n=panel.n, a_x=basis.a_x, a_w=basis.a_w,

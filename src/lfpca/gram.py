@@ -69,25 +69,48 @@ def eigen_gram(gram: np.ndarray, rank: int | None = None,
     """Leading eigenpairs of the Gram matrix, eigenvalues descending.
 
     ``rank`` pairs when given, else the fewest whose eigenvalues reach
-    ``var_threshold`` of trace(G) (see :func:`truncated_rank`). Eigenvalues
-    at or below RANK_EPS * max(s_1, 1) count as zero and are never kept.
+    ``var_threshold`` of trace(G). Eigenvalues at or below RANK_EPS * max(s_1, 1)
+    count as zero: never kept nor asked for; a panel with none has no variance.
     The pairs come from :func:`top_eigenpairs`: block Krylov while the rank
     fits its basis, else one dense ``eigh``.
     """
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValidationError(f"Gram matrix must be square, got {gram.shape}")
+    if rank is None:
+        check_share("var_threshold", var_threshold)
+    else:
+        check_count("rank", rank, gram.shape[0])
     if not np.all(np.isfinite(gram)):
         raise NumericalError("Gram matrix contains non-finite entries")
     trace = float(np.trace(gram))
     evals, evecs, solver = top_eigenpairs(
         gram, k=rank, mass=None if rank is not None else var_threshold * trace)
-    keep = evals > RANK_EPS * max(evals[0] if evals.size else 0.0, 1.0)
+    keep = evals > RANK_EPS * np.max(evals, initial=1.0)
+    if not keep.any():
+        raise ValidationError("the centred panel has no variance")
     evals, evecs = evals[keep], evecs[:, keep]  # copies: the sign fix below is in place
-    r = truncated_rank(evals, rank=rank, var_threshold=var_threshold, total=trace)
+    r = (check_count("rank", rank, evals.size) if rank is not None
+         else mass_count(evals, var_threshold, trace))
     u = evecs[:, :r]
     fix_signs(u)
     return IntrinsicDecomposition(u=u, s=evals[:r], total_gram_trace=trace, solver=solver)
+
+
+def check_count(name: str, count: int, limit: int) -> int:
+    """The one check of an eigenpair count: ValidationError below 1 or above ``limit``."""
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    if count > limit:
+        raise ValidationError(f"{name} must be in [1, {limit}], got {count}")
+    return count
+
+
+def check_share(name: str, share: float) -> float:
+    """The one check of a spectrum share: ValidationError unless in (0, 1] (not NaN)."""
+    if share is None or not 0 < share <= 1:
+        raise ValidationError(f"{name} must be in (0, 1], got {share}")
+    return share
 
 
 def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
@@ -113,10 +136,12 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
     residuals) gives up for one dense ``eigh``. The record
     is then ``{"path": "dense"}`` and all n pairs are returned.
     """
+    if (k is None) == (mass is None):
+        raise ValidationError("top_eigenpairs takes exactly one of k and mass")
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     budget = n // 4
-    width = KRYLOV_BLOCK if k is None else max(KRYLOV_BLOCK, k + 1)
+    width = KRYLOV_BLOCK if k is None else max(KRYLOV_BLOCK, check_count("k", k, n) + 1)
     if width > budget:
         return _dense_eigenpairs(matrix)
     norm = float(np.abs(matrix).sum(axis=0).max())
@@ -195,35 +220,10 @@ def _dense_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]
 
 def fix_signs(vectors: np.ndarray) -> None:
     """Flip each column in place so its largest-magnitude entry is positive."""
-    if vectors.size == 0:
-        return
     idx = np.abs(vectors).argmax(axis=0)
     flips = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     flips[flips == 0] = 1.0
     vectors *= flips
-
-
-def truncated_rank(s: np.ndarray, rank: int | None = None,
-                   var_threshold: float = DEFAULT_VAR_THRESHOLD,
-                   total: float | None = None) -> int:
-    """Number of singular directions to keep.
-
-    Either an explicit rank, used as given, or the smallest rank capturing
-    ``var_threshold`` of ``total``, by default the positive mass of ``s``.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        raise ValidationError("empty spectrum")
-    if np.any(np.diff(s) > 0):
-        raise ValidationError("spectrum must be sorted descending")
-    n_pos = int(np.sum(s > 0))
-    if rank is not None:
-        if rank < 1 or rank > n_pos:
-            raise ValidationError(f"rank must be in [1, {n_pos}] (positive eigenvalues), got {rank}")
-        return rank
-    if not 0 < var_threshold <= 1:
-        raise ValidationError(f"var_threshold must be in (0, 1], got {var_threshold}")
-    return mass_count(s, var_threshold, total)
 
 
 def mass_count(spectrum: np.ndarray, threshold: float, total: float | None = None) -> int:

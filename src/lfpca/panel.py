@@ -270,16 +270,20 @@ def stream(panels, fn, outputs=(), threads: int = 1):
                   for dest, (width, path) in zip(memory, outputs)]
 
 
-def finite_row_sums(rows: slice, block: np.ndarray, out=None) -> np.ndarray:
+def finite_row_sums(rows: slice, block: np.ndarray, out=None, source=None) -> np.ndarray:
     """Sums of the rows ``rows`` of a panel, read as ``block``, into ``out``
-    when given: the one refusal of non-finite input. A sum that is not finite
-    raises NumericalError naming the rows of the block and the first bad row."""
+    when given: the one refusal of non-finite values. A sum that is not finite
+    raises NumericalError naming the rows of the block and the first bad row,
+    or, for a block of a stored model file named ``source``, ValidationError
+    naming the file as well."""
     with np.errstate(invalid="ignore", over="ignore"):
         sums = np.sum(block, axis=1, out=out)
     bad = np.flatnonzero(~np.isfinite(sums))
     if bad.size:
-        raise NumericalError(f"non-finite input in rows [{rows.start}, {rows.stop}), "
-                             f"first at row {rows.start + int(bad[0])}")
+        where = f"in rows [{rows.start}, {rows.stop}), first at row {rows.start + int(bad[0])}"
+        if source is not None:
+            raise ValidationError(f"{source}: non-finite values {where}")
+        raise NumericalError(f"non-finite input {where}")
     return sums
 
 

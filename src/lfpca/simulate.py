@@ -156,8 +156,9 @@ def _generate(spec: ScenarioSpec, phi_x, phi_w, law: str, block_coords=None):
     if spec.sigma2 > 0:
         values += np.sqrt(spec.sigma2) * rng.standard_normal(values.shape)
     truth = GroundTruth(phi_x=phi_x, phi_w=phi_w, lambda_x=lam_x, lambda_w=lam_w,
-                        xi=xi, zeta=zeta, sigma2=spec.sigma2, seed=spec.seed,
-                        score_law=law, block_coords=block_coords)
+                        xi=xi, zeta=zeta, subject_ids=list(design.subject_ids),
+                        visit_counts=design.visit_counts.tolist(), sigma2=spec.sigma2,
+                        seed=spec.seed, score_law=law, block_coords=block_coords)
     return DataPanel.from_array(values), design, truth
 
 
@@ -248,7 +249,9 @@ def generate_from_model(model: FittedModel, design: StudyDesign, *,
     if sigma2 > 0:
         values += np.sqrt(sigma2) * rng.standard_normal(values.shape)
     truth = GroundTruth(phi_x=phi_x, phi_w=phi_w, lambda_x=lam_x, lambda_w=lam_w,
-                        xi=xi, zeta=zeta, sigma2=sigma2, seed=seed, score_law=score_law)
+                        xi=xi, zeta=zeta, subject_ids=list(design.subject_ids),
+                        visit_counts=design.visit_counts.tolist(), sigma2=sigma2, seed=seed,
+                        score_law=score_law)
     return DataPanel.from_array(values), truth
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .design import CovariateScale, StudyDesign, apply_covariate_scaling
 from .errors import ValidationError
-from .panel import DataPanel, read_panel, write_panel
+from .panel import DataPanel, finite_row_sums, read_panel, write_panel
 
 MODEL_FILE = "model.json"
 MEAN_FILE = "mean.lfpb"
@@ -134,11 +134,12 @@ def load_model(model_dir) -> FittedModel:
     naming the file and the key, when ``model.json`` does not parse or lacks
     a key, when a stored size disagrees with the arrays (a_x is (q+1)r x n_x,
     a_w is r x n_w, lambda_x and lambda_w hold n_x and n_w values), when a
-    coefficient, eigenvalue, ``sigma2`` or trace is not finite, when a
+    coefficient, eigenvalue, ``sigma2``, trace or mean value is not finite, when a
     covariate scaling entry does not name a column in [1, q] or has a shift
     or scale that is not a finite number or a scale <= 0, or when
     ``mean.lfpb`` is not p x 1 or a basis file is not p x n_x (p x n_w for
-    Phi_w). Of the panels only the headers are read before the checks pass.
+    Phi_w). Of the bases only the headers are read; the scoring pass checks
+    their values as it reads them (see :func:`lfpca.blup.panel_projections`).
     Keys it does not know, such as the ``spectrum_x`` of older files, are
     ignored.
     """
@@ -159,13 +160,14 @@ def load_model(model_dir) -> FittedModel:
     scaling = meta.value("covariate_scaling",
                          lambda entries: tuple(_covariate_scale(s, q) for s in entries))
     scalars = {key: meta.value(key, _finite) for key in ("sigma2", "trace_x", "trace_w")}
-    mean = _checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1")
+    mean = _checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1").to_array()[:, 0]
+    finite_row_sums(slice(0, p), mean[:, None], source=model_dir / MEAN_FILE)
     *phi_x, phi_w = [_checked_panel(model_dir / name, meta.path, p, sizes[key], f"p x {key}")
                      for name, key in zip(basis_files(q), ["n_x"] * (q + 1) + ["n_w"])]
     return FittedModel(n=sizes["n"], a_x=a_x, a_w=a_w, lambda_x=lambda_x, lambda_w=lambda_w,
                        phi_x=tuple(phi_x), phi_w=phi_w, **scalars,
                        clipped_count=meta.value("clipped_count", _size),
-                       mean=mean.to_array()[:, 0], covariate_scaling=scaling)
+                       mean=mean, covariate_scaling=scaling)
 
 
 def _covariate_scale(entry: dict, q: int) -> CovariateScale:
@@ -345,7 +347,8 @@ def read_checked_scores(path, n_x: int, n_w: int, source: str) -> ScorePanel:
 
 @dataclass
 class GroundTruth:
-    """Generating bases, eigenvalues, and scores for one synthetic panel."""
+    """Generating bases, eigenvalues, and scores for one synthetic panel, with
+    the subject ids and visit counts of the design the scores belong to."""
 
     phi_x: tuple[np.ndarray, ...]
     phi_w: np.ndarray
@@ -353,6 +356,8 @@ class GroundTruth:
     lambda_w: np.ndarray
     xi: np.ndarray
     zeta: np.ndarray
+    subject_ids: list[str]
+    visit_counts: list[int]
     sigma2: float
     seed: int
     score_law: str
@@ -370,7 +375,7 @@ class GroundTruth:
 _TRUTH_KEYS = ("lambda_x", "lambda_w", "sigma2", "seed", "score_law", "n_x", "n_w", "p")
 
 
-def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
+def save_truth(truth: GroundTruth, outdir) -> None:
     """Write the ground-truth manifest, bases, and scores for one panel."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -382,9 +387,9 @@ def save_truth(truth: GroundTruth, design: StudyDesign, outdir) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     for basis, name in zip([*truth.phi_x, truth.phi_w], basis_files(len(truth.phi_x) - 1)):
         write_panel(DataPanel.from_array(basis), outdir / name)
-    scores = ScorePanel(subject_ids=list(design.subject_ids),
-                        visit_counts=design.visit_counts.tolist(), xi=truth.xi, zeta=truth.zeta,
-                        rank_deficient=np.zeros(design.n_subjects, dtype=bool))
+    scores = ScorePanel(subject_ids=truth.subject_ids, visit_counts=truth.visit_counts,
+                        xi=truth.xi, zeta=truth.zeta,
+                        rank_deficient=np.zeros(len(truth.subject_ids), dtype=bool))
     write_scores_csv(scores, outdir / SCORES_FILE)
 
 
@@ -411,7 +416,8 @@ def load_truth(truth_dir) -> GroundTruth:
     scores = read_checked_scores(truth_dir / SCORES_FILE, sizes["n_x"], sizes["n_w"],
                                  meta.path.name)
     return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w, lambda_x=lambda_x, lambda_w=lambda_w,
-                       xi=scores.xi, zeta=scores.zeta, sigma2=meta.value("sigma2", _finite),
+                       xi=scores.xi, zeta=scores.zeta, subject_ids=scores.subject_ids,
+                       visit_counts=scores.visit_counts, sigma2=meta.value("sigma2", _finite),
                        seed=meta.value("seed", _size),
                        score_law=meta.value("score_law", _score_law),
                        block_coords=meta.data.get("block_coords"))

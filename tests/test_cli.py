@@ -456,6 +456,15 @@ MODEL_CORRUPTIONS = {
                    r"model\.json: bad 'covariate_scaling'.*scale must be positive"),
     "scale-column": (_edit_json(lambda m: m["covariate_scaling"][0].update(column=2)),
                      r"model\.json: bad 'covariate_scaling'.*column must be in \[1, 1\]"),
+    "a_x-rows": (_edit_json(lambda m: m["a_x"].pop()),
+                 r"model\.json: 'a_x' has \d+ rows, expected \(q\+1\) r = \d+ for q=1"),
+    "not-an-object": (lambda fit_dir: (fit_dir / "model.json").write_text("[1, 2]"),
+                      r"model\.json must hold a JSON object"),
+    "fractional-p": (_edit_json(lambda m: m.update(p=200.5)),
+                     r"model\.json: bad 'p'.*expected a non-negative integer"),
+    "nan-mean": (_edit_panel("mean.lfpb",
+                             lambda a: np.where(np.arange(200)[:, None] == 7, np.nan, a)),
+                 r"mean\.lfpb: non-finite values in rows \[0, 200\), first at row 7"),
 }
 
 
@@ -501,6 +510,8 @@ TRUTH_CORRUPTIONS = {
                         r"phi_x_1\.lfpb is 200 x 3, but truth\.json gives p x n_x = 200 x 4"),
     "xi-components": (_drop_lines("scores.csv", ",xi,,3,"),
                       r"scores\.csv has 3 xi and 4 zeta components, but truth\.json gives n_x = 4"),
+    "no-phi_x_0": (lambda truth_dir: (truth_dir / "phi_x_0.lfpb").unlink(),
+                   r"no phi_x_0\.lfpb in .*truth"),
 }
 
 
@@ -551,6 +562,43 @@ def test_evaluate_checks_fit_scores_against_model_and_truth(saved_fit, tmp_path,
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and re.search(message, errors[0]), errors
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_evaluate_pairs_fit_scores_with_truth_by_subject(saved_fit, tmp_path, capsys):
+    # scores are compared subject by subject, so a fit whose subject ids are
+    # out of the truth's order is refused by name, not compared by position
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(fit_dir, tmp_path / "fit")
+    path = tmp_path / "fit" / "scores.csv"
+    text = path.read_text().replace("subj0003", "swap")
+    path.write_text(text.replace("subj0004", "subj0003").replace("swap", "subj0004"))
+    capsys.readouterr()
+    assert run("evaluate", "--truth", str(rep_dir), "--fit", str(tmp_path / "fit"),
+               "--out", str(tmp_path / "m.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(
+        r"fit/scores\.csv: subject 4 is subj0004 with 4 visits, but in the truth in .* "
+        r"it is subj0003 with 4$", errors[0]), errors
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_scores_refuses_nonfinite_basis_by_file(saved_fit, tmp_path, capsys):
+    # a model basis is input from outside: an inf in it is refused by file
+    # and row as the scoring pass reads it, not turned into nan scores
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(fit_dir, tmp_path / "fit")
+    arr = read_panel(tmp_path / "fit" / "phi_w.lfpb").to_array()
+    arr[123, 2] = np.inf
+    write_panel(DataPanel.from_array(arr), tmp_path / "fit" / "phi_w.lfpb")
+    capsys.readouterr()
+    assert run("scores", "--model", str(tmp_path / "fit"), "--data",
+               str(rep_dir / "panel.lfpb"), "--meta", str(rep_dir / "meta.csv"),
+               "--out", str(tmp_path / "s.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(
+        r"fit/phi_w\.lfpb: non-finite values in rows \[0, 200\), first at row 123$",
+        errors[0]), errors
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_evaluate_checks_fit_q_against_truth(saved_fit, tmp_path, capsys):
@@ -887,9 +935,11 @@ def test_evaluate_exact_recovery_regime(tmp_path):
                         phi_w=model.phi_w.to_array(),
                         lambda_x=model.lambda_x, lambda_w=model.lambda_w,
                         xi=scores.xi_matrix(), zeta=scores.zeta_matrix(),
+                        subject_ids=list(design.subject_ids),
+                        visit_counts=design.visit_counts.tolist(),
                         sigma2=0.0, seed=0, score_law="normal")
     truth_dir = tmp_path / "selftruth"
-    save_truth(truth, design, truth_dir)
+    save_truth(truth, truth_dir)
     metrics = tmp_path / "self_metrics.csv"
     assert run("evaluate", "--truth", str(truth_dir), "--fit", str(fit_dir),
                "--out", str(metrics)) == 0

@@ -82,6 +82,31 @@ def test_metadata_rewrite_is_byte_identical(rng, tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+METADATA_REFUSALS = {
+    "empty": ("", "is empty"),
+    "header": ("subject,visit_index,col,Z0,Z1\na,0,0,1,0\n",
+               "header must start with subject_id,visit_index,col"),
+    "no-Z0": ("subject_id,visit_index,col,Z1\na,0,0,0\n", "covariate columns Z0,Z1"),
+    "field-count": ("subject_id,visit_index,col,Z0,Z1\na,0,0,1\n",
+                    r"meta\.csv:2: expected 5 fields, got 4"),
+    "number": ("subject_id,visit_index,col,Z0,Z1\na,0,0,1,x\n", r"meta\.csv:2: could not convert"),
+    "no-rows": ("subject_id,visit_index,col,Z0,Z1\n", "has no visit rows"),
+    "split-subject": ("subject_id,visit_index,col,Z0,Z1\na,0,0,1,0\nb,0,1,1,0\na,1,2,1,1\n",
+                      "subject 'a' occupies non-contiguous columns"),
+    "visit-order": ("subject_id,visit_index,col,Z0,Z1\na,1,0,1,0\na,0,1,1,1\n",
+                    "subject 'a': visit_index must run 0..J-1 in column order"),
+}
+
+
+@pytest.mark.parametrize("text, message", METADATA_REFUSALS.values(), ids=list(METADATA_REFUSALS))
+def test_read_metadata_refuses_malformed_file(tmp_path, text, message):
+    # a metadata file is input from outside: each fault is refused by name
+    path = tmp_path / "meta.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        read_metadata(path)
+
+
 def test_metadata_rejects_column_gaps(rng, tmp_path):
     design = make_design(rng, n_subjects=2, visits=2)
     path = tmp_path / "meta.csv"

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import make_design, map_times, reordered, subject_rows
 from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
-                   decompose_intrinsic, estimate_sigma2, fit_panel, generate_from_model,
-                   load_model, reconstruct, save_model, score_new_panel, stream,
-                   variance_explained, write_panel, read_panel)
+                   decompose_intrinsic, eigen_gram, estimate_sigma2, fit_panel,
+                   generate_from_model, load_model, reconstruct, save_model, score_new_panel,
+                   stream, variance_explained, write_panel, read_panel)
 from lfpca import panel as panel_module
 from lfpca.gram import left_factor
 from lfpca.mom import IntrinsicCovariances
@@ -60,26 +60,26 @@ def test_decompose_sign_convention():
 
 def test_sigma2_zero_when_trace_matches():
     covs = covs_from(np.eye(2), np.diag([2.0, 1.0]))
-    assert estimate_sigma2(covs, np.array([2.0, 1.0]), p=100, n_w=2) == 0.0
+    assert estimate_sigma2(covs, np.array([2.0, 1.0]), p=100) == 0.0
 
 
 def test_sigma2_clamped_at_zero():
     covs = covs_from(np.eye(2), np.diag([2.0, -0.5]))
     # trace (1.5) < retained eigenvalue sum (2.0) after clipping
-    assert estimate_sigma2(covs, np.array([2.0, 0.0]), p=50, n_w=2) == 0.0
+    assert estimate_sigma2(covs, np.array([2.0, 0.0]), p=50) == 0.0
 
 
 def test_sigma2_positive_surplus():
     k_w = np.diag([4.0, 1.0, 0.5, 0.5])
     covs = covs_from(np.eye(2), k_w)
-    got = estimate_sigma2(covs, np.array([4.0, 1.0]), p=102, n_w=2)
+    got = estimate_sigma2(covs, np.array([4.0, 1.0]), p=102)
     assert abs(got - 1.0 / 100) < 1e-15
 
 
 def test_sigma2_requires_more_voxels_than_components():
     covs = covs_from(np.eye(2), np.eye(2))
     with pytest.raises(ValidationError):
-        estimate_sigma2(covs, np.ones(2), p=2, n_w=2)
+        estimate_sigma2(covs, np.ones(2), p=2)
 
 
 # --- order selection -------------------------------------------------------------
@@ -102,6 +102,19 @@ def test_select_orders_cap():
     spectrum = np.eye(100)
     basis = decompose_intrinsic(covs_from(spectrum, spectrum), threshold=0.999)
     assert basis.lambda_x.size == 30 and basis.lambda_w.size == 30
+
+
+@pytest.mark.parametrize("threshold", [1.5, np.nan, 0.0, -1.0, None])
+def test_select_orders_refuses_share_outside_unit_interval(rng, threshold):
+    # a share outside (0, 1] is refused as fit_panel refuses it, not taken
+    # as "every positive pair" or "one pair"
+    k_x, k_w = rng.standard_normal((12, 12)), rng.standard_normal((6, 6))
+    covs = covs_from(k_x @ k_x.T, k_w @ k_w.T)
+    with pytest.raises(ValidationError,
+                       match=rf"order_threshold must be in \(0, 1\], got {threshold}"):
+        decompose_intrinsic(covs, threshold=threshold)
+    # with both orders given the threshold is not used
+    assert decompose_intrinsic(covs, n_x=2, n_w=2, threshold=threshold).lambda_w.size == 2
 
 
 def test_user_override_wins(rng):
@@ -476,6 +489,42 @@ def test_fit_refuses_option_before_reading(rng, monkeypatch, options, message):
     with pytest.raises(ValidationError, match=message):
         fit_panel(panel, design, **options)
     assert calls == []
+
+
+@pytest.mark.parametrize("options, step, step_options", [
+    (dict(rank=0), "gram", dict(rank=0)),
+    (dict(rank=-1), "gram", dict(rank=-1)),
+    (dict(rank=81), "gram", dict(rank=81)),
+    (dict(var_threshold=np.nan), "gram", dict(var_threshold=np.nan)),
+    (dict(n_x=0), "intrinsic", dict(n_x=0, n_w=1)),
+    (dict(n_w=-2), "intrinsic", dict(n_x=1, n_w=-2)),
+    (dict(rank=3, n_x=7), "intrinsic", dict(n_x=7, n_w=1)),
+    (dict(rank=3, n_w=4), "intrinsic", dict(n_x=1, n_w=4)),
+    (dict(order_threshold=1.5), "intrinsic", dict(threshold=1.5)),
+])
+def test_fit_and_step_refuse_count_or_share_alike(rng, monkeypatch, options, step, step_options):
+    # one check per rule: fit_panel refuses before reading, with the message
+    # of the step that the option reaches (the Gram matrix of n = 80 visits;
+    # k_x and k_w of rank 3 with q = 1)
+    design = make_design(rng, n_subjects=20, visits=4)
+    panel = DataPanel.from_array(rng.standard_normal((200, design.n)))
+    monkeypatch.setattr(DataPanel, "read_rows", None)  # a read raises TypeError, no refusal
+    with pytest.raises(ValidationError) as fit_error:
+        fit_panel(panel, design, **options)
+    with pytest.raises(ValidationError) as step_error:
+        if step == "gram":
+            eigen_gram(np.eye(design.n), **step_options)
+        else:
+            decompose_intrinsic(covs_from(np.eye(6), np.eye(3)), **step_options)
+    assert str(fit_error.value) == str(step_error.value)
+
+
+def test_fit_refuses_panel_without_variance(rng):
+    # every column equal: the centred panel is zero
+    design = make_design(rng, n_subjects=6, visits=3)
+    panel = DataPanel.from_array(np.tile(rng.standard_normal((20, 1)), design.n))
+    with pytest.raises(ValidationError, match="the centred panel has no variance"):
+        fit_panel(panel, design)
 
 
 def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):

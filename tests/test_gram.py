@@ -6,7 +6,8 @@ import pytest
 from lfpca import (DataPanel, IntrinsicCovariances, IntrinsicDecomposition, ScenarioSpec,
                    ValidationError, accumulate_gram, center_panel, decompose_intrinsic,
                    eigen_gram, fit_panel, generate_scenario1, generate_scenario2,
-                   truncated_rank, write_panel, read_panel)
+                   write_panel, read_panel)
+from lfpca import gram as gram_module
 from lfpca.gram import fix_signs, left_factor, top_eigenpairs
 
 
@@ -197,20 +198,45 @@ def test_decompose_indefinite_matrix_keeps_algebraic_top_and_clip_count():
 
 # --- rank policy -------------------------------------------------------------
 
-def test_truncated_rank_threshold_drops_zero():
-    assert truncated_rank(np.array([4.0, 1.0]), var_threshold=0.9999) == 2
+def test_eigen_gram_threshold_arithmetic():
+    # 8 of a trace of 10 reaches 0.8 with one pair
+    assert eigen_gram(np.diag([8.0, 1.0, 1.0]), var_threshold=0.8).r == 1
 
 
-def test_truncated_rank_threshold_arithmetic():
-    assert truncated_rank(np.array([8.0, 1.0, 1.0]), var_threshold=0.8) == 1
+def test_eigen_gram_explicit_rank_is_used_as_given():
+    gram = np.diag(np.linspace(10, 1, 10))
+    assert [eigen_gram(gram, rank=rank).r for rank in (2, 8)] == [2, 8]
+    with pytest.raises(ValidationError, match=r"rank must be in \[1, 10\], got 11"):
+        eigen_gram(gram, rank=11)
 
 
-def test_truncated_rank_explicit_is_used_as_given():
-    s = np.linspace(10, 1, 10)
-    assert truncated_rank(s, rank=2) == 2
-    assert truncated_rank(s, rank=8) == 8
-    with pytest.raises(ValidationError):
-        truncated_rank(s, rank=11)
+@pytest.mark.parametrize("options, message", [
+    (dict(rank=-1), "rank must be >= 1, got -1"),
+    (dict(rank=0), "rank must be >= 1, got 0"),
+    (dict(rank=41), r"rank must be in \[1, 40\], got 41"),
+    (dict(var_threshold=1.5), r"var_threshold must be in \(0, 1\], got 1.5"),
+    (dict(var_threshold=np.nan), r"var_threshold must be in \(0, 1\], got nan"),
+    (dict(var_threshold=0.0), r"var_threshold must be in \(0, 1\], got 0.0"),
+    (dict(var_threshold=-1.0), r"var_threshold must be in \(0, 1\], got -1.0"),
+])
+def test_eigen_gram_refuses_count_or_share_before_solving(monkeypatch, options, message):
+    calls = []
+    monkeypatch.setattr(gram_module, "top_eigenpairs", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValidationError, match=message):
+        eigen_gram(np.eye(40), **options)
+    assert calls == []
+
+
+@pytest.mark.parametrize("options, message", [
+    ({}, "exactly one of k and mass"),
+    (dict(k=2, mass=1.0), "exactly one of k and mass"),
+    (dict(k=0), "k must be >= 1, got 0"),
+    (dict(k=-1), "k must be >= 1, got -1"),
+    (dict(k=41), r"k must be in \[1, 40\], got 41"),
+])
+def test_top_eigenpairs_refuses_what_it_cannot_honour(options, message):
+    with pytest.raises(ValidationError, match=message):
+        top_eigenpairs(np.diag(np.linspace(40, 1, 40)), **options)
 
 
 # --- left singular vectors V = Y F, F = left_factor(decomp) -------------------

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,30 @@ def test_read_panel_rejects_bad_magic(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValidationError):
         read_panel(bad)
+
+
+def _header(version=1, n_slices=2):
+    """An LFPB header of a 6 x 3 panel, then its slice offset table."""
+    return (struct.pack("<4sIQQI", b"LFPB", version, 6, 3, n_slices)
+            + np.array([0, 3, 6], dtype="<u8").tobytes())
+
+
+PANEL_FILE_REFUSALS = {
+    "missing": (None, "panel file not found"),
+    "short-header": (b"LFPB\x01\x00", "too short for an LFPB header"),
+    "version": (_header(version=2), "unsupported LFPB version 2"),
+    "offset-table": (_header(n_slices=5), "truncated slice offset table"),
+}
+
+
+@pytest.mark.parametrize("content, message", PANEL_FILE_REFUSALS.values(),
+                         ids=list(PANEL_FILE_REFUSALS))
+def test_read_panel_refuses_malformed_file(tmp_path, content, message):
+    path = tmp_path / "p.lfpb"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ValidationError, match=message):
+        read_panel(path)
 
 
 def test_read_panel_rejects_truncated_payload(rng, tmp_path):

@@ -268,8 +268,10 @@ def test_evaluate_score_quantiles_shape(rng):
 def test_truth_round_trip(rng, tmp_path):
     spec = ScenarioSpec.curves(p=30, sigma2=0.0, seed=6, n_subjects=10, n_visits=4)
     panel, design, truth = generate_scenario1(spec)
-    save_truth(truth, design, tmp_path)
+    save_truth(truth, tmp_path)
     back = load_truth(tmp_path)
+    assert back.subject_ids == list(design.subject_ids) == truth.subject_ids
+    assert back.visit_counts == design.visit_counts.tolist() == truth.visit_counts
     np.testing.assert_array_equal(back.lambda_x, truth.lambda_x)
     np.testing.assert_array_equal(back.xi, truth.xi)
     np.testing.assert_array_equal(back.zeta, truth.zeta)
@@ -280,11 +282,10 @@ def test_truth_round_trip(rng, tmp_path):
 
 def test_noiseless_curves_rank_at_most_twelve():
     # the noiseless generator spans at most 2 * 4 + 4 directions
-    from lfpca import accumulate_gram, eigen_gram, truncated_rank
+    from lfpca import accumulate_gram, eigen_gram
     spec = ScenarioSpec.curves(p=300, sigma2=0.0, seed=21, n_subjects=100, n_visits=4)
     panel, design, _ = generate_scenario1(spec)
-    decomp = eigen_gram(accumulate_gram(panel)[0])
-    assert truncated_rank(decomp.s, var_threshold=0.9999) <= 12
+    assert eigen_gram(accumulate_gram(panel)[0], var_threshold=0.9999).r <= 12
 
 
 def test_auto_orders_on_noiseless_curves():
