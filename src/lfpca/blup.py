@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
 from .panel import DataPanel, center_panel, finite_row_sums, stream
-from .store import FittedModel, ScorePanel, basis_files
+from .store import FittedModel, ScorePanel
 from .store import read_scores_csv  # lfbench imports it as lfpca.blup.read_scores_csv
 
 
@@ -36,7 +36,7 @@ def panel_projections(model: FittedModel, panel: DataPanel,
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
     bases = [*model.phi_x, model.phi_w]
-    sources = [basis._path or name for basis, name in zip(bases, basis_files(model.q))]
+    sources = model.basis_sources()
 
     def _project(rows, blocks, outs):
         *parts, block = blocks

@@ -10,6 +10,7 @@ heavy work is therefore linear in p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .panel import DataPanel, finite_row_sums, stream
 
 DEFAULT_VAR_THRESHOLD = 0.9999  # spectrum mass an automatic rank keeps
 KRYLOV_BLOCK = 8  # columns of the start block of top_eigenpairs
+GIVE_UP_STEP = 6  # top_eigenpairs judges its acceptance ratio from this step (or half its budget)
+RITZ_LEAD = 2  # steps before its predicted acceptance that top_eigenpairs solves again
+RITZ_MAX_GAP = 5  # most steps from one Rayleigh-Ritz solve of top_eigenpairs to the next
 
 
 @dataclass
@@ -128,13 +132,24 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
     ||K x - theta x|| is at most EIGEN_RESIDUAL_TOL * ||K||_1 and the
     wanted pairs' residual over the gap to the next Ritz value, which
     bounds the error of their span, is at most EIGEN_VECTOR_TOL. The
-    record is then ``{"path": "krylov", "steps": ..., "residual": ...}``,
-    the largest accepted residual relative to ||K||_1. The work is capped
-    at a basis of n/4 columns: one that would pass it, that no longer
-    grows, or that at its last step's rate of progress would need more
-    than twice the steps left (judged past half the budget for the
-    residuals) gives up for one dense ``eigh``. The record
-    is then ``{"path": "dense"}`` and all n pairs are returned.
+    record is then ``{"path": "krylov", "steps": ..., "rayleigh_ritz": ...,
+    "residual": ...}``: the steps, the Rayleigh-Ritz solves among them, and
+    the largest accepted residual relative to ||K||_1.
+
+    Rayleigh-Ritz runs only where it could accept: at every step until the
+    larger acceptance ratio has fallen between two solves, then RITZ_LEAD
+    steps before the step at which, at the rate it fell since the last
+    solve, it would reach 1, but after at least one and at most
+    RITZ_MAX_GAP steps (early rates are the slowest, so the prediction errs
+    late), and always at the last step and the first step that may give
+    up. The work is capped at a basis of n/4 columns: one that would pass
+    it, that no longer grows, or whose progress says it cannot make it
+    gives up for one dense ``eigh``. Progress is the captured trace until it reaches
+    ``mass`` (at the last step's gain, more than twice the steps left), then
+    the ratio: from step GIVE_UP_STEP or half the budget, whichever comes
+    first, at the rate it fell since the last solve, more than three times
+    the steps left (early steps converge slowest). The record is then
+    ``{"path": "dense"}`` and all n pairs are returned.
     """
     if (k is None) == (mass is None):
         raise ValidationError("top_eigenpairs takes exactly one of k and mass")
@@ -149,7 +164,9 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
     basis, images = np.empty((n, budget)), np.empty((n, budget))
     proj = np.empty((budget, budget))  # basis' K basis
     block = _start_block(n, width)
-    m, steps, last_excess, last_mass = 0, 0, np.inf, 0.0
+    m = steps = solves = 0
+    last_mass, last_step, last_excess = 0.0, 0, np.inf
+    due, was_judged = 1, False  # the next step due for Rayleigh-Ritz; the last one's judging
     while block.shape[1] and m + block.shape[1] <= budget:
         c = block.shape[1]
         basis[:, m:m + c], images[:, m:m + c] = block, matrix @ block
@@ -157,35 +174,43 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
         proj[m:m + c, :m] = proj[:m, m:m + c].T
         proj[m:m + c, m:m + c] = (proj[m:m + c, m:m + c] + proj[m:m + c, m:m + c].T) / 2
         m, steps = m + c, steps + 1
+        block = _new_directions(basis[:, :m], images[:, m - c:m], floor)
+        grows = block.shape[1] and m + block.shape[1] <= budget  # another step follows
         # the Ritz values sum to trace(proj): below ``mass`` no count of them can reach it
         captured = np.trace(proj[:m, :m])
         if mass is not None and captured < mass:
             if steps > 1 and mass - captured > 2 * (captured - last_mass) * (budget - m) / c:
                 break  # at the last step's gain, more than twice the steps left
             last_mass = captured
-        else:
-            theta, vecs = np.linalg.eigh(proj[:m, :m])
-            theta, vecs = theta[::-1], vecs[:, ::-1]
-            # in mass mode, one more than the leading sums short of it (m + 1 if all are)
-            want = k if mass is None else int(np.sum(np.cumsum(theta) < mass)) + 1
-            if want < m:
-                ritz = basis[:, :m] @ vecs[:, :want + 1]
-                res = np.linalg.norm(images[:, :m] @ vecs[:, :want + 1] - ritz * theta[:want + 1],
-                                     axis=0)
-                bound = EIGEN_VECTOR_TOL * (theta[want - 1] - theta[want])
-                # the larger of the two acceptance ratios; 1 or less accepts
-                excess = (max(res.max() / floor, np.linalg.norm(res[:want]) / bound)
-                          if floor > 0 and bound > 0 else np.inf)
-                if excess <= 1:
-                    return (theta[:want].copy(), ritz[:, :want],
-                            {"path": "krylov", "steps": steps, "residual": float(res.max() / norm)})
-                # past half the budget, and at the last step's rate, more than
-                # twice the steps left (early steps converge slowest)
-                if (2 * m >= budget and excess < last_excess
-                        and np.log(excess) / np.log(last_excess / excess) > 2 * (budget - m) / c):
-                    break
-                last_excess = excess
-        block = _new_directions(basis[:, :m], images[:, m - c:m], floor)
+            continue
+        judged = steps >= GIVE_UP_STEP or 2 * m >= budget
+        if grows and steps < due and (was_judged or not judged):
+            continue
+        solves, was_judged = solves + 1, judged
+        theta, vecs = np.linalg.eigh(proj[:m, :m])
+        theta, vecs = theta[::-1], vecs[:, ::-1]
+        # in mass mode, one more than the leading sums short of it (m + 1 if all are)
+        want = k if mass is None else int(np.sum(np.cumsum(theta) < mass)) + 1
+        if want >= m:
+            continue
+        ritz = basis[:, :m] @ vecs[:, :want + 1]
+        res = np.linalg.norm(images[:, :m] @ vecs[:, :want + 1] - ritz * theta[:want + 1], axis=0)
+        bound = EIGEN_VECTOR_TOL * (theta[want - 1] - theta[want])
+        # the larger of the two acceptance ratios; 1 or less accepts
+        excess = (max(res.max() / floor, np.linalg.norm(res[:want]) / bound)
+                  if floor > 0 and bound > 0 else np.inf)
+        if excess <= 1:
+            return (theta[:want].copy(), ritz[:, :want],
+                    {"path": "krylov", "steps": steps, "rayleigh_ritz": solves,
+                     "residual": float(res.max() / norm)})
+        due = steps + 1
+        if np.isfinite(last_excess) and excess < last_excess:
+            rate = np.log(last_excess / excess) / (steps - last_step)  # per step
+            left = np.log(excess) / rate  # steps to acceptance at that rate
+            if judged and left > 3 * (budget - m) / c:
+                break
+            due = steps + min(RITZ_MAX_GAP, max(1, math.ceil(left) - RITZ_LEAD))
+        last_step, last_excess = steps, excess
     return _dense_eigenpairs(matrix)
 
 

@@ -86,7 +86,8 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     K_l = C W_l C', where W_l is the block-diagonal n x n matrix holding
     each subject's J x J pair weights. W_l C' is formed one visit-count
     group at a time and K_l is then a single r x n by n x r product written
-    into its block of k_x (or into k_w); W_l itself is never built.
+    into its block of k_x (or into k_w); W_l itself is never built, and a
+    block below the diagonal is its mirror transposed.
     Raw traces are sum(W_l * G) over the diagonal blocks of the full Gram
     matrix, so they keep the complete trace even when the rank was
     truncated.
@@ -103,8 +104,6 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     k_x, k_w, traces = _weighted_products(coords, mom, design, gram)
     trace_x = float(np.trace(traces[:d - 1].reshape(q + 1, q + 1)))
     trace_w = float(traces[d - 1])
-    k_x = (k_x + k_x.T) / 2
-    k_w = (k_w + k_w.T) / 2
     if not (np.all(np.isfinite(k_x)) and np.all(np.isfinite(k_w))):
         raise NumericalError("intrinsic covariance accumulation produced non-finite values")
     return IntrinsicCovariances(k_x=k_x, k_w=k_w, trace_x_raw=trace_x, trace_w_raw=trace_w)
@@ -112,9 +111,12 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
 
 def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign",
                        gram: np.ndarray):
-    """Unsymmetrized C W_l C' for every weight column l, in k_x blocks and
-    k_w, and sum(W_l * G) per column. Its (n, r) work arrays are freed on
-    return, before the caller's symmetrized copies set the peak memory."""
+    """Symmetric k_x and k_w from C W_l C' for every weight column l, and
+    sum(W_l * G) per column. Swapping the visits of every pair swaps the
+    rows (k, s) and (s, k) of F, so W_ks = W_sk': a k_x block below the
+    diagonal is the transpose of its mirror, not a product of its own, and
+    a block on the diagonal and k_w are symmetrized as (K + K') / 2 in
+    place. The (n, r) work arrays are freed on return."""
     q, r = mom.q, coords.shape[0]
     d = mom.n_rows
     groups = []
@@ -129,11 +131,16 @@ def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign"
     k_w = np.empty((r, r))
     t = np.empty((design.n, r))  # W_l C'
     for l in range(d):
+        k, s = divmod(l, q + 1)
+        if l < d - 1 and k > s:  # W_ks = W_sk': block (k, s) is block (s, k) transposed
+            k_x[k * r:(k + 1) * r, s * r:(s + 1) * r] = k_x[s * r:(s + 1) * r, k * r:(k + 1) * r].T
+            continue
         for cols, weights, c_g in groups:
             t[cols] = weights[..., l] @ c_g
-        k, s = divmod(l, q + 1)
         out = k_w if l == d - 1 else k_x[k * r:(k + 1) * r, s * r:(s + 1) * r]
         np.matmul(coords, t, out=out)
+        if k == s or l == d - 1:
+            out[...] = (out + out.T) / 2
     return k_x, k_w, traces
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import StudyDesign, normalize_covariates
 from .errors import ValidationError
-from .panel import DataPanel
+from .panel import DataPanel, finite_row_sums
 from .store import FittedModel, GroundTruth, ScorePanel
 
 LATTICE_DIMS = (38, 72, 11)
@@ -292,8 +292,9 @@ def evaluate(truth: GroundTruth, model: FittedModel,
             f"truth ({truth.n_x}, {truth.n_w})")
     if model.p != truth.phi_w.shape[0]:
         raise ValidationError("model and truth disagree on p")
-    est_x = [panel.to_array() for panel in model.phi_x]
-    est_w = model.phi_w.to_array()
+    *est_x, est_w = [phi.to_array() for phi in (*model.phi_x, model.phi_w)]
+    for est, source in zip((*est_x, est_w), model.basis_sources()):
+        finite_row_sums(slice(0, model.p), est, source=source)
     distances: dict[str, np.ndarray] = {}
     for k in range(model.q + 1):
         distances[f"x{k}"] = np.array([

@@ -73,6 +73,12 @@ class FittedModel:
     def n_w(self) -> int:
         return self.a_w.shape[1]
 
+    def basis_sources(self) -> list:
+        """What a refusal of each basis' values names, in family order: its
+        file, or its file name in a model directory when held in memory."""
+        return [phi._path or name
+                for phi, name in zip([*self.phi_x, self.phi_w], basis_files(self.q))]
+
     def in_model_units(self, design: StudyDesign) -> StudyDesign:
         """A design in original units through the stored scaling; refused unless q matches."""
         if design.q != self.q:
@@ -119,8 +125,8 @@ def save_model(model: FittedModel, outdir) -> None:
         "covariate_scaling": [{"column": s.column, "shift": s.shift, "scale": s.scale}
                               for s in model.covariate_scaling],
     }
-    with open(outdir / MODEL_FILE, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    # one line: json.dumps without indent takes the C encoder, json.dump never does
+    (outdir / MODEL_FILE).write_text(json.dumps(payload, sort_keys=True))
     write_panel(DataPanel.from_array(model.mean[:, None]), outdir / MEAN_FILE)
     for phi, name in zip([*model.phi_x, model.phi_w], basis_files(model.q)):
         if not (phi.file_backed and phi._path == outdir / name):

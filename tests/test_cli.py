@@ -601,6 +601,24 @@ def test_scores_refuses_nonfinite_basis_by_file(saved_fit, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_evaluate_refuses_nonfinite_basis_by_file(saved_fit, tmp_path, capsys):
+    # evaluate reads the bases whole; an inf in one is refused as scoring
+    # refuses it, not written into the table as an inf distance
+    rep_dir, fit_dir = saved_fit
+    shutil.copytree(fit_dir, tmp_path / "fit")
+    arr = read_panel(tmp_path / "fit" / "phi_w.lfpb").to_array()
+    arr[5, 0] = np.inf
+    write_panel(DataPanel.from_array(arr), tmp_path / "fit" / "phi_w.lfpb")
+    capsys.readouterr()
+    assert run("evaluate", "--truth", str(rep_dir), "--fit", str(tmp_path / "fit"),
+               "--out", str(tmp_path / "m.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(
+        r"fit/phi_w\.lfpb: non-finite values in rows \[0, 200\), first at row 5$",
+        errors[0]), errors
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_evaluate_checks_fit_q_against_truth(saved_fit, tmp_path, capsys):
     # a fit with a second covariate against a q=1 truth is refused by name,
     # not ended by an IndexError

@@ -434,6 +434,25 @@ def test_model_json_with_full_spectra_still_scores(rng, tmp_path):
     np.testing.assert_array_equal(got.zeta, want.zeta)
 
 
+def test_model_json_is_compact_and_indented_files_still_load(rng, tmp_path):
+    # model.json is one line with the keys and float text of the indented
+    # layout written before; a file in that layout loads to the same bits
+    import json
+    import shutil
+    res, _ = fit_and_oracle(rng, n_x=2, n_w=2)
+    save_model(res.model, tmp_path / "compact")
+    text = (tmp_path / "compact" / "model.json").read_text()
+    indented = json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert "\n" not in text and "".join(text.split()) == "".join(indented.split())
+    shutil.copytree(tmp_path / "compact", tmp_path / "indented")
+    (tmp_path / "indented" / "model.json").write_text(indented)
+    want, got = load_model(tmp_path / "compact"), load_model(tmp_path / "indented")
+    for name in ("a_x", "a_w", "lambda_x", "lambda_w", "mean"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("n", "sigma2", "trace_x", "trace_w", "clipped_count", "covariate_scaling"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
 def test_fit_file_backed_without_workdir(rng, tmp_path):
     design = make_design(rng, n_subjects=6, visits=3)
     arr = rng.standard_normal((24, design.n))

@@ -140,6 +140,41 @@ def test_top_eigenpairs_accepts_krylov_on_curves_k_x():
     assert_matches_dense(evals, evecs, k_x)
 
 
+def noisy_curves_fit(seed):
+    panel, design, _ = generate_scenario1(ScenarioSpec.curves(p=750, sigma2=1e-2, seed=seed))
+    return fit_panel(panel, design, n_x=4, n_w=4)
+
+
+def test_top_eigenpairs_certifies_noisy_k_x_with_fewer_rayleigh_ritz_solves():
+    # a noisy k_x (798 square) takes 15-19 steps; Rayleigh-Ritz runs only
+    # at the steps that could accept, and the pairs are dense's
+    k_x = noisy_curves_fit(seed=4).covariances.k_x
+    evals, evecs, solver = top_eigenpairs(k_x, k=4)
+    assert solver["path"] == "krylov" and solver["rayleigh_ritz"] < solver["steps"]
+    np.testing.assert_allclose(evals, np.linalg.eigvalsh(k_x)[::-1][:4], rtol=1e-12, atol=0)
+    assert_matches_dense(evals, evecs, k_x)
+
+
+@pytest.mark.parametrize("matrix, k", [("k_w", 4), ("gram", 10)])
+def test_top_eigenpairs_gives_up_early_where_it_cannot_certify(monkeypatch, matrix, k):
+    # this k_w's 5th and 6th eigenvalues nearly tie (0.0716, 0.0692), and
+    # the 11th Gram pair lies in the noise bulk: the next Ritz pair's
+    # residual cannot reach the floor within the budget. The attempt gives
+    # up by step GIVE_UP_STEP (each step makes one new block) and returns
+    # dense eigh's bits.
+    fit = noisy_curves_fit(seed=3)
+    matrix = fit.covariances.k_w if matrix == "k_w" else fit.gram
+    steps = []
+    new_directions = gram_module._new_directions
+    monkeypatch.setattr(gram_module, "_new_directions",
+                        lambda *args: steps.append(1) or new_directions(*args))
+    evals, evecs, solver = top_eigenpairs(matrix, k=k)
+    assert solver == {"path": "dense"} and 2 <= len(steps) <= gram_module.GIVE_UP_STEP
+    dense_vals, dense_vecs = np.linalg.eigh(matrix)
+    np.testing.assert_array_equal(evals, dense_vals[::-1])
+    np.testing.assert_array_equal(evecs, dense_vecs[:, ::-1])
+
+
 def test_top_eigenpairs_falls_back_on_tie_at_cut():
     # lambda_4 = lambda_5: no gap bounds the vectors of the top four
     matrix = with_spectrum(np.r_[[9.0, 7.0, 5.0, 3.0, 3.0], np.full(195, 0.1)])

@@ -143,6 +143,33 @@ def test_block_weight_column_mapping(rng):
     np.testing.assert_allclose(covs.k_x[r:, :r], covs.k_x[:r, r:].T, atol=1e-15)
 
 
+def every_block_covariances(decomp, mom, design):
+    """Reference: each C W_l C' from its n x n weight matrix W_l built in
+    full, every k_x block a product of its own, then symmetrized."""
+    coords = np.sqrt(decomp.s)[:, None] * decomp.u.T
+    w = np.zeros((mom.n_rows, design.n, design.n))
+    for i, j in enumerate(design.visit_counts):
+        cols = design.columns(i)
+        pairs = mom.pair_offsets[i] + np.arange(j * j)
+        w[:, cols, cols] = mom.h[pairs].T.reshape(-1, j, j)
+    q1 = mom.q + 1
+    k_x = np.block([[coords @ w[k * q1 + s] @ coords.T for s in range(q1)] for k in range(q1)])
+    k_w = coords @ w[-1] @ coords.T
+    return (k_x + k_x.T) / 2, (k_w + k_w.T) / 2
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_covariance_blocks_match_every_block_reference(rng, q):
+    # a k_x block below the diagonal is copied from its mirror (W_ks = W_sk'),
+    # which must agree with forming it
+    design = make_design(rng, n_subjects=6, visits=[1, 3, 2, 5, 1, 4], q=q)
+    _, _, decomp, covs = fit_covs(rng, 40, design)
+    mom = compute_weights(build_design_matrix(design))
+    k_x, k_w = every_block_covariances(decomp, mom, design)
+    assert np.abs(covs.k_x - k_x).max() <= 1e-14 * np.abs(k_x).max()
+    assert np.abs(covs.k_w - k_w).max() <= 1e-14 * np.abs(k_w).max()
+
+
 def test_estimates_invariant_to_subject_order(rng):
     design = make_design(rng, n_subjects=6, visits=3)
     arr = rng.standard_normal((18, design.n))
