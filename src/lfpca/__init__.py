@@ -10,14 +10,14 @@ the data in row slices.
 __version__ = "0.1.0"
 
 from .blup import reconstruct, score_blups, score_new_panel
-from .design import (CovariateScale, DesignReport, StudyDesign, apply_covariate_scaling,
-                     normalize_covariates, read_metadata, validate_design, write_metadata)
+from .design import (CovariateScale, StudyDesign, apply_covariate_scaling, normalize_covariates,
+                     read_metadata, validate_design, write_metadata)
 from .errors import IdentifiabilityError, LfpcaError, NumericalError, ValidationError
 from .fit import (FitResult, VarianceTable, decompose_intrinsic, estimate_sigma2, fit_panel,
                   variance_explained)
 from .gram import IntrinsicDecomposition, accumulate_gram, eigen_gram
-from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
-                  intrinsic_covariances)
+from .mom import (DesignReport, IntrinsicCovariances, MomDesign, build_design_matrix,
+                  compute_weights, intrinsic_covariances, judge_design)
 from .panel import (DataPanel, PanelWriter, center_panel, panel_from_csv, panel_to_csv,
                     read_panel, stream, write_panel)
 from .simulate import (EvaluationResult, ScenarioSpec, aligned_sq_distance, curve_bases,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._parallel import resolve_threads
 from .design import StudyDesign
 from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
@@ -45,8 +44,7 @@ def panel_projections(model: FittedModel, panel: DataPanel,
         finite_row_sums(rows, block)
         return (np.hstack(parts).T @ block,)
 
-    (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project,
-                           threads=resolve_threads(threads))
+    (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project, threads=threads)
     return stacked
 
 

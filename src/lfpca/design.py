@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .limits import FF_CONDITION_LIMIT
+from .mom import DesignReport, build_design_matrix, judge_design
 
 
 class StudyDesign:
@@ -192,54 +192,7 @@ def apply_covariate_scaling(design: StudyDesign, scales) -> StudyDesign:
 # identifiability validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DesignReport:
-    """Outcome of validate_design: ok iff no failure was recorded."""
-
-    failures: list[str]
-    rank: int
-    required_rank: int
-    condition_number: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __str__(self) -> str:
-        if self.ok:
-            return (f"design ok: moment design matrix has full row rank "
-                    f"{self.rank}/{self.required_rank}")
-        return "design invalid: " + "; ".join(self.failures)
-
-
 def validate_design(design: StudyDesign) -> DesignReport:
-    """Check that the design identifies all variance components.
-
-    The operative condition is that the pairwise-moment design matrix F has
-    full row rank (q+1)^2 + 1 with a well-conditioned F F'. Additionally at
-    least one subject must have three or more visits, which is what separates
-    the visit-specific component from the subject trajectory in practice.
-    Returns a report instead of raising, so callers can surface every
-    deficiency at once.
-    """
-    from .mom import build_design_matrix
-
-    failures: list[str] = []
-    required = (design.q + 1) ** 2 + 1
-    if max(design.visit_counts) < 3:
-        failures.append("no subject has 3 or more visits; the visit-specific component "
-                        "is not identifiable")
-    f = build_design_matrix(design).f
-    sv = np.linalg.svd(f, compute_uv=False)
-    rank = int(np.sum(sv > sv[0] * max(f.shape) * np.finfo(float).eps)) if sv[0] > 0 else 0
-    if rank < required:
-        failures.append(f"moment design matrix is rank deficient ({rank} < {required}); "
-                        "check visit counts and covariate spread")
-        cond = np.inf
-    else:
-        cond = float((sv[0] / sv[required - 1]) ** 2)  # condition number of F F'
-        if cond > FF_CONDITION_LIMIT:
-            failures.append(f"moment design matrix is numerically singular "
-                            f"(condition {cond:.2e} > {FF_CONDITION_LIMIT:.0e})")
-    return DesignReport(failures=failures, rank=rank, required_rank=required,
-                        condition_number=cond)
+    """Check that the design identifies all variance components: the report
+    of :func:`lfpca.mom.judge_design` on its moment design matrix."""
+    return judge_design(build_design_matrix(design))

@@ -16,13 +16,13 @@ import numpy as np
 
 from ._parallel import resolve_threads
 from .blup import score_blups
-from .design import CovariateScale, DesignReport, StudyDesign, normalize_covariates, validate_design
-from .errors import IdentifiabilityError, ValidationError
+from .design import CovariateScale, StudyDesign, normalize_covariates
+from .errors import ValidationError
 from .gram import (DEFAULT_VAR_THRESHOLD, IntrinsicDecomposition, accumulate_gram,
                    check_count, check_share, eigen_gram, fix_signs, left_factor, mass_count,
                    stack_coefficients, top_eigenpairs)
-from .mom import (IntrinsicCovariances, MomDesign, build_design_matrix, compute_weights,
-                  intrinsic_covariances)
+from .mom import (DesignReport, IntrinsicCovariances, MomDesign, build_design_matrix,
+                  compute_weights, intrinsic_covariances)
 from .panel import DataPanel, stream
 from .store import V_FILE, FittedModel, ScorePanel, basis_files
 from .store import load_model, save_model  # lfbench imports and traces them as lfpca.fit.*
@@ -170,8 +170,11 @@ class FitResult:
     gram: np.ndarray
     options: dict  # rank, thresholds, threads, normalize, write_v as used; None where unused
     eigensolvers: dict  # top_eigenpairs record of "gram", "k_x" and "k_w"
-    report: DesignReport | None = None
     v: DataPanel | None = None  # left singular vectors, only with write_v
+
+    @property
+    def report(self) -> DesignReport:  # the fitted design's, kept beside H
+        return self.mom.report
 
 
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
@@ -184,13 +187,14 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     per-subject score prediction.
 
     With ``normalize`` the covariates are standardized before the design is
-    validated, so the identifiability check and ``report`` describe the
+    judged, so the identifiability check and ``report`` describe the
     design that is fitted, whatever the units of the covariates; the model
     stores the transform, so callers keep their design in original units.
-    Options are checked before any row is read, as the steps check them; a
-    count must fit its matrix (n for the rank, the rank or n for ``n_w``, (q+1)
-    times that for ``n_x``). A None threshold takes its default where it is
-    used, and one that nothing automatic uses is refused.
+    Options are checked and the design judged (:func:`compute_weights`) before
+    any row is read, as the steps check them; a count must fit its matrix (n
+    for the rank, the rank or n and below p for ``n_w``, (q+1) times the rank
+    or n for ``n_x``). A None threshold takes its default where it is used,
+    and one that nothing automatic uses is refused.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
@@ -219,15 +223,14 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
     r = panel.n if rank is None else check_count("rank", rank, panel.n)
-    for name, count, limit in (("n_x", n_x, (design.q + 1) * r), ("n_w", n_w, r)):
+    for name, count, limit in (("n_x", n_x, (design.q + 1) * r),
+                               ("n_w", n_w, min(r, panel.p - 1))):
         if count is not None:
             check_count(name, count, limit)
     scaling: tuple[CovariateScale, ...] = ()
     if normalize:
         design, scaling = normalize_covariates(design)
-    report = validate_design(design)
-    if not report.ok:
-        raise IdentifiabilityError(str(report))
+    mom = compute_weights(build_design_matrix(design))
 
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
@@ -236,7 +239,6 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     gram, mean = accumulate_gram(panel, threads=threads)
     decomp = eigen_gram(gram, rank=rank, var_threshold=var_threshold)
 
-    mom = compute_weights(build_design_matrix(design))
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
     basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p)
@@ -250,7 +252,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
                         covariate_scaling=scaling)
     scores = score_blups(model, decomp, design)
     return FitResult(model=model, decomposition=decomp, covariances=covs, scores=scores,
-                     mom=mom, gram=gram, report=report, v=v,
+                     mom=mom, gram=gram, v=v,
                      eigensolvers={"gram": decomp.solver, **basis.solvers}, options={
                          "rank": rank, "var_threshold": var_threshold, "normalize": normalize,
                          "order_threshold": order_threshold, "threads": threads,

@@ -47,7 +47,7 @@ class IntrinsicDecomposition:
         return self.s.size
 
 
-def accumulate_gram(panel: DataPanel, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def accumulate_gram(panel: DataPanel, threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(G, mean)``: the centered Gram matrix and the row means, in one pass.
 
     Each row is shifted by its first column before the slice products are

@@ -1,7 +1,7 @@
 """Numerical limits shared by the pipeline; ``lfpca fit`` echoes them in manifest.json."""
 
-# Largest condition number of the moment design product F F' that
-# validate_design and compute_weights accept.
+# Largest condition number (sigma_1 / sigma_d)^2 of the moment design product
+# F F' that mom.judge_design, the one identifiability rule, accepts.
 FF_CONDITION_LIMIT = 1e12
 # Largest condition number of a subject's score normal equations that is
 # solved directly; above it the minimum-norm least-squares solution is used

@@ -14,7 +14,6 @@ visit-count group at a time, never one subject or one pair at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,8 +21,25 @@ from .errors import IdentifiabilityError, NumericalError, ValidationError
 from .gram import IntrinsicDecomposition
 from .limits import FF_CONDITION_LIMIT
 
-if TYPE_CHECKING:
-    from .design import StudyDesign
+
+@dataclass
+class DesignReport:
+    """Outcome of judge_design: ok iff no failure was recorded."""
+
+    failures: list[str]
+    rank: int
+    required_rank: int
+    condition_number: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def __str__(self) -> str:
+        if self.ok:
+            return (f"design ok: moment design matrix has full row rank "
+                    f"{self.rank}/{self.required_rank}")
+        return "design invalid: " + "; ".join(self.failures)
 
 
 @dataclass
@@ -34,12 +50,14 @@ class MomDesign:
     (0-based; the last row is the same-visit indicator). Pairs are
     enumerated subjects in design order, (j1, j2) row-major, so subject i
     owns the contiguous column block starting at pair_offsets[i].
+    compute_weights sets h and the report of :func:`judge_design` it passed.
     """
 
     f: np.ndarray
     pair_offsets: np.ndarray
     q: int
     h: np.ndarray | None = None
+    report: DesignReport | None = None
 
     @property
     def n_rows(self) -> int:
@@ -65,16 +83,41 @@ def build_design_matrix(design: "StudyDesign") -> MomDesign:
     return MomDesign(f=f, pair_offsets=offsets, q=q)
 
 
-def compute_weights(mom: MomDesign) -> MomDesign:
-    """Attach H = F'(FF')^{-1}; the columns of H are the pair weights."""
+def judge_design(mom: MomDesign) -> DesignReport:
+    """The identifiability rule, from one SVD of F: full row rank (q+1)^2 + 1,
+    a condition number (sigma_1 / sigma_d)^2 of F F' at most FF_CONDITION_LIMIT,
+    and a subject with three or more visits (J^2 >= 9 pair columns), which is
+    what separates the visit-level component from the subject trajectory.
+    The report lists every deficiency instead of raising at the first."""
+    failures: list[str] = []
+    required = mom.n_rows
+    if np.diff(mom.pair_offsets).max() < 9:
+        failures.append("no subject has 3 or more visits; the visit-specific component "
+                        "is not identifiable")
     f = mom.f
-    ff = f @ f.T
-    cond = np.linalg.cond(ff)
-    if not np.isfinite(cond) or cond > FF_CONDITION_LIMIT:
-        raise IdentifiabilityError(
-            f"moment design matrix F F' is numerically singular (condition {cond:.2e}); "
-            "run validate_design for a diagnosis")
-    mom.h = np.linalg.solve(ff, f).T
+    sv = np.linalg.svd(f, compute_uv=False)
+    rank = int(np.sum(sv > sv[0] * max(f.shape) * np.finfo(float).eps)) if sv[0] > 0 else 0
+    if rank < required:
+        failures.append(f"moment design matrix is rank deficient ({rank} < {required}); "
+                        "check visit counts and covariate spread")
+        cond = np.inf
+    else:
+        cond = float((sv[0] / sv[required - 1]) ** 2)  # condition number of F F'
+        if cond > FF_CONDITION_LIMIT:
+            failures.append(f"moment design matrix is numerically singular "
+                            f"(condition {cond:.2e} > {FF_CONDITION_LIMIT:.0e})")
+    return DesignReport(failures=failures, rank=rank, required_rank=required,
+                        condition_number=cond)
+
+
+def compute_weights(mom: MomDesign) -> MomDesign:
+    """Attach H = F'(FF')^{-1}, whose columns are the pair weights, and the
+    report; a design :func:`judge_design` fails raises IdentifiabilityError."""
+    report = judge_design(mom)
+    if not report.ok:
+        raise IdentifiabilityError(str(report))
+    mom.h = np.linalg.solve(mom.f @ mom.f.T, mom.f).T
+    mom.report = report
     return mom
 
 

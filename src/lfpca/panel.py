@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._parallel import ordered_map
+from ._parallel import ordered_map, resolve_threads
 from .errors import NumericalError, ValidationError
 
 MAGIC = b"LFPB"
@@ -212,7 +212,7 @@ def read_panel(path) -> DataPanel:
                      _payload_offset=payload_offset)
 
 
-def stream(panels, fn, outputs=(), threads: int = 1):
+def stream(panels, fn, outputs=(), threads: int | None = None):
     """Run ``fn`` over aligned row blocks of ``panels``: the one slice loop.
 
     Blocks follow the slices of ``panels[0]``: each slice is cut into blocks
@@ -225,15 +225,17 @@ def stream(panels, fn, outputs=(), threads: int = 1):
     None, a vector. Outputs with a path are written block by block to an
     LFPB file, the others (vectors always) are kept in memory. The arrays fn
     returns, if any, are summed in block order, so no result depends on
-    ``threads``. At most ``threads + 1`` blocks are in flight, so the pass
-    holds about ``(threads + 1) x 2 x BLOCK_BYTES`` (a block and one
-    temporary of its size each) plus the sums, whatever the slice count.
+    ``threads`` (None: ``LFPCA_THREADS``; see :func:`resolve_threads`). At
+    most ``threads + 1`` blocks are in flight, so the pass holds about
+    ``(threads + 1) x 2 x BLOCK_BYTES`` (a block and one temporary of its
+    size each) plus the sums, whatever the slice count.
 
     Returns ``(sums, outs)``: the summed arrays (None when fn returns None)
     and each output as a vector, an in-memory DataPanel or the panel read
     back from its file, in the slice layout of ``panels[0]``. On error every
     output file is closed and deleted.
     """
+    threads = resolve_threads(threads)
     layout = panels[0]
     height = max(1, BLOCK_BYTES // (8 * sum(panel.n for panel in panels)))
     memory = [np.empty(layout.p if width is None else (layout.p, width)) if path is None

@@ -735,6 +735,24 @@ def test_unidentifiable_design_exits_3(tmp_path, rng):
     assert code == 3
 
 
+def test_nw_of_p_or_more_exits_2_before_reading(tmp_path, rng, monkeypatch):
+    design = make_design(rng, n_subjects=10, visits=4)
+    write_panel(DataPanel.from_array(rng.standard_normal((4, design.n))), tmp_path / "p.lfpb")
+    write_metadata(design, tmp_path / "m.csv")
+    calls = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        calls.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    assert run("fit", "--data", str(tmp_path / "p.lfpb"), "--meta", str(tmp_path / "m.csv"),
+               "--nx", "2", "--nw", "4", "--out", str(tmp_path / "f")) == 2
+    assert calls == []
+    assert not (tmp_path / "f").exists()
+
+
 @pytest.mark.parametrize("shift, scale, extra, code", [
     (2005.0, 1.0, (), 0),                   # calendar years
     (730000.0, 365.0, (), 0),               # days since an epoch

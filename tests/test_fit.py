@@ -6,9 +6,11 @@ import pytest
 
 from conftest import make_design, map_times, reordered, subject_rows
 from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
-                   decompose_intrinsic, eigen_gram, estimate_sigma2, fit_panel,
-                   generate_from_model, load_model, reconstruct, save_model, score_new_panel,
-                   stream, variance_explained, write_panel, read_panel)
+                   accumulate_gram, build_design_matrix, compute_weights, decompose_intrinsic,
+                   eigen_gram, estimate_sigma2, fit_panel, generate_from_model, load_model,
+                   reconstruct, save_model, score_new_panel, stream, validate_design,
+                   variance_explained, write_panel, read_panel)
+from lfpca import _parallel, design as design_module, fit as fit_module, mom as mom_module
 from lfpca import panel as panel_module
 from lfpca.gram import left_factor
 from lfpca.mom import IntrinsicCovariances
@@ -538,6 +540,69 @@ def test_fit_and_step_refuse_count_or_share_alike(rng, monkeypatch, options, ste
     assert str(fit_error.value) == str(step_error.value)
 
 
+def test_fit_refuses_n_w_of_p_or_more_before_reading(rng, monkeypatch):
+    # the noise variance divides the trace left over by p - n_w, so an n_w of
+    # p or more cannot fit and costs no pass over the data
+    design = make_design(rng, n_subjects=10, visits=4)
+    panel = DataPanel.from_array(rng.standard_normal((4, design.n)))
+    assert fit_panel(panel, design, n_x=2, n_w=3).model.n_w == 3
+    calls = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        calls.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    with pytest.raises(ValidationError, match=r"n_w must be in \[1, 3\], got 4"):
+        fit_panel(panel, design, n_x=2, n_w=4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["two visits", "one visit", "constant covariate", "valid"])
+def test_library_and_fit_judge_a_design_alike(rng, monkeypatch, kind):
+    # one identifiability rule: compute_weights refuses exactly the designs
+    # that validate_design reports, with the report's text, and fit_panel
+    # builds F once and judges it before it reads any row
+    design = {"two visits": lambda: make_design(rng, n_subjects=20, visits=2),
+              "one visit": lambda: make_design(rng, n_subjects=8, visits=1),
+              "constant covariate": lambda: map_times(make_design(rng, n_subjects=8, visits=4),
+                                                      3.0, 0.0),
+              "valid": lambda: make_design(rng, n_subjects=20, visits=4)}[kind]()
+    panel = DataPanel.from_array(rng.standard_normal((30, design.n)))
+    report = validate_design(design)
+    assert report.ok == (kind == "valid")
+    if report.ok:
+        assert compute_weights(build_design_matrix(design)).report == report
+    else:
+        with pytest.raises(IdentifiabilityError) as library:
+            compute_weights(build_design_matrix(design))
+        assert str(library.value) == str(report)
+
+    events = []
+    read_rows = DataPanel.read_rows
+
+    def reading(self, start, stop):
+        events.append("read")
+        return read_rows(self, start, stop)
+
+    def building(d):
+        events.append("build")
+        return build_design_matrix(d)
+
+    monkeypatch.setattr(DataPanel, "read_rows", reading)
+    for module in (mom_module, design_module, fit_module):
+        monkeypatch.setattr(module, "build_design_matrix", building)
+    if report.ok:
+        assert fit_panel(panel, design, n_x=2, n_w=2, normalize=False).report == report
+        assert events[0] == "build" and events.count("build") == 1 and "read" in events
+    else:
+        with pytest.raises(IdentifiabilityError) as fitted:
+            fit_panel(panel, design, normalize=False)
+        assert str(fitted.value) == str(report)
+        assert events == ["build"]
+
+
 def test_fit_refuses_panel_without_variance(rng):
     # every column equal: the centred panel is zero
     design = make_design(rng, n_subjects=6, visits=3)
@@ -685,6 +750,42 @@ def test_thread_resolution_env(monkeypatch):
         monkeypatch.setenv("LFPCA_THREADS", value)
         with pytest.raises(ValidationError, match="LFPCA_THREADS"):
             resolve_threads(None)
+
+
+@pytest.mark.parametrize("name", ["accumulate_gram", "stream", "score_new_panel", "fit_panel"])
+@pytest.mark.parametrize("threads", [None, 0, -1])
+def test_every_threads_argument_follows_one_rule(rng, monkeypatch, name, threads):
+    # None is LFPCA_THREADS; an explicit count below 1 is refused before any
+    # row is read
+    design = make_design(rng, n_subjects=6, visits=3)
+    panel = DataPanel.from_array(rng.standard_normal((60, design.n)), n_slices=3)
+    model = fit_panel(panel, design, n_x=2, n_w=2, threads=1).model
+    call = {"accumulate_gram": lambda: accumulate_gram(panel, threads=threads),
+            "stream": lambda: stream([panel], lambda rows, blocks, outs: None, threads=threads),
+            "score_new_panel": lambda: score_new_panel(model, panel, design, threads=threads),
+            "fit_panel": lambda: fit_panel(panel, design, n_x=2, n_w=2, threads=threads)}[name]
+    pools, reads = [], []
+    read_rows = DataPanel.read_rows
+
+    class RecordingPool(_parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def counting(self, start, stop):
+        reads.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    monkeypatch.setenv("LFPCA_THREADS", "2")
+    if threads is None:
+        call()
+        assert pools and set(pools) == {2}
+    else:
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            call()
+        assert pools == [] and reads == []
 
 
 def test_variance_single_component_is_total():
