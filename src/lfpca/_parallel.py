@@ -8,6 +8,7 @@ the worker count, not to the number of slices.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -35,7 +36,9 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> I
     """Yield fn(item) for each item, in input order.
 
     With threads <= 1 this is a plain serial loop (the reference path).
-    Otherwise at most ``threads + 1`` results are in flight at a time.
+    Otherwise the oldest result is taken before the next item is read, so at
+    most ``threads + 1`` items are alive at a time: ``threads`` submitted and
+    the one being read.
     """
     if threads <= 1:
         for item in items:
@@ -45,18 +48,10 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> I
             result = None
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = []
         it = iter(items)
-        try:
-            for _ in range(threads + 1):
-                pending.append(pool.submit(fn, next(it)))
-        except StopIteration:
-            it = None
+        pending = [pool.submit(fn, item) for item in itertools.islice(it, threads + 1)]
         while pending:
-            done = pending.pop(0)
-            if it is not None:
-                try:
-                    pending.append(pool.submit(fn, next(it)))
-                except StopIteration:
-                    it = None
-            yield done.result()
+            result = pending.pop(0).result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(it, 1))
+            yield result
+            result = None

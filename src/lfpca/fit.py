@@ -55,29 +55,32 @@ class IntrinsicBasis:
 
 
 def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: int | None = None,
-                        threshold: float = DEFAULT_ORDER_THRESHOLD) -> IntrinsicBasis:
+                        threshold: float = DEFAULT_ORDER_THRESHOLD,
+                        p: int | None = None) -> IntrinsicBasis:
     """Top eigenpairs of the intrinsic covariances, descending, clipped at 0.
 
     An order left as None is the fewest leading eigenvalues of the matrix
     (``eigvalsh``) that hold ``threshold`` of its positive mass, at most
-    ORDER_CAP (``threshold`` is :func:`fit_panel`'s ``order_threshold``); the
-    pairs come from :func:`top_eigenpairs`. Eigenvector columns are
+    ORDER_CAP (``threshold`` is :func:`fit_panel`'s ``order_threshold``), and
+    an automatic ``n_w`` is below ``p`` when given, as :func:`estimate_sigma2`
+    needs; the pairs come from :func:`top_eigenpairs`. Eigenvector columns are
     sign-normalized so their largest-magnitude entry is positive, which makes
     outputs reproducible across platforms.
     """
-    a_x, lam_x, clip_x, solver_x = _top_eigen(cov.k_x, n_x, "n_x", threshold)
-    a_w, lam_w, clip_w, solver_w = _top_eigen(cov.k_w, n_w, "n_w", threshold)
+    a_x, lam_x, clip_x, solver_x = _top_eigen(cov.k_x, n_x, "n_x", threshold, ORDER_CAP)
+    a_w, lam_w, clip_w, solver_w = _top_eigen(cov.k_w, n_w, "n_w", threshold,
+                                              ORDER_CAP if p is None else min(ORDER_CAP, p - 1))
     return IntrinsicBasis(a_x=a_x, lambda_x=lam_x, a_w=a_w, lambda_w=lam_w,
                           clipped_x=clip_x, clipped_w=clip_w,
                           solvers={"k_x": solver_x, "k_w": solver_w})
 
 
-def _top_eigen(matrix: np.ndarray, count: int | None, name: str, threshold: float):
-    """Leading ``count`` pairs of ``matrix``, sign-fixed and clipped at 0, with
-    the number clipped and the solver record."""
+def _top_eigen(matrix: np.ndarray, count: int | None, name: str, threshold: float, cap: int):
+    """Leading ``count`` pairs of ``matrix`` (automatic ones at most ``cap``),
+    sign-fixed and clipped at 0, with the number clipped and the solver record."""
     if count is None:
         share = check_share("order_threshold", threshold)
-        count = min(mass_count(np.linalg.eigvalsh(matrix)[::-1], share), ORDER_CAP)
+        count = min(mass_count(np.linalg.eigvalsh(matrix)[::-1], share), cap)
     evals, evecs, solver = top_eigenpairs(matrix, k=check_count(name, count, matrix.shape[0]))
     top, vecs = evals[:count], np.array(evecs[:, :count])
     fix_signs(vecs)
@@ -193,15 +196,19 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     Options are checked and the design judged (:func:`compute_weights`) before
     any row is read, as the steps check them; a count must fit its matrix (n
     for the rank, the rank or n and below p for ``n_w``, (q+1) times the rank
-    or n for ``n_x``). A None threshold takes its default where it is used,
+    or n for ``n_x``), an automatic ``n_w`` is capped below p, and a panel of
+    one row is refused. A None threshold takes its default where it is used,
     and one that nothing automatic uses is refused.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
     the outputs' layout and cap the block height, never raise it. When
     ``workdir`` is given, the lifted bases are streamed to files there, so
-    peak memory stays at about ``(threads + 1) x 2 x BLOCK_BYTES + n^2``
-    plus O(p) vectors; otherwise they are kept in memory. With ``write_v``
+    peak memory stays at about ``(threads + 1) x BLOCK_BYTES + n^2`` plus
+    O(p) vectors for a file-backed panel, whose reads the Gram pass shifts in
+    place, and ``(threads + 1) x 2 x BLOCK_BYTES + n^2`` for an in-memory
+    one, whose blocks it shifts into a copy; otherwise they are kept in
+    memory. With ``write_v``
     the left singular vectors V = Y F, with F from :func:`left_factor`, are
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.
@@ -222,6 +229,8 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     threads = resolve_threads(threads)
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
+    if panel.p < 2:
+        raise ValidationError(f"a fit needs a panel of at least 2 rows, got p={panel.p}")
     r = panel.n if rank is None else check_count("rank", rank, panel.n)
     for name, count, limit in (("n_x", n_x, (design.q + 1) * r),
                                ("n_w", n_w, min(r, panel.p - 1))):
@@ -240,7 +249,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     decomp = eigen_gram(gram, rank=rank, var_threshold=var_threshold)
 
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
-    basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold)
+    basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold, p=panel.p)
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p)
 
     phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, threads, write_v)

@@ -52,14 +52,21 @@ def accumulate_gram(panel: DataPanel, threads: int | None = None) -> tuple[np.nd
 
     Each row is shifted by its first column before the slice products are
     summed; J removes the shift exactly, and without it a large mean would
-    cancel the signal in J Y'Y J. Non-finite input raises NumericalError
-    (see :func:`finite_row_sums`).
+    cancel the signal in J Y'Y J. A fresh read (see ``DataPanel.fresh_reads``)
+    is shifted in place; a view of an in-memory panel is shifted into a copy.
+    Non-finite input raises NumericalError (see :func:`finite_row_sums`).
     """
+    fresh = panel.fresh_reads
+
     def _slice(rows, blocks, outs):
         block = blocks[0]
         finite_row_sums(rows, block, out=outs[0])
-        shifted = block - block[:, :1]
-        return (shifted.T @ shifted,)
+        if fresh:
+            # copy the first column: numpy's overlap handling would copy the block
+            block -= block[:, :1].copy()
+        else:
+            block = block - block[:, :1]
+        return (block.T @ block,)
 
     (gram,), (sums,) = stream([panel], _slice, [(None, None)], threads)
     gram = (gram + gram.T) / 2

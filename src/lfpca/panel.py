@@ -98,6 +98,12 @@ class DataPanel:
     def file_backed(self) -> bool:
         return self._path is not None
 
+    @property
+    def fresh_reads(self) -> bool:
+        """Whether ``read_rows`` returns a new array the caller may change in
+        place (a file read, or a centred view), not a view of the backing array."""
+        return self._path is not None or self.mean is not None
+
     def read_rows(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) as a (stop-start) x n float64 array."""
         if not (0 <= start <= stop <= self.p):
@@ -114,8 +120,9 @@ class DataPanel:
             block = block.reshape(stop - start, self.n)
             if self.digest is not None:
                 self.digest.feed(start, block)
-        if self.mean is not None:
-            block = block - self.mean[start:stop, None]
+        if self.mean is not None:  # in place on a file read: the block is ours
+            block = np.subtract(block, self.mean[start:stop, None],
+                                out=block if self.file_backed else None)
         return block
 
     def iter_slices(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -226,9 +233,12 @@ def stream(panels, fn, outputs=(), threads: int | None = None):
     LFPB file, the others (vectors always) are kept in memory. The arrays fn
     returns, if any, are summed in block order, so no result depends on
     ``threads`` (None: ``LFPCA_THREADS``; see :func:`resolve_threads`). At
-    most ``threads + 1`` blocks are in flight, so the pass holds about
-    ``(threads + 1) x 2 x BLOCK_BYTES`` (a block and one temporary of its
-    size each) plus the sums, whatever the slice count.
+    most ``threads + 1`` blocks are in flight (see :func:`ordered_map`). A
+    file read is a fresh buffer that fn may change in place (see
+    ``DataPanel.fresh_reads``), a block of an in-memory panel a view that fn
+    copies to change, so the pass holds about ``(threads + 1) x BLOCK_BYTES``
+    for file-backed panels and twice that for in-memory ones, plus the
+    sums, whatever the slice count.
 
     Returns ``(sums, outs)``: the summed arrays (None when fn returns None)
     and each output as a vector, an in-memory DataPanel or the panel read

@@ -9,7 +9,7 @@ from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationEr
                    accumulate_gram, build_design_matrix, compute_weights, decompose_intrinsic,
                    eigen_gram, estimate_sigma2, fit_panel, generate_from_model, load_model,
                    reconstruct, save_model, score_new_panel, stream, validate_design,
-                   variance_explained, write_panel, read_panel)
+                   variance_explained, write_panel, read_panel, center_panel)
 from lfpca import _parallel, design as design_module, fit as fit_module, mom as mom_module
 from lfpca import panel as panel_module
 from lfpca.gram import left_factor
@@ -559,6 +559,31 @@ def test_fit_refuses_n_w_of_p_or_more_before_reading(rng, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_automatic_orders_fit_a_panel_of_few_rows(rng, monkeypatch, p):
+    # an automatic n_w stays below p, as an explicit one must, so a panel of
+    # 2 to 4 rows fits with every option automatic; one row cannot fit and
+    # is refused before any row is read
+    design = make_design(rng, n_subjects=10, visits=4)
+    panel = DataPanel.from_array(rng.standard_normal((p, design.n)))
+    reads = np.zeros(p, dtype=int)
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        reads[start:stop] += 1
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    if p == 1:
+        with pytest.raises(ValidationError, match="at least 2 rows, got p=1"):
+            fit_panel(panel, design)
+        np.testing.assert_array_equal(reads, 0)
+    else:
+        model = fit_panel(panel, design).model
+        assert 1 <= model.n_w < p and np.isfinite(model.sigma2)
+        np.testing.assert_array_equal(reads, 2)
+
+
 @pytest.mark.parametrize("kind", ["two visits", "one visit", "constant covariate", "valid"])
 def test_library_and_fit_judge_a_design_alike(rng, monkeypatch, kind):
     # one identifiability rule: compute_weights refuses exactly the designs
@@ -718,6 +743,71 @@ def test_one_slice_panel_is_fitted_in_budget_blocks(rng, tmp_path, monkeypatch):
                           (res.scores.xi, ref.scores.xi), (res.scores.zeta, ref.scores.zeta),
                           (model.sigma2, ref.model.sigma2)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fit_and_scores_leave_an_in_memory_panel_unchanged(rng, tmp_path, monkeypatch):
+    # the passes shift and centre a file read in place but an in-memory
+    # block only in a copy, since that block is a view of the caller's
+    # array; both give the same bits
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", 4 * 8 * 32)  # 4-row blocks
+    design = make_design(rng, n_subjects=8, visits=4)
+    arr = rng.standard_normal((30, design.n)) + 5.0
+    before = arr.tobytes()
+    panel = DataPanel.from_array(arr, n_slices=3)
+    assert panel._array is arr and not panel.fresh_reads
+    path = tmp_path / "p.lfpb"
+    write_panel(panel, path)
+    filed = read_panel(path)
+    assert filed.fresh_reads and center_panel(panel, np.zeros(30)).fresh_reads
+    results = [fit_panel(source, design, n_x=2, n_w=2, threads=2) for source in (panel, filed)]
+    scores = [score_new_panel(results[0].model, source, design, threads=2)
+              for source in (panel, filed)]
+    assert arr.tobytes() == before
+    in_memory, from_file = ([*outputs(res), sc.xi, sc.zeta] for res, sc in zip(results, scores))
+    for got, want in zip(from_file, in_memory):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_file_backed_passes_hold_one_buffer_per_block(rng, tmp_path, monkeypatch):
+    # the Gram pass shifts and scoring centres a file read in place, and at
+    # most threads + 1 blocks are alive, so the traced peak stays below
+    # (threads + 1) x BLOCK_BYTES plus what the pass keeps; a copy of each
+    # block, or one block more in flight, would breach it
+    budget = 1 << 20
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", budget)
+    design = make_design(rng, n_subjects=15, visits=4)
+    p, threads = 40000, 2
+    path = tmp_path / "p.lfpb"
+    write_panel(DataPanel.from_array(rng.standard_normal((p, design.n)) + 3.0), path)
+    panel = read_panel(path)
+    model = fit_panel(panel, design, n_x=2, n_w=2, threads=threads).model
+    for name, run in (("gram", lambda: accumulate_gram(panel, threads=threads)),
+                      ("scores", lambda: score_new_panel(model, panel, design, threads=threads))):
+        tracemalloc.start()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        bound = 8 * p + (threads + 1) * budget + 256 * 1024
+        assert peak < bound, (name, peak, bound)
+
+
+def outputs(result):
+    """The Gram matrix, mean, bases and training scores of a fit."""
+    model = result.model
+    return [result.gram, model.mean, *(phi.to_array() for phi in (*model.phi_x, model.phi_w)),
+            result.decomposition.u, result.scores.xi, result.scores.zeta]
+
+
+def test_thread_count_changes_no_bit_where_blas_runs_threads(rng):
+    # at this size OpenBLAS runs the block products on several threads (the
+    # last bits of phi and xi then move with its own thread count), yet the
+    # pool's thread count changes no bit
+    design = make_design(rng, n_subjects=30, visits=4)
+    panel = DataPanel.from_array(rng.standard_normal((40000, design.n)), n_slices=5)
+    serial, pooled = (fit_panel(panel, design, n_x=2, n_w=2, threads=threads)
+                      for threads in (1, 2))
+    for got, want in zip(outputs(pooled), outputs(serial)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_reports_nonfinite_input_row(rng, tmp_path):

@@ -1,10 +1,13 @@
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from lfpca import (DataPanel, ValidationError, center_panel, panel_from_csv, panel_to_csv,
                    read_panel, write_panel)
+from lfpca._parallel import ordered_map
 from lfpca.panel import PanelWriter, slice_starts, stream
 
 
@@ -172,6 +175,32 @@ def test_stream_deletes_partial_outputs_on_error(rng, tmp_path):
         with pytest.raises(FloatingPointError):
             stream([panel], _fail_third, [(3, tmp_path / "a.lfpb"), (None, None)], threads)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ordered_map_keeps_at_most_threads_plus_one_items(threads):
+    # an item is alive from its read until fn is done with it: the oldest
+    # result is taken before the next item is read
+    lock = threading.Lock()
+    alive = peak = 0
+
+    def items():
+        nonlocal alive, peak
+        for i in range(12):
+            with lock:
+                alive += 1
+                peak = max(peak, alive)
+            yield i
+
+    def fn(i):
+        nonlocal alive
+        time.sleep(0.005)
+        with lock:
+            alive -= 1
+        return i
+
+    assert list(ordered_map(fn, items(), threads)) == list(range(12))
+    assert peak <= threads + 1
 
 
 def test_csv_converter_round_trip(rng, tmp_path):
