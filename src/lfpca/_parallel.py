@@ -1,14 +1,12 @@
-"""Ordered, bounded parallel mapping over panel slices.
+"""Ordered mapping over panel blocks on one compute thread.
 
-Slice computations are pure functions, so running them on a thread pool and
-consuming the results in submission order gives output identical to the
-serial path. The in-flight window is capped so memory stays proportional to
-the worker count, not to the number of slices.
+Block computations are pure functions run one at a time in input order, so
+running them on one worker while the caller reads the next block gives the
+serial path's output and keeps two blocks alive, whatever the slice count.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -20,8 +18,8 @@ R = TypeVar("R")
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: the explicit argument, else LFPCA_THREADS, else 1.
-    Either must be an integer >= 1; an unset or empty variable means 1."""
+    """Thread count of a pass (see :func:`ordered_map`): the argument, else
+    LFPCA_THREADS, else 1. Either must be an integer >= 1; unset or empty is 1."""
     if threads is not None:
         if threads < 1:
             raise ValidationError(f"threads must be >= 1 (or None), got {threads}")
@@ -35,10 +33,11 @@ def resolve_threads(threads: int | None) -> int:
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> Iterator[R]:
     """Yield fn(item) for each item, in input order.
 
-    With threads <= 1 this is a plain serial loop (the reference path).
-    Otherwise the oldest result is taken before the next item is read, so at
-    most ``threads + 1`` items are alive at a time: ``threads`` submitted and
-    the one being read.
+    With threads <= 1 this is a plain serial loop in the calling thread (the
+    reference path). Otherwise fn runs on one worker thread while the caller
+    reads the next item and consumes the last result, so at most two items
+    are alive at a time: the one fn is on and the one being read. Either way
+    one thread runs every fn call, so no result depends on ``threads``.
     """
     if threads <= 1:
         for item in items:
@@ -47,11 +46,12 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> I
             yield result
             result = None
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        it = iter(items)
-        pending = [pool.submit(fn, item) for item in itertools.islice(it, threads + 1)]
-        while pending:
-            result = pending.pop(0).result()
-            pending.extend(pool.submit(fn, item) for item in itertools.islice(it, 1))
-            yield result
-            result = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        running = None
+        for item in items:
+            queued, item = pool.submit(fn, item), None
+            if running is not None:
+                yield running.result()
+            running = queued
+        if running is not None:
+            yield running.result()

@@ -80,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           f"(default {DEFAULT_ORDER_THRESHOLD}); not with both --nx and --nw")
     fit.add_argument("--slices", type=int, default=None, help="processing slice count")
     fit.add_argument("--rank", default="auto", help="retained rank, integer or 'auto'")
-    fit.add_argument("--threads", type=int, default=None)
+    fit.add_argument("--threads", type=int, default=None,
+                     help="1 runs each data pass in one thread; 2 or more run its products on "
+                          "one more thread while the next block is read (default: "
+                          "LFPCA_THREADS, else 1); results do not depend on it")
     fit.add_argument("--no-normalize", action="store_true",
                      help="skip covariate standardization")
     fit.add_argument("--write-v", action="store_true", help=f"also write {V_FILE}")
@@ -109,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--model", required=True, help="fit output directory")
     sc.add_argument("--data", required=True, help="LFPB panel file")
     sc.add_argument("--meta", required=True, help="metadata CSV")
-    sc.add_argument("--threads", type=int, default=None)
+    sc.add_argument("--threads", type=int, default=None,
+                    help="as for fit: 2 or more overlap the scoring pass's products with its reads")
     sc.add_argument("--out", required=True, help="scores CSV")
     sc.set_defaults(func=cmd_scores)
 
@@ -190,17 +194,21 @@ _OPTIONAL_OUTPUTS = (V_FILE, "h.csv", "u.csv")
 def _staged_dir(outdir: Path):
     """A temporary sibling directory of ``outdir`` whose files are moved
     into ``outdir``, in place of an earlier fit's, when the block ends
-    without error. It is removed either way, so a failed fit leaves
-    ``outdir`` as it was."""
+    without error. It is removed either way, so a fit that fails before the
+    move leaves ``outdir`` as it was. The earlier ``model.json`` is removed
+    before anything else changes and the new one is moved last, so a move
+    that fails partway leaves a directory that ``load_model`` refuses, never
+    a mix of two fits that loads."""
     outdir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
     try:
         yield stage
         outdir.mkdir(exist_ok=True)
+        (outdir / MODEL_FILE).unlink(missing_ok=True)
         for name in [*_OPTIONAL_OUTPUTS, *phi_x_files_in(outdir)]:
             if not (stage / name).exists():
                 (outdir / name).unlink(missing_ok=True)
-        for path in stage.iterdir():
+        for path in sorted(stage.iterdir(), key=lambda path: path.name == MODEL_FILE):
             os.replace(path, outdir / path.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)

@@ -204,11 +204,11 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
     the outputs' layout and cap the block height, never raise it. When
     ``workdir`` is given, the lifted bases are streamed to files there, so
-    peak memory stays at about ``(threads + 1) x BLOCK_BYTES + n^2`` plus
-    O(p) vectors for a file-backed panel, whose reads the Gram pass shifts in
-    place, and ``(threads + 1) x 2 x BLOCK_BYTES + n^2`` for an in-memory
-    one, whose blocks it shifts into a copy; otherwise they are kept in
-    memory. With ``write_v``
+    peak memory stays at about ``2 x BLOCK_BYTES + n^2`` plus O(p) vectors
+    for a file-backed panel, whose reads the Gram pass shifts in place, and
+    ``2 x 2 x BLOCK_BYTES + n^2`` for an in-memory one, whose blocks it
+    shifts into a copy, whatever ``threads`` says; otherwise they are kept
+    in memory. With ``write_v``
     the left singular vectors V = Y F, with F from :func:`left_factor`, are
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.

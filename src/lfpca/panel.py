@@ -226,19 +226,19 @@ def stream(panels, fn, outputs=(), threads: int | None = None):
     of ``max(1, BLOCK_BYTES // (8 * sum of the panels' n))`` rows, and no
     block spans two slices. For each block, rows [a, b) of every panel are
     read in order in the calling thread and ``fn(rows, blocks, outs)`` runs
-    on the thread pool, where ``rows`` is ``slice(a, b)``. ``outputs`` holds
-    one ``(width, path)`` per row-block output; ``outs`` gives fn each one's
-    rows [a, b) to fill in place, a (b - a) x width array or, when width is
-    None, a vector. Outputs with a path are written block by block to an
-    LFPB file, the others (vectors always) are kept in memory. The arrays fn
-    returns, if any, are summed in block order, so no result depends on
-    ``threads`` (None: ``LFPCA_THREADS``; see :func:`resolve_threads`). At
-    most ``threads + 1`` blocks are in flight (see :func:`ordered_map`). A
-    file read is a fresh buffer that fn may change in place (see
-    ``DataPanel.fresh_reads``), a block of an in-memory panel a view that fn
-    copies to change, so the pass holds about ``(threads + 1) x BLOCK_BYTES``
-    for file-backed panels and twice that for in-memory ones, plus the
-    sums, whatever the slice count.
+    on one compute thread: the caller's at ``threads`` 1, else one worker
+    while the caller reads, digests and writes (see :func:`ordered_map`;
+    None: ``LFPCA_THREADS``), with ``rows`` = ``slice(a, b)``. ``outputs``
+    holds one ``(width, path)`` per row-block output; ``outs`` gives fn each
+    one's rows [a, b) to fill in place, a (b - a) x width array or, when
+    width is None, a vector. Outputs with a path are written block by block
+    to an LFPB file, the others (vectors always) are kept in memory. The
+    arrays fn returns, if any, are summed in block order, so no result
+    depends on ``threads``. A file read is a fresh buffer that fn may change
+    in place (see ``DataPanel.fresh_reads``), a block of an in-memory panel
+    a view that fn copies to change, so with at most two blocks alive the
+    pass holds about ``2 x BLOCK_BYTES`` for file-backed panels and twice
+    that for in-memory ones, plus the sums, whatever the slice count.
 
     Returns ``(sums, outs)``: the summed arrays (None when fn returns None)
     and each output as a vector, an in-memory DataPanel or the panel read

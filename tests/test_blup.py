@@ -44,7 +44,7 @@ def test_score_new_panel_threads_use_pool(rng, monkeypatch):
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
     threaded = score_new_panel(model, DataPanel.from_array(arr), design, threads=2)
-    assert pools == [2]
+    assert pools == [1]  # one compute thread, whatever threads says
     np.testing.assert_array_equal(threaded.xi_matrix(), serial.xi_matrix())
     np.testing.assert_array_equal(threaded.zeta_matrix(), serial.zeta_matrix())
 

@@ -264,6 +264,54 @@ def test_failed_refit_leaves_earlier_model(tmp_path, monkeypatch):
     assert model.n_x == 3 and model.phi_w.n == 3
 
 
+def test_interrupted_refit_never_loads_a_mix_of_two_fits(tmp_path, monkeypatch):
+    # a refit into the same --out whose k-th rename fails, for every k, leaves
+    # the old fit or the new one byte for byte, or a directory that scores
+    # refuses with exit 2
+    sim = simulate_small(tmp_path, reps=2)
+    old, new = (fit_rep(tmp_path, sim, rep=rep, name=name)
+                for rep, name in (("rep_000", "old"), ("rep_001", "new")))
+    out = tmp_path / "out" / "fit"
+    data, meta = sim / "rep_001" / "panel.lfpb", sim / "rep_001" / "meta.csv"
+    refit = ["fit", "--data", str(data), "--meta", str(meta), "--nx", "4", "--nw", "4",
+             "--out", str(out)]
+
+    def state(fit_dir):
+        files = {f.name: f.read_bytes() for f in fit_dir.iterdir()}
+        if "manifest.json" in files:
+            manifest = json.loads(files["manifest.json"])
+            manifest.pop("timing_seconds")
+            files["manifest.json"] = manifest
+        return files
+
+    renames = len(list(new.iterdir()))
+    replace = cli.os.replace
+    for fail_at in range(renames + 1):
+        shutil.rmtree(out, ignore_errors=True)
+        shutil.copytree(old, out)
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) > fail_at:
+                raise OSError("rename failed")
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.os, "replace", failing_replace)
+            if fail_at < renames:
+                with pytest.raises(OSError, match="rename failed"):
+                    run(*refit)
+            else:
+                assert run(*refit) == 0
+        assert [d.name for d in out.parent.iterdir()] == [out.name]
+        loads = state(out) in (state(old), state(new))
+        code = run("scores", "--model", str(out), "--data", str(data), "--meta", str(meta),
+                   "--out", str(tmp_path / "scores.csv"))
+        assert code == (0 if loads else 2), (fail_at, sorted(state(out)))
+    assert loads and state(out) == state(new)
+
+
 def test_refit_removes_stale_optional_outputs(tmp_path):
     # a plain re-fit removes the v.lfpb and h.csv of an earlier --write-v
     # --dump-h fit and the u.csv of a fit before u.lfpb, and leaves files

@@ -1,12 +1,16 @@
 """Metamorphic properties of a fit on small random designs.
 
 Scaling the data by c scales the variances by c^2 and the scores by c;
-adding a constant image moves only the mean; reordering the subjects
-reorders the scores and nothing else; the thread count changes no bit and
-the slice count only the last bits. Designs are drawn with 5-9 subjects
-of 1-5 visits (at least one subject with 3 or more), or 40-48 subjects of
-3-5 visits for the reordering, and q in {1, 2}; those the fit would refuse
-as unidentifiable are skipped.
+adding a constant image moves only the mean; rotating voxel space rotates
+only the bases and the mean, since the fit sees Y through Y'Y; an affine
+change of the visit times changes nothing under standardization, and a
+negative scale flips the slope family; reordering the subjects reorders
+the scores and nothing else, and reversing each subject's visits reorders
+the visit scores; the thread count changes no bit and the slice count
+only the last bits. Designs are drawn with 5-9 subjects of 1-5 visits (at
+least one subject with 3 or more), or 40-48 subjects of 3-5 visits for
+the reordering, and q in {1, 2}; those the fit would refuse as
+unidentifiable are skipped.
 """
 
 import numpy as np
@@ -15,7 +19,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from conftest import make_design, reordered, subject_rows  # noqa: E402
+from conftest import (design_of, make_design, map_times, reordered,  # noqa: E402
+                      subject_rows)
 from lfpca import DataPanel, fit_panel, normalize_covariates, validate_design  # noqa: E402
 
 P = 40
@@ -76,6 +81,68 @@ def test_constant_image_moves_only_the_mean(problem, level):
     assert_rel(shifted.scores.zeta, base.scores.zeta, 1e-7)
     assert_rel(shifted.model.phi_w.to_array(), base.model.phi_w.to_array(), 1e-7)
     assert_rel(shifted.model.mean, base.model.mean + image, 1e-12)
+
+
+@settings(max_examples=15)
+@given(problems(), st.integers(0, 2 ** 32 - 1))
+def test_rotating_voxel_space_rotates_only_bases_and_mean(problem, seed):
+    design, y = problem
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((P, P)))
+    base, rotated = fit(design, y), fit(design, q @ y)
+    assert rotated.model.r == base.model.r
+    for name in ("lambda_x", "lambda_w", "sigma2"):
+        assert_rel(getattr(rotated.model, name), getattr(base.model, name), 1e-9)
+    assert_rel(rotated.scores.xi, base.scores.xi, 1e-7)
+    assert_rel(rotated.scores.zeta, base.scores.zeta, 1e-7)
+    for got, want in zip(phi(rotated.model), phi(base.model)):
+        assert_rel(got, q @ want, 1e-7)
+    assert_rel(rotated.model.mean, q @ base.model.mean, 1e-12)
+
+
+@settings(max_examples=15)
+@given(problems(), st.floats(-1000.0, 1000.0), st.floats(0.01, 400.0), st.booleans())
+def test_affine_time_change_changes_nothing_but_a_slope_sign(problem, shift, scale, flip):
+    # standardization maps a + b T back to the standardized T, or to its
+    # negative for b < 0: then K_x is D K_x D with D = -1 on the slope block,
+    # so each subject-level eigenvector [a_0; a_1; ...] becomes [a_0; -a_1; ...]
+    # up to the sign that fixes its largest entry, and Phi_x1 flips against
+    # Phi_x0 while eigenvalues, sigma^2, Phi_w and the visit scores stay
+    design, y = problem
+    base = fit(design, y)
+    mapped = fit(map_times(design, shift, -scale if flip else scale), y)
+    assert mapped.model.r == base.model.r
+    r = base.model.r
+    signs = np.sign(np.sum(mapped.model.a_x[:r] * base.model.a_x[:r], axis=0))
+    assert np.all(signs != 0) and (flip or np.all(signs == 1))
+    slope = np.ones(len(base.model.phi_x))
+    slope[1] = -1.0 if flip else 1.0
+    for name in ("lambda_x", "lambda_w", "sigma2"):
+        assert_rel(getattr(mapped.model, name), getattr(base.model, name), 1e-9)
+    for got, want, sign in zip(mapped.model.phi_x, base.model.phi_x, slope):
+        assert_rel(got.to_array(), sign * signs * want.to_array(), 1e-7)
+    assert_rel(mapped.model.phi_w.to_array(), base.model.phi_w.to_array(), 1e-7)
+    assert_rel(mapped.scores.xi, signs * base.scores.xi, 1e-7)
+    assert_rel(mapped.scores.zeta, base.scores.zeta, 1e-7)
+    assert_rel(mapped.model.mean, base.model.mean, 1e-12)
+
+
+@settings(max_examples=15)
+@given(problems())
+def test_reversing_each_subjects_visits_reorders_only_visit_scores(problem):
+    design, y = problem
+    columns = np.concatenate([np.arange(design.n)[design.columns(i)][::-1]
+                              for i in range(design.n_subjects)])
+    reversed_design = design_of((sid, rows[::-1]) for sid, rows
+                                in zip(design.subject_ids, subject_rows(design)))
+    base, reversed_fit = fit(design, y), fit(reversed_design, y[:, columns])
+    assert reversed_fit.model.r == base.model.r
+    for name in ("lambda_x", "lambda_w", "sigma2"):
+        assert_rel(getattr(reversed_fit.model, name), getattr(base.model, name), 1e-9)
+    for got, want in zip(phi(reversed_fit.model), phi(base.model)):
+        assert_rel(got, want, 1e-7)
+    assert_rel(reversed_fit.scores.xi, base.scores.xi, 1e-7)
+    assert_rel(reversed_fit.scores.zeta, base.scores.zeta[columns], 1e-7)
+    assert_rel(reversed_fit.model.mean, base.model.mean, 1e-12)
 
 
 @st.composite
