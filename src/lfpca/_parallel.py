@@ -1,25 +1,20 @@
-"""Ordered mapping over panel blocks on one compute thread.
+"""The command line's ``--threads`` / ``LFPCA_THREADS`` check.
 
-Block computations are pure functions run one at a time in input order, so
-running them on one worker while the caller reads the next block gives the
-serial path's output and keeps two blocks alive, whatever the slice count.
+Every streamed pass runs in the calling thread (see :func:`lfpca.panel.stream`),
+so the count selects nothing; ``lfpca fit`` and ``lfpca scores`` still accept
+it and refuse a value that is not an integer >= 1.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 def resolve_threads(threads: int | None) -> int:
-    """Thread count of a pass (see :func:`ordered_map`): the argument, else
-    LFPCA_THREADS, else 1. Either must be an integer >= 1; unset or empty is 1."""
+    """The argument, else LFPCA_THREADS, else 1. Either must be an integer
+    >= 1; unset or empty is 1."""
     if threads is not None:
         if threads < 1:
             raise ValidationError(f"threads must be >= 1 (or None), got {threads}")
@@ -28,30 +23,3 @@ def resolve_threads(threads: int | None) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValidationError(f"LFPCA_THREADS must be an integer >= 1 (or unset), got {raw!r}")
     return int(raw)
-
-
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> Iterator[R]:
-    """Yield fn(item) for each item, in input order.
-
-    With threads <= 1 this is a plain serial loop in the calling thread (the
-    reference path). Otherwise fn runs on one worker thread while the caller
-    reads the next item and consumes the last result, so at most two items
-    are alive at a time: the one fn is on and the one being read. Either way
-    one thread runs every fn call, so no result depends on ``threads``.
-    """
-    if threads <= 1:
-        for item in items:
-            result = fn(item)
-            item = None  # release the input slice before handing the result over
-            yield result
-            result = None
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        running = None
-        for item in items:
-            queued, item = pool.submit(fn, item), None
-            if running is not None:
-                yield running.result()
-            running = queued
-        if running is not None:
-            yield running.result()

@@ -22,8 +22,7 @@ from .store import FittedModel, ScorePanel
 from .store import read_scores_csv  # lfbench imports it as lfpca.blup.read_scores_csv
 
 
-def panel_projections(model: FittedModel, panel: DataPanel,
-                      threads: int | None = None) -> np.ndarray:
+def panel_projections(model: FittedModel, panel: DataPanel) -> np.ndarray:
     """Streamed projections Phi'(Y - mean 1') of (possibly new) data against
     the stored bases, one row per column of B (see :func:`stack_coefficients`).
 
@@ -44,7 +43,7 @@ def panel_projections(model: FittedModel, panel: DataPanel,
         finite_row_sums(rows, block)
         return (np.hstack(parts).T @ block,)
 
-    (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project, threads=threads)
+    (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project)
     return stacked
 
 
@@ -105,8 +104,7 @@ def score_blups(model: FittedModel, decomp: IntrinsicDecomposition,
     return _solve_scores(model, design, stack_coefficients(model.a_x, model.a_w).T @ coords)
 
 
-def score_new_panel(model: FittedModel, panel: DataPanel, design: StudyDesign,
-                    threads: int | None = None) -> ScorePanel:
+def score_new_panel(model: FittedModel, panel: DataPanel, design: StudyDesign) -> ScorePanel:
     """Scores for new data under a saved model.
 
     The panel is centered with the model mean. The design is in original
@@ -114,8 +112,7 @@ def score_new_panel(model: FittedModel, panel: DataPanel, design: StudyDesign,
     """
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
-    return _solve_scores(model, model.in_model_units(design),
-                         panel_projections(model, panel, threads=threads))
+    return _solve_scores(model, model.in_model_units(design), panel_projections(model, panel))
 
 
 def reconstruct(model: FittedModel, scores: ScorePanel, design: StudyDesign,

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._parallel import resolve_threads
 from .blup import score_new_panel
 from .design import read_metadata, write_metadata
 from .errors import IdentifiabilityError, NumericalError, ValidationError
@@ -81,9 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--slices", type=int, default=None, help="processing slice count")
     fit.add_argument("--rank", default="auto", help="retained rank, integer or 'auto'")
     fit.add_argument("--threads", type=int, default=None,
-                     help="1 runs each data pass in one thread; 2 or more run its products on "
-                          "one more thread while the next block is read (default: "
-                          "LFPCA_THREADS, else 1); results do not depend on it")
+                     help="no effect: every data pass runs in one thread; a value (or "
+                          "LFPCA_THREADS) that is not an integer >= 1 is still refused")
     fit.add_argument("--no-normalize", action="store_true",
                      help="skip covariate standardization")
     fit.add_argument("--write-v", action="store_true", help=f"also write {V_FILE}")
@@ -112,8 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--model", required=True, help="fit output directory")
     sc.add_argument("--data", required=True, help="LFPB panel file")
     sc.add_argument("--meta", required=True, help="metadata CSV")
-    sc.add_argument("--threads", type=int, default=None,
-                    help="as for fit: 2 or more overlap the scoring pass's products with its reads")
+    sc.add_argument("--threads", type=int, default=None, help="as for fit: no effect")
     sc.add_argument("--out", required=True, help="scores CSV")
     sc.set_defaults(func=cmd_scores)
 
@@ -135,6 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_fit(args) -> int:
     t0 = time.monotonic()
+    resolve_threads(args.threads)
     rank = _parse_rank(args.rank)
     panel = digest_panel(read_panel(args.data))
     design = read_metadata(args.meta)
@@ -145,7 +145,7 @@ def cmd_fit(args) -> int:
         result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
                            var_threshold=args.var_threshold,
                            order_threshold=args.order_threshold,
-                           normalize=not args.no_normalize, threads=args.threads,
+                           normalize=not args.no_normalize,
                            workdir=stage, write_v=args.write_v)
         data_hash = panel.digest.hexdigest()
         model, decomp = result.model, result.decomposition
@@ -361,10 +361,11 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scores(args) -> int:
+    resolve_threads(args.threads)
     model = load_model(args.model)
     panel = read_panel(args.data)
     design = read_metadata(args.meta)
-    scores = score_new_panel(model, panel, design, threads=args.threads)
+    scores = score_new_panel(model, panel, design)
     write_scores_csv(scores, args.out)
     print(f"scored {design.n_subjects} subject(s) -> {args.out}")
     return EXIT_OK

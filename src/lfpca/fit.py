@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import resolve_threads
 from .blup import score_blups
 from .design import CovariateScale, StudyDesign, normalize_covariates
 from .errors import ValidationError
@@ -171,7 +170,7 @@ class FitResult:
     scores: ScorePanel
     mom: MomDesign
     gram: np.ndarray
-    options: dict  # rank, thresholds, threads, normalize, write_v as used; None where unused
+    options: dict  # rank, thresholds, normalize, write_v as used; None where unused
     eigensolvers: dict  # top_eigenpairs record of "gram", "k_x" and "k_w"
     v: DataPanel | None = None  # left singular vectors, only with write_v
 
@@ -183,8 +182,7 @@ class FitResult:
 def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
               n_w: int | None = None, rank: int | None = None,
               var_threshold: float | None = None, order_threshold: float | None = None,
-              normalize: bool = True, threads: int | None = None, workdir=None,
-              write_v: bool = False) -> FitResult:
+              normalize: bool = True, workdir=None, write_v: bool = False) -> FitResult:
     """Run the full pipeline: SVD via the centered Gram matrix, moment
     estimation, intrinsic eigendecomposition, lifting, noise variance, and
     per-subject score prediction.
@@ -194,21 +192,20 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     design that is fitted, whatever the units of the covariates; the model
     stores the transform, so callers keep their design in original units.
     Options are checked and the design judged (:func:`compute_weights`) before
-    any row is read, as the steps check them; a count must fit its matrix (n
-    for the rank, the rank or n and below p for ``n_w``, (q+1) times the rank
-    or n for ``n_x``), an automatic ``n_w`` is capped below p, and a panel of
-    one row is refused. A None threshold takes its default where it is used,
+    any row is read, as the steps check them; a count must be an integer (not
+    a bool) that fits its matrix (n for the rank, the rank or n and below p
+    for ``n_w``, (q+1) times the rank or n for ``n_x``), an automatic ``n_w``
+    is capped below p, and a panel of one row is refused. A None threshold takes its default where it is used,
     and one that nothing automatic uses is refused.
     The panel is read twice, raw: once for the Gram matrix and the mean,
     once for the lift; no centered copy is made. Both passes read row blocks
-    of at most ``BLOCK_BYTES`` (see :func:`stream`): the panel's slices set
-    the outputs' layout and cap the block height, never raise it. When
-    ``workdir`` is given, the lifted bases are streamed to files there, so
-    peak memory stays at about ``2 x BLOCK_BYTES + n^2`` plus O(p) vectors
-    for a file-backed panel, whose reads the Gram pass shifts in place, and
-    ``2 x 2 x BLOCK_BYTES + n^2`` for an in-memory one, whose blocks it
-    shifts into a copy, whatever ``threads`` says; otherwise they are kept
-    in memory. With ``write_v``
+    of at most ``BLOCK_BYTES`` in the calling thread, one block at a time
+    (see :func:`stream`): the panel's slices set the outputs' layout and cap
+    the block height, never raise it. When ``workdir`` is given, the lifted
+    bases are streamed to files there, so beyond an in-memory panel's own
+    array peak memory stays at about ``BLOCK_BYTES + n^2`` plus O(p)
+    vectors: the Gram pass shifts a file read in place and an in-memory
+    block in a copy; otherwise they are kept in memory. With ``write_v``
     the left singular vectors V = Y F, with F from :func:`left_factor`, are
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.
@@ -226,7 +223,6 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     for name, value in (("var_threshold", var_threshold), ("order_threshold", order_threshold)):
         if value is not None:
             check_share(name, value)
-    threads = resolve_threads(threads)
     if panel.n != design.n:
         raise ValidationError(f"panel has {panel.n} columns, design describes {design.n} visits")
     if panel.p < 2:
@@ -245,14 +241,14 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)
 
-    gram, mean = accumulate_gram(panel, threads=threads)
+    gram, mean = accumulate_gram(panel)
     decomp = eigen_gram(gram, rank=rank, var_threshold=var_threshold)
 
     covs = intrinsic_covariances(decomp, mom, design, gram=gram)
     basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold, p=panel.p)
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p)
 
-    phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, threads, write_v)
+    phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, write_v)
     model = FittedModel(n=panel.n, a_x=basis.a_x, a_w=basis.a_w,
                         lambda_x=basis.lambda_x, lambda_w=basis.lambda_w,
                         phi_x=phi_x, phi_w=phi_w, sigma2=sigma2,
@@ -264,12 +260,11 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
                      mom=mom, gram=gram, v=v,
                      eigensolvers={"gram": decomp.solver, **basis.solvers}, options={
                          "rank": rank, "var_threshold": var_threshold, "normalize": normalize,
-                         "order_threshold": order_threshold, "threads": threads,
-                         "write_v": write_v})
+                         "order_threshold": order_threshold, "write_v": write_v})
 
 
 def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: IntrinsicBasis,
-                q: int, workdir: Path | None, threads: int, write_v: bool):
+                q: int, workdir: Path | None, write_v: bool):
     """One streamed pass over the raw rows producing every lifted family,
     Phi = Y (F B) with F = J U S^{-1/2} from :func:`left_factor` and B from
     :func:`stack_coefficients`, and with ``write_v`` also V = Y F."""
@@ -293,5 +288,5 @@ def _lift_basis(panel: DataPanel, decomp: IntrinsicDecomposition, basis: Intrins
 
     _, panels = stream([panel], _lift,
                        [(width, workdir / name if workdir is not None else None)
-                        for width, name in zip(widths, names)], threads)
+                        for width, name in zip(widths, names)])
     return tuple(panels[:q + 1]), panels[q + 1], panels[-1] if write_v else None

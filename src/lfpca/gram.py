@@ -47,7 +47,7 @@ class IntrinsicDecomposition:
         return self.s.size
 
 
-def accumulate_gram(panel: DataPanel, threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def accumulate_gram(panel: DataPanel) -> tuple[np.ndarray, np.ndarray]:
     """``(G, mean)``: the centered Gram matrix and the row means, in one pass.
 
     Each row is shifted by its first column before the slice products are
@@ -68,7 +68,7 @@ def accumulate_gram(panel: DataPanel, threads: int | None = None) -> tuple[np.nd
             block = block - block[:, :1]
         return (block.T @ block,)
 
-    (gram,), (sums,) = stream([panel], _slice, [(None, None)], threads)
+    (gram,), (sums,) = stream([panel], _slice, [(None, None)])
     gram = (gram + gram.T) / 2
     col = gram.mean(axis=0)
     gram -= col[:, None] + col[None, :] - col.mean()
@@ -109,7 +109,10 @@ def eigen_gram(gram: np.ndarray, rank: int | None = None,
 
 
 def check_count(name: str, count: int, limit: int) -> int:
-    """The one check of an eigenpair count: ValidationError below 1 or above ``limit``."""
+    """The one check of an eigenpair count: ValidationError unless an integer
+    (a numpy one too, but not a bool) in [1, ``limit``]."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {count!r}")
     if count < 1:
         raise ValidationError(f"{name} must be >= 1, got {count}")
     if count > limit:

@@ -33,7 +33,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ._parallel import ordered_map, resolve_threads
 from .errors import NumericalError, ValidationError
 
 MAGIC = b"LFPB"
@@ -219,63 +218,52 @@ def read_panel(path) -> DataPanel:
                      _payload_offset=payload_offset)
 
 
-def stream(panels, fn, outputs=(), threads: int | None = None):
+def stream(panels, fn, outputs=()):
     """Run ``fn`` over aligned row blocks of ``panels``: the one slice loop.
 
     Blocks follow the slices of ``panels[0]``: each slice is cut into blocks
     of ``max(1, BLOCK_BYTES // (8 * sum of the panels' n))`` rows, and no
-    block spans two slices. For each block, rows [a, b) of every panel are
-    read in order in the calling thread and ``fn(rows, blocks, outs)`` runs
-    on one compute thread: the caller's at ``threads`` 1, else one worker
-    while the caller reads, digests and writes (see :func:`ordered_map`;
-    None: ``LFPCA_THREADS``), with ``rows`` = ``slice(a, b)``. ``outputs``
-    holds one ``(width, path)`` per row-block output; ``outs`` gives fn each
-    one's rows [a, b) to fill in place, a (b - a) x width array or, when
-    width is None, a vector. Outputs with a path are written block by block
-    to an LFPB file, the others (vectors always) are kept in memory. The
-    arrays fn returns, if any, are summed in block order, so no result
-    depends on ``threads``. A file read is a fresh buffer that fn may change
-    in place (see ``DataPanel.fresh_reads``), a block of an in-memory panel
-    a view that fn copies to change, so with at most two blocks alive the
-    pass holds about ``2 x BLOCK_BYTES`` for file-backed panels and twice
-    that for in-memory ones, plus the sums, whatever the slice count.
+    block spans two slices. For each block in turn, rows [a, b) of every
+    panel are read and ``fn(rows, blocks, outs)`` runs, all in the calling
+    thread, with ``rows`` = ``slice(a, b)``. ``outputs`` holds one
+    ``(width, path)`` per row-block output; ``outs`` gives fn each one's rows
+    [a, b) to fill in place, a (b - a) x width array or, when width is None,
+    a vector. Outputs with a path are written block by block to an LFPB file,
+    the others (vectors always) are kept in memory. The arrays fn returns, if
+    any, are summed in block order. A file read is a fresh buffer that fn may
+    change in place (see ``DataPanel.fresh_reads``), a block of an in-memory
+    panel a view that fn copies to change. A block is released before the
+    next one is read, so the pass holds about ``BLOCK_BYTES`` beyond the
+    panels' own storage, plus the sums, whatever the slice count.
 
     Returns ``(sums, outs)``: the summed arrays (None when fn returns None)
     and each output as a vector, an in-memory DataPanel or the panel read
     back from its file, in the slice layout of ``panels[0]``. On error every
     output file is closed and deleted.
     """
-    threads = resolve_threads(threads)
     layout = panels[0]
     height = max(1, BLOCK_BYTES // (8 * sum(panel.n for panel in panels)))
     memory = [np.empty(layout.p if width is None else (layout.p, width)) if path is None
               else None for width, path in outputs]
-
-    def _blocks():
-        for a, b in zip(layout.row_starts, layout.row_starts[1:]):
-            for start in range(a, b, height):
-                rows = slice(start, min(start + height, b))
-                yield rows, [panel.read_rows(rows.start, rows.stop) for panel in panels]
-
-    def _run(item):
-        rows, blocks = item
-        outs = [np.empty((rows.stop - rows.start, width)) if dest is None else dest[rows]
-                for dest, (width, _) in zip(memory, outputs)]
-        return outs, fn(rows, blocks, outs)
-
     sums = None
     with contextlib.ExitStack() as stack:
         writers = {i: stack.enter_context(PanelWriter(path, layout.p, width,
                                                       row_starts=layout.row_starts))
                    for i, (width, path) in enumerate(outputs) if path is not None}
-        results = stack.enter_context(contextlib.closing(ordered_map(_run, _blocks(), threads)))
-        for outs, parts in results:
-            for i, writer in writers.items():
-                writer.write_slice(outs[i])
-            if parts is not None:
-                sums = ([np.array(part, dtype=np.float64) for part in parts] if sums is None
-                        else [np.add(total, part, out=total) for total, part in zip(sums, parts)])
-            outs = parts = None  # keep at most the in-flight blocks alive
+        for a, b in zip(layout.row_starts, layout.row_starts[1:]):
+            for start in range(a, b, height):
+                rows = slice(start, min(start + height, b))
+                blocks = [panel.read_rows(rows.start, rows.stop) for panel in panels]
+                outs = [np.empty((rows.stop - rows.start, width)) if dest is None else dest[rows]
+                        for dest, (width, _) in zip(memory, outputs)]
+                parts = fn(rows, blocks, outs)
+                for i, writer in writers.items():
+                    writer.write_slice(outs[i])
+                if parts is not None:
+                    sums = ([np.array(part, dtype=np.float64) for part in parts] if sums is None
+                            else [np.add(total, part, out=total)
+                                  for total, part in zip(sums, parts)])
+                blocks = outs = parts = None  # release this block before the next read
     return sums, [read_panel(path) if path is not None
                   else dest if width is None
                   else DataPanel(p=layout.p, n=width, row_starts=layout.row_starts, _array=dest)
@@ -317,7 +305,7 @@ class ReadDigest:
     digest stands (``start == rows``) is fed in as it was read from the
     file, any other read is not. After one pass in row order it equals the
     SHA-256 of the whole file, with no read of its own beyond the header.
-    Feed it from one thread: ``stream`` reads in the calling thread.
+    It takes no lock: ``stream`` reads, and so feeds it, in the calling thread.
     """
 
     def __init__(self, panel: DataPanel):

@@ -29,36 +29,10 @@ def test_zero_data_gives_zero_scores(rng):
     assert np.abs(scores.zeta_matrix()).max() == 0.0
 
 
-def test_score_new_panel_threads_use_pool(rng, monkeypatch):
-    import lfpca._parallel as parallel
-    design = make_design(rng, n_subjects=6, visits=3)
-    arr = rng.standard_normal((60, design.n))
-    model = fit_panel(DataPanel.from_array(arr, n_slices=4), design, n_x=2, n_w=2).model
-    serial = score_new_panel(model, DataPanel.from_array(arr), design, threads=1)
-    pools = []
-
-    class RecordingPool(parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
-    threaded = score_new_panel(model, DataPanel.from_array(arr), design, threads=2)
-    assert pools == [1]  # one compute thread, whatever threads says
-    np.testing.assert_array_equal(threaded.xi_matrix(), serial.xi_matrix())
-    np.testing.assert_array_equal(threaded.zeta_matrix(), serial.zeta_matrix())
-
-
-def test_score_new_panel_refuses_threads_below_one(rng):
-    res, design = fitted_model(rng)
-    with pytest.raises(ValidationError, match="threads must be >= 1"):
-        score_new_panel(res.model, mean_panel(res.model, design.n), design, threads=0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_score_new_panel_refuses_nonfinite_input(rng, monkeypatch, bad):
-    # each block is checked as the Gram pass checks it, past the first block
-    # and on two threads: the rows of the block and its first bad row
+    # each block is checked as the Gram pass checks it, past the first
+    # block: the rows of the block and its first bad row
     res, design = fitted_model(rng)
     width = 3 * 2 + design.n  # the bases read beside the data: phi_x0, phi_x1, phi_w
     monkeypatch.setattr(panel_module, "BLOCK_BYTES", 8 * 8 * width)  # 8-row blocks
@@ -66,7 +40,7 @@ def test_score_new_panel_refuses_nonfinite_input(rng, monkeypatch, bad):
     arr[21, 4] = arr[23, 0] = bad
     with pytest.raises(NumericalError, match=r"non-finite input in rows \[16, 24\), "
                                               r"first at row 21"):
-        score_new_panel(res.model, DataPanel.from_array(arr), design, threads=2)
+        score_new_panel(res.model, DataPanel.from_array(arr), design)
 
 
 def test_exact_model_data_recovers_scores(rng):

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -896,19 +897,32 @@ def test_csv_values_round_trip_at_full_precision(tmp_path):
     assert np.all(np.isfinite(s_loaded))
 
 
-def test_threads_flag_matches_serial(tmp_path):
+def test_threads_flag_matches_serial(tmp_path, monkeypatch):
+    # --threads is accepted and has no effect: 1 and 4 give the same bits,
+    # and at 2 neither fit nor scores starts a thread
     sim = simulate_small(tmp_path, reps=1)
-    serial = fit_rep(tmp_path, sim, name="serial", extra=("--threads", "1", "--slices", "5"))
-    threaded = fit_rep(tmp_path, sim, name="threaded", extra=("--threads", "4", "--slices", "5"))
-    for artifact in ("u.lfpb", "s.csv", "scores.csv", "phi_w.lfpb"):
-        assert (serial / artifact).read_bytes() == (threaded / artifact).read_bytes()
-    outputs = []
-    for threads in ("1", "4"):
-        outputs.append(tmp_path / f"scores_{threads}.csv")
-        assert run("scores", "--model", str(serial), "--data", str(sim / "rep_000" / "panel.lfpb"),
-                   "--meta", str(sim / "rep_000" / "meta.csv"), "--threads", threads,
-                   "--out", str(outputs[-1])) == 0
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    data, meta = str(sim / "rep_000" / "panel.lfpb"), str(sim / "rep_000" / "meta.csv")
+
+    def fit_and_score(threads):
+        fit_dir = fit_rep(tmp_path, sim, name=f"fit_{threads}",
+                          extra=("--threads", threads, "--slices", "5"))
+        scores = tmp_path / f"scores_{threads}.csv"
+        assert run("scores", "--model", str(fit_dir), "--data", data, "--meta", meta,
+                   "--threads", threads, "--out", str(scores)) == 0
+        return fit_dir, scores
+
+    serial, threaded = fit_and_score("1"), fit_and_score("4")
+
+    def no_thread(self):
+        raise AssertionError("lfpca started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    two = fit_and_score("2")
+    for fit_dir, scores in (threaded, two):
+        for artifact in ("u.lfpb", "s.csv", "scores.csv", "phi_w.lfpb"):
+            assert (serial[0] / artifact).read_bytes() == (fit_dir / artifact).read_bytes()
+        assert serial[1].read_bytes() == scores.read_bytes()
+        assert "threads" not in json.loads((fit_dir / "manifest.json").read_text())["config"]
 
 
 def test_dump_h_and_write_v(tmp_path):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationEr
                    eigen_gram, estimate_sigma2, fit_panel, generate_from_model, load_model,
                    reconstruct, save_model, score_new_panel, stream, validate_design,
                    variance_explained, write_panel, read_panel, center_panel)
-from lfpca import _parallel, design as design_module, fit as fit_module, mom as mom_module
+from lfpca import design as design_module, fit as fit_module, mom as mom_module
 from lfpca import panel as panel_module
 from lfpca.gram import left_factor
 from lfpca.mom import IntrinsicCovariances
@@ -139,15 +140,14 @@ def test_lift_slice_count_invariance(rng, tmp_path):
 
     first = {}
     for slices in (1, 7):
-        for threads in (1, 3):
-            for path in (None, tmp_path / f"phi_{slices}_{threads}.lfpb"):
-                (gram,), (phi,) = stream([DataPanel.from_array(arr, n_slices=slices)], _lift,
-                                         [(3, path)], threads)
-                assert phi.file_backed == (path is not None)
-                ref_phi, ref_gram = first.setdefault(slices, (phi.to_array(), gram))
-                # neither the thread count nor the sink changes a bit
-                np.testing.assert_array_equal(phi.to_array(), ref_phi)
-                np.testing.assert_array_equal(gram, ref_gram)
+        for path in (None, tmp_path / f"phi_{slices}.lfpb"):
+            (gram,), (phi,) = stream([DataPanel.from_array(arr, n_slices=slices)], _lift,
+                                     [(3, path)])
+            assert phi.file_backed == (path is not None)
+            ref_phi, ref_gram = first.setdefault(slices, (phi.to_array(), gram))
+            # the sink changes no bit
+            np.testing.assert_array_equal(phi.to_array(), ref_phi)
+            np.testing.assert_array_equal(gram, ref_gram)
     np.testing.assert_allclose(first[1][0], arr @ a, atol=1e-13)
     assert np.abs(first[1][0] - first[7][0]).max() <= 1e-14
     assert np.abs(first[1][1] - first[7][1]).max() <= 1e-12
@@ -491,9 +491,10 @@ def test_fit_file_backed_deletes_centered_copy(rng, tmp_path):
     (dict(n_w=-1), "n_w must be >= 1"),
     (dict(rank=0), "rank must be >= 1"),
     (dict(rank=-2), "rank must be >= 1"),
-    (dict(threads=0), "threads must be >= 1"),
-    (dict(threads=-3), "threads must be >= 1"),
+    (dict(n_x=2.5, n_w=2), "n_x must be an integer"),
+    (dict(rank=7.5), "rank must be an integer"),
     (dict(write_v=1), "write_v must be True or False"),
+    (dict(n_w=True), "n_w must be an integer"),
 ])
 def test_fit_refuses_option_before_reading(rng, monkeypatch, options, message):
     # an option the fit cannot honour costs no pass over the data
@@ -650,8 +651,7 @@ def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):
         return read_rows(self, start, stop)
 
     monkeypatch.setattr(DataPanel, "read_rows", counting)
-    fit_panel(read_panel(path).with_slices(4), design, n_x=2, n_w=2, threads=2,
-              workdir=tmp_path / "wd")
+    fit_panel(read_panel(path).with_slices(4), design, n_x=2, n_w=2, workdir=tmp_path / "wd")
     np.testing.assert_array_equal(reads, 2)
     assert sorted(f.name for f in (tmp_path / "wd").iterdir()) == [
         "phi_w.lfpb", "phi_x_0.lfpb", "phi_x_1.lfpb"]
@@ -659,8 +659,8 @@ def test_fit_file_backed_reads_each_row_twice(rng, tmp_path, monkeypatch):
 
 def test_fit_write_v_matches_left_vectors(rng, tmp_path, monkeypatch):
     # V is one more output of the lift's pass: in the workdir or in memory,
-    # with one or two threads, the same bits, in the panel's slice layout,
-    # the raw rows times left_factor, and leaving Phi as it is without write_v
+    # the same bits, in the panel's slice layout, the raw rows times
+    # left_factor, and leaving Phi as it is without write_v
     monkeypatch.setattr(panel_module, "BLOCK_BYTES", 4 * 8 * 18)  # 4-row blocks
     design = make_design(rng, n_subjects=6, visits=3)
     path = tmp_path / "p.lfpb"
@@ -669,9 +669,8 @@ def test_fit_write_v_matches_left_vectors(rng, tmp_path, monkeypatch):
     plain = fit_panel(panel, design, n_x=2, n_w=2)
     assert plain.v is None and plain.options["write_v"] is False
     vs = []
-    for workdir, threads in ((None, 1), (tmp_path / "wd", 2)):
-        res = fit_panel(panel, design, n_x=2, n_w=2, threads=threads, workdir=workdir,
-                        write_v=True)
+    for workdir in (None, tmp_path / "wd"):
+        res = fit_panel(panel, design, n_x=2, n_w=2, workdir=workdir, write_v=True)
         assert res.options["write_v"] is True
         assert res.v.file_backed == (workdir is not None)
         assert res.v.row_starts == panel.row_starts and res.v.n == res.decomposition.r
@@ -694,11 +693,11 @@ def test_one_slice_panel_is_fitted_in_budget_blocks(rng, tmp_path, monkeypatch):
     # unsplit fit, the phi files keep the input's slice table and every row
     # is read exactly twice
     design = make_design(rng, n_subjects=20, visits=3)
-    p, n, threads = 20000, design.n, 2
+    p, n = 20000, design.n
     arr = rng.standard_normal((p, n)) + 3.0
     path = tmp_path / "p.lfpb"
     write_panel(DataPanel.from_array(arr), path)
-    ref = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2, threads=threads)
+    ref = fit_panel(DataPanel.from_array(arr), design, n_x=2, n_w=2)
 
     budget = 64 * 1024
     monkeypatch.setattr(panel_module, "BLOCK_BYTES", budget)
@@ -718,11 +717,11 @@ def test_one_slice_panel_is_fitted_in_budget_blocks(rng, tmp_path, monkeypatch):
         workdir = None if name == "memory" else tmp_path / name
         reads.clear()
         tracemalloc.start()
-        res = fit_panel(panel, design, n_x=2, n_w=2, threads=threads, workdir=workdir)
+        res = fit_panel(panel, design, n_x=2, n_w=2, workdir=workdir)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         kept = 8 * p * (2 + (width if workdir is None else 0))  # mean, row sums, phi
-        bound = kept + 2 * 2 * budget + 256 * 1024
+        bound = kept + budget + 256 * 1024
         assert peak < bound < 0.25 * p * n * 8, (name, peak, bound)
 
         counts = np.zeros(p, dtype=int)
@@ -759,9 +758,8 @@ def test_fit_and_scores_leave_an_in_memory_panel_unchanged(rng, tmp_path, monkey
     write_panel(panel, path)
     filed = read_panel(path)
     assert filed.fresh_reads and center_panel(panel, np.zeros(30)).fresh_reads
-    results = [fit_panel(source, design, n_x=2, n_w=2, threads=2) for source in (panel, filed)]
-    scores = [score_new_panel(results[0].model, source, design, threads=2)
-              for source in (panel, filed)]
+    results = [fit_panel(source, design, n_x=2, n_w=2) for source in (panel, filed)]
+    scores = [score_new_panel(results[0].model, source, design) for source in (panel, filed)]
     assert arr.tobytes() == before
     in_memory, from_file = ([*outputs(res), sc.xi, sc.zeta] for res, sc in zip(results, scores))
     for got, want in zip(from_file, in_memory):
@@ -769,10 +767,10 @@ def test_fit_and_scores_leave_an_in_memory_panel_unchanged(rng, tmp_path, monkey
 
 
 def test_file_backed_passes_hold_one_buffer_per_block(rng, tmp_path, monkeypatch):
-    # the Gram pass shifts and scoring centres a file read in place, and at
-    # most two blocks are alive whatever threads says, so the traced peak
-    # stays below 2 x BLOCK_BYTES plus what the pass keeps; a copy of each
-    # block, or one block more in flight, would breach it
+    # the Gram pass shifts and scoring centres a file read in place, and a
+    # pass releases each block before it reads the next, so the traced peak
+    # stays below BLOCK_BYTES plus what the pass keeps; a copy of each block,
+    # or the last block kept alive through the next read, would breach it
     budget = 1 << 20
     monkeypatch.setattr(panel_module, "BLOCK_BYTES", budget)
     design = make_design(rng, n_subjects=15, visits=4)
@@ -780,17 +778,15 @@ def test_file_backed_passes_hold_one_buffer_per_block(rng, tmp_path, monkeypatch
     path = tmp_path / "p.lfpb"
     write_panel(DataPanel.from_array(rng.standard_normal((p, design.n)) + 3.0), path)
     panel = read_panel(path)
-    model = fit_panel(panel, design, n_x=2, n_w=2, threads=2).model
-    for threads in (2, 3):
-        for name, run in (("gram", lambda: accumulate_gram(panel, threads=threads)),
-                          ("scores", lambda: score_new_panel(model, panel, design,
-                                                             threads=threads))):
-            tracemalloc.start()
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            bound = 8 * p + 2 * budget + 256 * 1024
-            assert peak < bound, (name, threads, peak, bound)
+    model = fit_panel(panel, design, n_x=2, n_w=2).model
+    for name, run in (("gram", lambda: accumulate_gram(panel)),
+                      ("scores", lambda: score_new_panel(model, panel, design))):
+        tracemalloc.start()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        bound = 8 * p + budget + 256 * 1024
+        assert peak < bound, (name, peak, bound)
 
 
 def outputs(result):
@@ -798,18 +794,6 @@ def outputs(result):
     model = result.model
     return [result.gram, model.mean, *(phi.to_array() for phi in (*model.phi_x, model.phi_w)),
             result.decomposition.u, result.scores.xi, result.scores.zeta]
-
-
-def test_thread_count_changes_no_bit_where_blas_runs_threads(rng):
-    # at this size OpenBLAS runs the block products on several threads (the
-    # last bits of phi and xi then move with its own thread count), yet the
-    # threads setting changes no bit
-    design = make_design(rng, n_subjects=30, visits=4)
-    panel = DataPanel.from_array(rng.standard_normal((40000, design.n)), n_slices=5)
-    serial, pooled = (fit_panel(panel, design, n_x=2, n_w=2, threads=threads)
-                      for threads in (1, 2))
-    for got, want in zip(outputs(pooled), outputs(serial)):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_reports_nonfinite_input_row(rng, tmp_path):
@@ -847,37 +831,28 @@ def test_thread_resolution_env(monkeypatch):
 @pytest.mark.parametrize("name", ["accumulate_gram", "stream", "score_new_panel", "fit_panel"])
 @pytest.mark.parametrize("threads", [None, 0, -1])
 def test_every_threads_argument_follows_one_rule(rng, monkeypatch, name, threads):
-    # None is LFPCA_THREADS; an explicit count below 1 is refused before any
-    # row is read
+    # the one rule: no pass takes a thread count or reads LFPCA_THREADS (only
+    # the command line checks it), and each runs in the calling thread; the
+    # parameter is the variable's value, None for unset
     design = make_design(rng, n_subjects=6, visits=3)
     panel = DataPanel.from_array(rng.standard_normal((60, design.n)), n_slices=3)
-    model = fit_panel(panel, design, n_x=2, n_w=2, threads=1).model
-    call = {"accumulate_gram": lambda: accumulate_gram(panel, threads=threads),
-            "stream": lambda: stream([panel], lambda rows, blocks, outs: None, threads=threads),
-            "score_new_panel": lambda: score_new_panel(model, panel, design, threads=threads),
-            "fit_panel": lambda: fit_panel(panel, design, n_x=2, n_w=2, threads=threads)}[name]
-    pools, reads = [], []
-    read_rows = DataPanel.read_rows
+    model = fit_panel(panel, design, n_x=2, n_w=2).model
+    call = {"accumulate_gram": lambda **kw: accumulate_gram(panel, **kw),
+            "stream": lambda **kw: stream([panel], lambda rows, blocks, outs: None, **kw),
+            "score_new_panel": lambda **kw: score_new_panel(model, panel, design, **kw),
+            "fit_panel": lambda **kw: fit_panel(panel, design, n_x=2, n_w=2, **kw)}[name]
+    with pytest.raises(TypeError, match="threads"):
+        call(threads=1)
 
-    class RecordingPool(_parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def no_thread(self):
+        raise AssertionError(f"{name} started a thread")
 
-    def counting(self, start, stop):
-        reads.append((start, stop))
-        return read_rows(self, start, stop)
-
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(DataPanel, "read_rows", counting)
-    monkeypatch.setenv("LFPCA_THREADS", "2")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     if threads is None:
-        call()
-        assert pools and set(pools) == {1}  # one worker beside the reading thread
+        monkeypatch.delenv("LFPCA_THREADS", raising=False)
     else:
-        with pytest.raises(ValidationError, match="threads must be >= 1"):
-            call()
-        assert pools == [] and reads == []
+        monkeypatch.setenv("LFPCA_THREADS", str(threads))
+    call()
 
 
 def test_variance_single_component_is_total():

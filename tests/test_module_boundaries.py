@@ -69,3 +69,21 @@ def test_no_module_imports_another_inside_a_function_or_for_type_checking():
             offenders += [f"{path.name}:{node.lineno}: {target}" for target in targets
                           if id(node) not in top]
     assert not offenders, offenders
+
+
+def test_no_module_imports_threading():
+    # every streamed pass runs in the calling thread: one pass primitive, with
+    # no second, threaded path beside it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name.split(".")[0] in ("threading", "_thread")
+                          or name.startswith("concurrent.futures")]
+    assert not offenders, offenders

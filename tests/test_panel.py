@@ -1,13 +1,10 @@
 import struct
-import threading
-import time
 
 import numpy as np
 import pytest
 
 from lfpca import (DataPanel, ValidationError, center_panel, panel_from_csv, panel_to_csv,
                    read_panel, write_panel)
-from lfpca._parallel import ordered_map
 from lfpca.panel import PanelWriter, slice_starts, stream
 
 
@@ -171,38 +168,9 @@ def test_stream_deletes_partial_outputs_on_error(rng, tmp_path):
         outs[0][:] = blocks[0]
         outs[1][:] = blocks[0][:, 0]
 
-    before = threading.active_count()
-    for threads in (1, 2, 3):
-        with pytest.raises(FloatingPointError):
-            stream([panel], _fail_third, [(3, tmp_path / "a.lfpb"), (None, None)], threads)
-        assert list(tmp_path.iterdir()) == []
-        assert threading.active_count() == before  # the pass worker is joined
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_ordered_map_keeps_at_most_two_items(threads):
-    # an item is alive from its read until fn is done with it: fn runs on one
-    # thread, and the next item is read while it runs, whatever threads says
-    lock = threading.Lock()
-    alive = peak = 0
-
-    def items():
-        nonlocal alive, peak
-        for i in range(12):
-            with lock:
-                alive += 1
-                peak = max(peak, alive)
-            yield i
-
-    def fn(i):
-        nonlocal alive
-        time.sleep(0.005)
-        with lock:
-            alive -= 1
-        return i
-
-    assert list(ordered_map(fn, items(), threads)) == list(range(12))
-    assert peak <= min(threads, 2)
+    with pytest.raises(FloatingPointError):
+        stream([panel], _fail_third, [(3, tmp_path / "a.lfpb"), (None, None)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_converter_round_trip(rng, tmp_path):

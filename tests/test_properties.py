@@ -6,8 +6,7 @@ only the bases and the mean, since the fit sees Y through Y'Y; an affine
 change of the visit times changes nothing under standardization, and a
 negative scale flips the slope family; reordering the subjects reorders
 the scores and nothing else, and reversing each subject's visits reorders
-the visit scores; the thread count changes no bit and the slice count
-only the last bits. Designs are drawn with 5-9 subjects of 1-5 visits (at
+the visit scores; the slice count changes only the last bits. Designs are drawn with 5-9 subjects of 1-5 visits (at
 least one subject with 3 or more), or 40-48 subjects of 3-5 visits for
 the reordering, and q in {1, 2}; those the fit would refuse as
 unidentifiable are skipped.
@@ -193,15 +192,10 @@ def outputs(result):
 
 @settings(max_examples=10)
 @given(problems(), st.integers(2, P))
-def test_slice_and_thread_counts_change_nothing(problem, slices):
+def test_slice_count_moves_only_the_last_bits(problem, slices):
     design, y = problem
-    panel = DataPanel.from_array(y).with_slices(slices)
+    sliced = fit_panel(DataPanel.from_array(y).with_slices(slices), design, n_x=N_X, n_w=N_W)
     base = fit(design, y)
-    serial, pooled = (fit_panel(panel, design, n_x=N_X, n_w=N_W, threads=threads)
-                      for threads in (1, 2))
-    # slice results are summed in slice order whatever the thread count
-    for got, want in zip(outputs(pooled), outputs(serial)):
-        assert got.tobytes() == want.tobytes()
     # the Gram sums one product per slice, so only the last bits may move
-    for got, want in zip(outputs(serial), outputs(base)):
+    for got, want in zip(outputs(sliced), outputs(base)):
         assert_rel(got, want, 1e-10)
