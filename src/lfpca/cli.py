@@ -136,11 +136,11 @@ def cmd_fit(args) -> int:
     t0 = time.monotonic()
     resolve_threads(args.threads)
     rank = _parse_rank(args.rank)
+    outdir = _output_dir(args.out)
     panel = digest_panel(read_panel(args.data))
     design = read_metadata(args.meta)
     if args.slices is not None:
         panel = panel.with_slices(args.slices)
-    outdir = Path(args.out)
     with _staged_dir(outdir) as stage:
         result = fit_panel(panel, design, n_x=args.nx, n_w=args.nw, rank=rank,
                            var_threshold=args.var_threshold,
@@ -214,6 +214,29 @@ def _staged_dir(outdir: Path):
         shutil.rmtree(stage, ignore_errors=True)
 
 
+def _output_dir(path) -> Path:
+    """``path`` as an output directory, refused before any work when it, or
+    the nearest of its parents that exists, is not a directory."""
+    path = Path(path)
+    existing = next(found for found in (path, *path.parents) if found.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"cannot write output directory {path}: "
+                              f"{existing} is not a directory")
+    return path
+
+
+def _output_file(path) -> Path:
+    """``path`` as an output file, refused before any work when it is a
+    directory or its directory does not exist."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValidationError(f"cannot write output file {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValidationError(f"cannot write output file {path}: "
+                              f"no directory {path.parent}")
+    return path
+
+
 def _parse_rank(raw):
     if raw is None or raw == "auto":
         return None
@@ -252,7 +275,7 @@ def cmd_simulate(args) -> int:
                           n_visits=args.visits, sigma2=args.sigma2, seed=args.seed + rep)
              for rep in range(args.reps)]
     generate = {1: generate_scenario1, 2: generate_scenario2}[args.scenario]
-    outdir = Path(args.out)
+    outdir = _output_dir(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for rep, spec in enumerate(specs):
         panel, design, truth = generate(spec)
@@ -318,6 +341,7 @@ def _checked_pair(truth_dir: Path, fit_dir: Path):
 
 
 def cmd_evaluate(args) -> int:
+    out = _output_file(args.out)
     truth_root, fit_root = Path(args.truth), Path(args.fit)
     if not truth_root.is_dir():
         raise ValidationError(f"truth directory not found: {truth_root}")
@@ -348,11 +372,11 @@ def cmd_evaluate(args) -> int:
             sd = float(stacked[:, c].std(ddof=1)) if stacked.shape[0] > 1 else 0.0
             rows.append(["aggregate", "", fam, c, "", ""] + [""] * 5
                         + [f"{mean:.17g}", f"{sd:.17g}", format_cell(mean, sd)])
-    with open(args.out, "w", newline="") as fh:
+    with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    print(f"evaluated {len(per_rep)} replication(s) -> {args.out}")
+    print(f"evaluated {len(per_rep)} replication(s) -> {out}")
     return EXIT_OK
 
 
@@ -362,23 +386,25 @@ def cmd_evaluate(args) -> int:
 
 def cmd_scores(args) -> int:
     resolve_threads(args.threads)
+    out = _output_file(args.out)
     model = load_model(args.model)
     panel = read_panel(args.data)
     design = read_metadata(args.meta)
     scores = score_new_panel(model, panel, design)
-    write_scores_csv(scores, args.out)
-    print(f"scored {design.n_subjects} subject(s) -> {args.out}")
+    write_scores_csv(scores, out)
+    print(f"scored {design.n_subjects} subject(s) -> {out}")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
+    output = _output_file(args.output)
     if args.to_csv:
         if args.slices is not None:
             raise ValidationError("--slices applies only to --to-panel")
-        panel_to_csv(read_panel(args.input), args.output)
+        panel_to_csv(read_panel(args.input), output)
     else:
         slices = 1 if args.slices is None else args.slices
-        write_panel(panel_from_csv(args.input, n_slices=slices), args.output)
+        write_panel(panel_from_csv(args.input, n_slices=slices), output)
     return EXIT_OK
 
 

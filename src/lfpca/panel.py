@@ -346,6 +346,8 @@ def panel_to_csv(panel: DataPanel, path) -> None:
 
 def panel_from_csv(path, n_slices: int = 1) -> DataPanel:
     """Debug converter: read a dense CSV written by :func:`panel_to_csv`."""
+    if not Path(path).is_file():
+        raise ValidationError(f"panel CSV not found: {path}")
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:

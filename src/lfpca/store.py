@@ -1,7 +1,9 @@
 """The records lfpca writes and reads back, each next to its file format:
 the fitted model and the model directory, the scores and the scores CSV,
-the simulation truth and the truth directory. Each reader is the one check
-of what it reads, and raises ValidationError naming the file and the key.
+the simulation truth and the truth directory. In a model directory every
+matrix is an LFPB file, and model.json holds only sizes and short scalar
+records. Each reader is the one check of what it reads, and raises
+ValidationError naming the file and the key.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .panel import DataPanel, finite_row_sums, read_panel, write_panel
 
 MODEL_FILE = "model.json"
 MEAN_FILE = "mean.lfpb"
+A_X_FILE = "a_x.lfpb"  # the intrinsic coefficients A_x, (q+1)r x n_x
+A_W_FILE = "a_w.lfpb"  # the intrinsic coefficients A_w, r x n_w
 V_FILE = "v.lfpb"  # the left singular vectors a fit writes with write_v
 SCORES_FILE = "scores.csv"
 TRUTH_FILE = "truth.json"
@@ -87,7 +91,7 @@ class FittedModel:
 
 
 _SIZES = ("p", "n", "q", "r", "n_x", "n_w")  # stored in model.json, read from the arrays
-_MODEL_KEYS = _SIZES + ("a_x", "a_w", "lambda_x", "lambda_w", "sigma2", "trace_x", "trace_w",
+_MODEL_KEYS = _SIZES + ("lambda_x", "lambda_w", "sigma2", "trace_x", "trace_w",
                         "clipped_count", "covariate_scaling")
 
 
@@ -113,12 +117,22 @@ def phi_x_files_in(directory) -> list[str]:
 
 
 def save_model(model: FittedModel, outdir) -> None:
-    """Write the model directory: model.json, mean.lfpb, and the phi panels."""
+    """Write the model directory: a_x.lfpb, a_w.lfpb, mean.lfpb and the phi
+    panels, each one LFPB file with its exact bits, then model.json with the
+    sizes and scalars. An earlier model.json is removed before anything is
+    written, so a save that fails partway leaves a directory that
+    :func:`load_model` refuses, never a mix of two models that loads."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / MODEL_FILE).unlink(missing_ok=True)
+    for matrix, name in ((model.a_x, A_X_FILE), (model.a_w, A_W_FILE),
+                         (model.mean[:, None], MEAN_FILE)):
+        write_panel(DataPanel.from_array(matrix), outdir / name)
+    for phi, name in zip([*model.phi_x, model.phi_w], basis_files(model.q)):
+        if not (phi.file_backed and phi._path == outdir / name):
+            write_panel(phi, outdir / name)
     payload = {
         **{name: getattr(model, name) for name in _SIZES},
-        "a_x": model.a_x.tolist(), "a_w": model.a_w.tolist(),
         "lambda_x": model.lambda_x.tolist(), "lambda_w": model.lambda_w.tolist(),
         "sigma2": model.sigma2, "trace_x": model.trace_x, "trace_w": model.trace_w,
         "clipped_count": model.clipped_count,
@@ -127,10 +141,6 @@ def save_model(model: FittedModel, outdir) -> None:
     }
     # one line: json.dumps without indent takes the C encoder, json.dump never does
     (outdir / MODEL_FILE).write_text(json.dumps(payload, sort_keys=True))
-    write_panel(DataPanel.from_array(model.mean[:, None]), outdir / MEAN_FILE)
-    for phi, name in zip([*model.phi_x, model.phi_w], basis_files(model.q)):
-        if not (phi.file_backed and phi._path == outdir / name):
-            write_panel(phi, outdir / name)
 
 
 def load_model(model_dir) -> FittedModel:
@@ -138,42 +148,53 @@ def load_model(model_dir) -> FittedModel:
 
     This is the one check of a model directory. It raises ValidationError,
     naming the file and the key, when ``model.json`` does not parse or lacks
-    a key, when a stored size disagrees with the arrays (a_x is (q+1)r x n_x,
-    a_w is r x n_w, lambda_x and lambda_w hold n_x and n_w values), when a
-    coefficient, eigenvalue, ``sigma2``, trace or mean value is not finite, when a
-    covariate scaling entry does not name a column in [1, q] or has a shift
-    or scale that is not a finite number or a scale <= 0, or when
-    ``mean.lfpb`` is not p x 1 or a basis file is not p x n_x (p x n_w for
-    Phi_w). Of the bases only the headers are read; the scoring pass checks
-    their values as it reads them (see :func:`lfpca.blup.panel_projections`).
-    Keys it does not know, such as the ``spectrum_x`` of older files, are
-    ignored.
+    a key, when ``a_x.lfpb`` or ``a_w.lfpb`` is missing (a model directory
+    written before the coefficients left ``model.json``, which must be
+    fitted again), when a stored size disagrees with the arrays
+    (``a_x.lfpb`` is (q+1)r x n_x, ``a_w.lfpb`` is r x n_w, lambda_x and
+    lambda_w hold n_x and n_w values), when a coefficient, eigenvalue,
+    ``sigma2``, trace or mean value is not finite, when a covariate scaling
+    entry does not name a column in [1, q] or has a shift or scale that is
+    not a finite number or a scale <= 0, or when ``mean.lfpb`` is not p x 1
+    or a basis file is not p x n_x (p x n_w for Phi_w). Of the bases only
+    the headers are read; the scoring pass checks their values as it reads
+    them (see :func:`lfpca.blup.panel_projections`). Keys it does not know,
+    such as the ``spectrum_x`` of older files, are ignored.
     """
     model_dir = Path(model_dir)
     meta = _CheckedJson(model_dir / MODEL_FILE, _MODEL_KEYS)
+    for name in (A_X_FILE, A_W_FILE):
+        if not (model_dir / name).is_file():
+            raise ValidationError(f"no {name} in {model_dir}: a model directory written "
+                                  f"before the coefficients left {MODEL_FILE} must be refitted")
     sizes = {key: meta.value(key, _size) for key in _SIZES}
     p, q, r = sizes["p"], sizes["q"], sizes["r"]
-    a_x, a_w = meta.array("a_x", 2), meta.array("a_w", 2)
-    lambda_x, lambda_w = meta.array("lambda_x", 1), meta.array("lambda_w", 1)
-    meta.counts(sizes, (("r", a_w.shape[0], "rows in 'a_w'"),
-                        ("n_w", a_w.shape[1], "columns in 'a_w'"),
-                        ("n_x", a_x.shape[1], "columns in 'a_x'"),
+    lambda_x, lambda_w = meta.vector("lambda_x"), meta.vector("lambda_w")
+    a_w = read_panel(model_dir / A_W_FILE)
+    meta.counts(sizes, (("r", a_w.p, f"rows in {A_W_FILE}"),
+                        ("n_w", a_w.n, f"columns in {A_W_FILE}"),
                         ("n_x", lambda_x.size, "values in 'lambda_x'"),
                         ("n_w", lambda_w.size, "values in 'lambda_w'")))
-    if a_x.shape[0] != (q + 1) * r:
-        raise ValidationError(f"{meta.path}: 'a_x' has {a_x.shape[0]} rows, "
-                              f"expected (q+1) r = {(q + 1) * r} for q={q}, r={r}")
+    a_x = _checked_panel(model_dir / A_X_FILE, meta.path, (q + 1) * r, sizes["n_x"],
+                         "(q+1) r x n_x")
+    a_x, a_w = (_finite_matrix(panel) for panel in (a_x, a_w))
     scaling = meta.value("covariate_scaling",
                          lambda entries: tuple(_covariate_scale(s, q) for s in entries))
     scalars = {key: meta.value(key, _finite) for key in ("sigma2", "trace_x", "trace_w")}
-    mean = _checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1").to_array()[:, 0]
-    finite_row_sums(slice(0, p), mean[:, None], source=model_dir / MEAN_FILE)
+    mean = _finite_matrix(_checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1"))[:, 0]
     *phi_x, phi_w = [_checked_panel(model_dir / name, meta.path, p, sizes[key], f"p x {key}")
                      for name, key in zip(basis_files(q), ["n_x"] * (q + 1) + ["n_w"])]
     return FittedModel(n=sizes["n"], a_x=a_x, a_w=a_w, lambda_x=lambda_x, lambda_w=lambda_w,
                        phi_x=tuple(phi_x), phi_w=phi_w, **scalars,
                        clipped_count=meta.value("clipped_count", _size),
                        mean=mean, covariate_scaling=scaling)
+
+
+def _finite_matrix(panel: DataPanel) -> np.ndarray:
+    """The values of a stored model file, refused by the file's name unless finite."""
+    values = panel.to_array()
+    finite_row_sums(slice(0, panel.p), values, source=panel._path)
+    return values
 
 
 def _covariate_scale(entry: dict, q: int) -> CovariateScale:
@@ -226,11 +247,11 @@ class _CheckedJson:
         except (TypeError, ValueError, KeyError) as exc:
             raise ValidationError(f"{self.path}: bad {key!r}: {exc!r}") from None
 
-    def array(self, key: str, ndim: int) -> np.ndarray:
-        """A finite float array of ``ndim`` dimensions."""
+    def vector(self, key: str) -> np.ndarray:
+        """A finite float vector."""
         arr = self.value(key, lambda v: np.array(v, dtype=np.float64))
-        if arr.ndim != ndim:
-            raise ValidationError(f"{self.path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
+        if arr.ndim != 1:
+            raise ValidationError(f"{self.path}: {key!r} must be 1-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{self.path}: {key!r} holds non-finite values")
         return arr
@@ -245,13 +266,13 @@ class _CheckedJson:
 
 
 
-def _checked_panel(path: Path, json_path: Path, p: int, width: int, shape: str) -> DataPanel:
-    """The panel at ``path``, refused unless its header says p x width, the
+def _checked_panel(path: Path, json_path: Path, rows: int, cols: int, shape: str) -> DataPanel:
+    """The panel at ``path``, refused unless its header says rows x cols, the
     ``shape`` that the file at ``json_path`` gives."""
     panel = read_panel(path)
-    if (panel.p, panel.n) != (p, width):
+    if (panel.p, panel.n) != (rows, cols):
         raise ValidationError(f"{path} is {panel.p} x {panel.n}, but {json_path.name} "
-                              f"gives {shape} = {p} x {width}")
+                              f"gives {shape} = {rows} x {cols}")
     return panel
 
 
@@ -410,7 +431,7 @@ def load_truth(truth_dir) -> GroundTruth:
     truth_dir = Path(truth_dir)
     meta = _CheckedJson(truth_dir / TRUTH_FILE, _TRUTH_KEYS)
     sizes = {key: meta.value(key, _size) for key in ("p", "n_x", "n_w")}
-    lambda_x, lambda_w = meta.array("lambda_x", 1), meta.array("lambda_w", 1)
+    lambda_x, lambda_w = meta.vector("lambda_x"), meta.vector("lambda_w")
     meta.counts(sizes, (("n_x", lambda_x.size, "values in 'lambda_x'"),
                         ("n_w", lambda_w.size, "values in 'lambda_w'")))
     names = phi_x_files_in(truth_dir)

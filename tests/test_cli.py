@@ -479,22 +479,37 @@ def _edit_panel(name, change):
     return corrupt
 
 
+def _written_before_lfpb_coefficients(fit_dir):
+    """A model directory as versions that kept a_x and a_w in model.json wrote it."""
+    meta = json.loads((fit_dir / "model.json").read_text())
+    for name in ("a_x", "a_w"):
+        meta[name] = read_panel(fit_dir / f"{name}.lfpb").to_array().tolist()
+        (fit_dir / f"{name}.lfpb").unlink()
+    (fit_dir / "model.json").write_text(json.dumps(meta, sort_keys=True))
+
+
 MODEL_CORRUPTIONS = {
     "r": (_edit_json(lambda m: m.update(r=m["r"] + 1)), r"model\.json: 'r' is"),
     "n_x": (_edit_json(lambda m: m.update(n_x=m["n_x"] - 1)), r"model\.json: 'n_x' is"),
     "p": (_edit_json(lambda m: m.update(p=m["p"] - 1)),
           r"mean\.lfpb is 200 x 1, but model\.json gives p x 1 = 199 x 1"),
     "short-lambda_x": (_edit_json(lambda m: m["lambda_x"].pop()), r"model\.json: .*'lambda_x'"),
-    "a_x-column": (_edit_json(lambda m: [row.pop() for row in m["a_x"]]),
-                   r"model\.json: .*'a_x'"),
+    "a_x-column": (_edit_panel("a_x.lfpb", lambda a: a[:, :-1]),
+                   r"a_x\.lfpb is (\d+) x 3, but model\.json gives \(q\+1\) r x n_x = \1 x 4"),
+    "a_w-columns": (_edit_panel("a_w.lfpb", lambda a: np.hstack([a, a])),
+                    r"model\.json: 'n_w' is 4, but there are 8 columns in a_w\.lfpb"),
     "no-sigma2": (_edit_json(lambda m: m.pop("sigma2")), r"model\.json: missing key.*'sigma2'"),
     "bad-json": (lambda fit_dir: (fit_dir / "model.json").write_text('{"p": 200,'),
                  r"model\.json does not parse"),
     "phi_w-rows": (_edit_panel("phi_w.lfpb", lambda a: a[:120]), r"phi_w\.lfpb is 120 x"),
     "mean-columns": (_edit_panel("mean.lfpb", lambda a: np.hstack([a, a])),
                      r"mean\.lfpb is 200 x 2"),
-    "nan-a_x": (_edit_json(lambda m: m["a_x"][0].__setitem__(0, float("nan"))),
-                r"model\.json: 'a_x' holds non-finite values"),
+    "nan-a_x": (_edit_panel("a_x.lfpb",
+                            lambda a: np.where(np.arange(len(a))[:, None] == 0, np.nan, a)),
+                r"a_x\.lfpb: non-finite values in rows \[0, 156\), first at row 0"),
+    "nan-a_w": (_edit_panel("a_w.lfpb",
+                            lambda a: np.where(np.arange(len(a))[:, None] == 5, np.inf, a)),
+                r"a_w\.lfpb: non-finite values in rows \[0, 78\), first at row 5"),
     "inf-sigma2": (_edit_json(lambda m: m.update(sigma2=float("inf"))),
                    r"model\.json: bad 'sigma2'.*expected a finite number"),
     "text-scale": (_edit_json(lambda m: m["covariate_scaling"][0].update(scale="x")),
@@ -505,8 +520,10 @@ MODEL_CORRUPTIONS = {
                    r"model\.json: bad 'covariate_scaling'.*scale must be positive"),
     "scale-column": (_edit_json(lambda m: m["covariate_scaling"][0].update(column=2)),
                      r"model\.json: bad 'covariate_scaling'.*column must be in \[1, 1\]"),
-    "a_x-rows": (_edit_json(lambda m: m["a_x"].pop()),
-                 r"model\.json: 'a_x' has \d+ rows, expected \(q\+1\) r = \d+ for q=1"),
+    "a_x-rows": (_edit_panel("a_x.lfpb", lambda a: a[:-1]),
+                 r"a_x\.lfpb is 155 x 4, but model\.json gives \(q\+1\) r x n_x = 156 x 4"),
+    "no-a_x-file": (_written_before_lfpb_coefficients,
+                    r"no a_x\.lfpb in .*fit: a model directory written before"),
     "not-an-object": (lambda fit_dir: (fit_dir / "model.json").write_text("[1, 2]"),
                       r"model\.json must hold a JSON object"),
     "fractional-p": (_edit_json(lambda m: m.update(p=200.5)),
@@ -577,6 +594,63 @@ def test_corrupt_truth_directory_exits_2(saved_fit, tmp_path, capsys, corrupt, m
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and re.search(message, errors[0]), errors
     assert not (tmp_path / "m.csv").exists()
+
+
+OUTPUT_PATH_ERRORS = {
+    # each: (argv from the replication, the fit and the temporary directory,
+    #        the path that the error names)
+    "fit-out-is-a-file": (lambda rep, fit, tmp: ["fit", *_rep_inputs(rep), "--out",
+                                                 str(tmp / "file")], "file"),
+    "fit-out-under-a-file": (lambda rep, fit, tmp: ["fit", *_rep_inputs(rep), "--out",
+                                                    str(tmp / "file" / "sub")], "file"),
+    "scores-out-is-a-directory": (lambda rep, fit, tmp: ["scores", "--model", str(fit),
+                                                         *_rep_inputs(rep), "--out", str(tmp)],
+                                  ""),
+    "scores-out-in-missing-directory": (lambda rep, fit, tmp: [
+        "scores", "--model", str(fit), *_rep_inputs(rep), "--out", str(tmp / "no" / "s.csv")],
+        "no/s.csv"),
+    "convert-output-in-missing-directory": (lambda rep, fit, tmp: [
+        "convert", "--to-csv", str(rep / "panel.lfpb"), str(tmp / "no" / "p.csv")], "no/p.csv"),
+    "evaluate-out-in-missing-directory": (lambda rep, fit, tmp: [
+        "evaluate", "--truth", str(rep), "--fit", str(fit), "--out", str(tmp / "no" / "m.csv")],
+        "no/m.csv"),
+    "simulate-out-is-a-file": (lambda rep, fit, tmp: [
+        "simulate", "--scenario", "1", "--p", "20", "--out", str(tmp / "file")], "file"),
+    "convert-missing-csv": (lambda rep, fit, tmp: [
+        "convert", "--to-panel", str(tmp / "missing.csv"), str(tmp / "p.lfpb")], "missing.csv"),
+}
+
+
+def _rep_inputs(rep_dir):
+    return ["--data", str(rep_dir / "panel.lfpb"), "--meta", str(rep_dir / "meta.csv")]
+
+
+@pytest.mark.parametrize("argv, named", OUTPUT_PATH_ERRORS.values(),
+                         ids=list(OUTPUT_PATH_ERRORS))
+def test_output_path_errors_exit_2_before_reading(saved_fit, tmp_path, capsys, monkeypatch,
+                                                  argv, named):
+    # an --out or output that cannot be written, or a missing input CSV, is a
+    # usage error: exit 2 with one error line naming the path, before any
+    # data row is read, not a traceback after the work
+    rep_dir, fit_dir = saved_fit
+    (tmp_path / "file").write_text("kept")
+    reads = []
+    read_rows = DataPanel.read_rows
+
+    def counting(self, start, stop):
+        reads.append((start, stop))
+        return read_rows(self, start, stop)
+
+    monkeypatch.setattr(DataPanel, "read_rows", counting)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(*argv(rep_dir, fit_dir, tmp_path)) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    assert str(tmp_path / named) in errors[0], errors
+    assert reads == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_malformed_scores_row_exits_2_from_evaluate(saved_fit, tmp_path, capsys):

@@ -1,6 +1,8 @@
+import json
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,15 +414,64 @@ def test_model_round_trips_every_field(rng, tmp_path, q, file_backed):
         assert getattr(loaded, name) == getattr(model, name), name
     save_model(loaded, tmp_path / "again")
     assert sorted(path.name for path in saved.iterdir()) == sorted(
-        ["model.json", "mean.lfpb", *basis_files(q)])
+        ["model.json", "a_x.lfpb", "a_w.lfpb", "mean.lfpb", *basis_files(q)])
     for path in saved.iterdir():
         assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
+
+
+def test_model_json_holds_only_sizes_and_scalars(rng, tmp_path):
+    # every matrix of a model directory is an LFPB file with its exact bits;
+    # model.json keeps the sizes and the short scalar records
+    res, _ = fit_and_oracle(rng, n_x=2, n_w=2)
+    save_model(res.model, tmp_path)
+    assert set(json.loads((tmp_path / "model.json").read_text())) == {
+        "p", "n", "q", "r", "n_x", "n_w", "lambda_x", "lambda_w", "sigma2", "trace_x",
+        "trace_w", "clipped_count", "covariate_scaling"}
+    for name in ("a_x", "a_w"):
+        stored = read_panel(tmp_path / f"{name}.lfpb")
+        assert stored.n_slices == 1, name
+        assert stored.to_array().tobytes() == getattr(res.model, name).tobytes(), name
+
+
+def test_interrupted_save_never_loads_a_mix_of_two_models(rng, tmp_path, monkeypatch):
+    # save_model over an earlier model of the same sizes, with each file it
+    # writes failing in turn, leaves a directory that load_model refuses,
+    # never the new coefficients beside the old bases
+    from lfpca import store
+    design = make_design(rng, n_subjects=6, visits=3)
+    old, new = (fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n))), design,
+                          n_x=2, n_w=2, rank=12).model for _ in range(2))
+    assert (old.r, old.n_x, old.n_w) == (new.r, new.n_x, new.n_w)
+    write_panel, write_text = store.write_panel, Path.write_text
+    names = ["a_x.lfpb", "a_w.lfpb", "mean.lfpb", *store.basis_files(1), "model.json"]
+    for k, failing in enumerate(names):
+        outdir = tmp_path / f"fail_{k}"
+        save_model(old, outdir)
+
+        def failing_write_panel(panel, path):
+            if Path(path).name == failing:
+                raise OSError("disk full")
+            write_panel(panel, path)
+
+        def failing_write_text(path, *args, **kwargs):
+            if path.name == failing:
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "write_panel", failing_write_panel)
+            patch.setattr(Path, "write_text", failing_write_text)
+            with pytest.raises(OSError, match="disk full"):
+                save_model(new, outdir)
+        with pytest.raises(ValidationError, match="no model.json"):
+            load_model(outdir)
+        save_model(new, outdir)
+        assert load_model(outdir).a_x.tobytes() == new.a_x.tobytes(), failing
 
 
 def test_model_json_with_full_spectra_still_scores(rng, tmp_path):
     # model.json files written before spectrum_x/spectrum_w were dropped
     # carry both; they load and score as before
-    import json
     res, _ = fit_and_oracle(rng, n_x=2, n_w=2)
     save_model(res.model, tmp_path)
     meta = json.loads((tmp_path / "model.json").read_text())
@@ -439,7 +490,6 @@ def test_model_json_with_full_spectra_still_scores(rng, tmp_path):
 def test_model_json_is_compact_and_indented_files_still_load(rng, tmp_path):
     # model.json is one line with the keys and float text of the indented
     # layout written before; a file in that layout loads to the same bits
-    import json
     import shutil
     res, _ = fit_and_oracle(rng, n_x=2, n_w=2)
     save_model(res.model, tmp_path / "compact")

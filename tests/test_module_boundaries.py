@@ -22,8 +22,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 # the file names of the records lfpca writes and reads back
-FORMAT_NAMES = ("model.json", "mean.lfpb", "v.lfpb", "truth.json", "scores.csv", "phi_x_",
-                "phi_w.lfpb")
+FORMAT_NAMES = ("model.json", "mean.lfpb", "a_x.lfpb", "a_w.lfpb", "v.lfpb", "truth.json",
+                "scores.csv", "phi_x_", "phi_w.lfpb")
 
 
 def _docstrings(tree):
