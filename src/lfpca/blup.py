@@ -33,17 +33,13 @@ def panel_projections(model: FittedModel, panel: DataPanel) -> np.ndarray:
     """
     if panel.p != model.p:
         raise ValidationError(f"panel has {panel.p} rows, model expects {model.p}")
-    bases = [*model.phi_x, model.phi_w]
-    sources = model.basis_sources()
-
     def _project(rows, blocks, outs):
         *parts, block = blocks
-        for part, source in zip(parts, sources):
-            finite_row_sums(rows, part, source=source)
+        model.check_bases(rows, parts)
         finite_row_sums(rows, block)
         return (np.hstack(parts).T @ block,)
 
-    (stacked,), _ = stream([*bases, center_panel(panel, model.mean)], _project)
+    (stacked,), _ = stream([*model.phi_x, model.phi_w, center_panel(panel, model.mean)], _project)
     return stacked
 
 
@@ -118,7 +114,8 @@ def score_new_panel(model: FittedModel, panel: DataPanel, design: StudyDesign) -
 def reconstruct(model: FittedModel, scores: ScorePanel, design: StudyDesign,
                 subject_index: int, visit_index: int) -> np.ndarray:
     """Fitted observation for one visit, assembled slice by slice, from ``scores``
-    and the design they were solved under, in original units."""
+    and the design they were solved under, in original units; the bases are
+    checked as in :func:`panel_projections`."""
     design = model.in_model_units(design)
     if (list(design.subject_ids) != scores.subject_ids
             or design.visit_counts.tolist() != scores.visit_counts):
@@ -130,6 +127,7 @@ def reconstruct(model: FittedModel, scores: ScorePanel, design: StudyDesign,
     coef = np.concatenate([z_k * xi for z_k in design.stacked_z()[col]] + [scores.zeta[col]])
 
     def _fitted(rows, blocks, outs):
+        model.check_bases(rows, blocks)
         np.matmul(np.hstack(blocks), coef, out=outs[0])
         outs[0] += model.mean[rows]
 

@@ -275,11 +275,12 @@ def cmd_simulate(args) -> int:
                           n_visits=args.visits, sigma2=args.sigma2, seed=args.seed + rep)
              for rep in range(args.reps)]
     generate = {1: generate_scenario1, 2: generate_scenario2}[args.scenario]
-    outdir = _output_dir(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for rep, spec in enumerate(specs):
+    outdir = Path(args.out)
+    rep_dirs = [outdir / f"rep_{rep:03d}" for rep in range(args.reps)]
+    for rep_dir in rep_dirs:  # every directory written, refused before the first draw
+        _output_dir(rep_dir / TRUTH_DIR)
+    for spec, rep_dir in zip(specs, rep_dirs):
         panel, design, truth = generate(spec)
-        rep_dir = outdir / f"rep_{rep:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_panel(panel, rep_dir / "panel.lfpb")
         write_metadata(design, rep_dir / "meta.csv")

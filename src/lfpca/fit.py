@@ -204,8 +204,8 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     the block height, never raise it. When ``workdir`` is given, the lifted
     bases are streamed to files there, so beyond an in-memory panel's own
     array peak memory stays at about ``BLOCK_BYTES + n^2`` plus O(p)
-    vectors: the Gram pass shifts a file read in place and an in-memory
-    block in a copy; otherwise they are kept in memory. With ``write_v``
+    vectors: the Gram pass shifts a writeable block in place and a read-only
+    one in a copy; otherwise they are kept in memory. With ``write_v``
     the left singular vectors V = Y F, with F from :func:`left_factor`, are
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.

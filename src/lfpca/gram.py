@@ -52,20 +52,15 @@ def accumulate_gram(panel: DataPanel) -> tuple[np.ndarray, np.ndarray]:
 
     Each row is shifted by its first column before the slice products are
     summed; J removes the shift exactly, and without it a large mean would
-    cancel the signal in J Y'Y J. A fresh read (see ``DataPanel.fresh_reads``)
-    is shifted in place; a view of an in-memory panel is shifted into a copy.
+    cancel the signal in J Y'Y J. A writeable block is shifted in place, a
+    read-only view of an in-memory panel into a copy (see ``stream``).
     Non-finite input raises NumericalError (see :func:`finite_row_sums`).
     """
-    fresh = panel.fresh_reads
-
     def _slice(rows, blocks, outs):
         block = blocks[0]
         finite_row_sums(rows, block, out=outs[0])
-        if fresh:
-            # copy the first column: numpy's overlap handling would copy the block
-            block -= block[:, :1].copy()
-        else:
-            block = block - block[:, :1]
+        first = block[:, :1].copy()  # a copy: numpy's overlap handling would copy the block
+        block = np.subtract(block, first, out=block if block.flags.writeable else None)
         return (block.T @ block,)
 
     (gram,), (sums,) = stream([panel], _slice, [(None, None)])

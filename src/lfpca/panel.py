@@ -97,18 +97,15 @@ class DataPanel:
     def file_backed(self) -> bool:
         return self._path is not None
 
-    @property
-    def fresh_reads(self) -> bool:
-        """Whether ``read_rows`` returns a new array the caller may change in
-        place (a file read, or a centred view), not a view of the backing array."""
-        return self._path is not None or self.mean is not None
-
     def read_rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) as a (stop-start) x n float64 array."""
+        """Rows [start, stop) as a (stop-start) x n float64 array, which may be
+        changed in place exactly when ``block.flags.writeable``: a file read or
+        a centred block is a new array, in-memory rows a read-only view."""
         if not (0 <= start <= stop <= self.p):
             raise ValidationError(f"row range [{start}, {stop}) outside panel of {self.p} rows")
         if self._array is not None:
             block = self._array[start:stop]
+            block.flags.writeable = False
         else:
             count = (stop - start) * self.n
             with open(self._path, "rb") as fh:
@@ -119,9 +116,9 @@ class DataPanel:
             block = block.reshape(stop - start, self.n)
             if self.digest is not None:
                 self.digest.feed(start, block)
-        if self.mean is not None:  # in place on a file read: the block is ours
+        if self.mean is not None:
             block = np.subtract(block, self.mean[start:stop, None],
-                                out=block if self.file_backed else None)
+                                out=block if block.flags.writeable else None)
         return block
 
     def iter_slices(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -134,7 +131,7 @@ class DataPanel:
         return replace(self, row_starts=slice_starts(self.p, n_slices))
 
     def to_array(self) -> np.ndarray:
-        """Materialize the full matrix (small panels / tests only)."""
+        """The full matrix as :meth:`read_rows` gives it (small panels / tests only)."""
         return self.read_rows(0, self.p)
 
 
@@ -230,9 +227,9 @@ def stream(panels, fn, outputs=()):
     [a, b) to fill in place, a (b - a) x width array or, when width is None,
     a vector. Outputs with a path are written block by block to an LFPB file,
     the others (vectors always) are kept in memory. The arrays fn returns, if
-    any, are summed in block order. A file read is a fresh buffer that fn may
-    change in place (see ``DataPanel.fresh_reads``), a block of an in-memory
-    panel a view that fn copies to change. A block is released before the
+    any, are summed in block order. fn may change a block in place exactly
+    when ``block.flags.writeable`` (see ``DataPanel.read_rows``); a read-only
+    block is a view of an in-memory panel. A block is released before the
     next one is read, so the pass holds about ``BLOCK_BYTES`` beyond the
     panels' own storage, plus the sums, whatever the slice count.
 

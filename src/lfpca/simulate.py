@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import StudyDesign, normalize_covariates
 from .errors import ValidationError
-from .panel import DataPanel, finite_row_sums
+from .panel import DataPanel
 from .store import FittedModel, GroundTruth, ScorePanel
 
 LATTICE_DIMS = (38, 72, 11)
@@ -143,23 +143,34 @@ def _normalize_stacked(parts: list[np.ndarray]) -> None:
 
 
 def _generate(spec: ScenarioSpec, phi_x, phi_w, law: str, block_coords=None):
-    """(panel, design, truth) from raw bases; draws design, xi, zeta, noise."""
+    """(panel, design, truth) from raw bases, normalized here; draws the design first."""
     rng = np.random.default_rng(spec.seed)
     design = sample_design(rng, spec.n_subjects, spec.n_visits)
     _normalize_stacked(list(phi_x))
     _normalize_stacked([phi_w])
-    lam_x = default_eigenvalues(phi_x[0].shape[1])
-    lam_w = default_eigenvalues(phi_w.shape[1])
+    lam_x, lam_w = (default_eigenvalues(basis.shape[1]) for basis in (phi_x[0], phi_w))
+    panel, truth = _synthesize(rng, design, phi_x, phi_w, lam_x, lam_w, law, spec.sigma2,
+                               spec.seed, block_coords=block_coords)
+    return panel, design, truth
+
+
+def _synthesize(rng, design, phi_x, phi_w, lam_x, lam_w, law, sigma2, seed, mean=None,
+                block_coords=None):
+    """(panel, truth): the one body that draws a simulated panel. It draws xi,
+    then zeta, then the noise from ``rng``; ``mean``, when given, is added
+    before the noise."""
     xi = draw_scores(rng, lam_x, design.n_subjects, law)
     zeta = draw_scores(rng, lam_w, design.n, law)
     values = _assemble(design, phi_x, phi_w, xi, zeta)
-    if spec.sigma2 > 0:
-        values += np.sqrt(spec.sigma2) * rng.standard_normal(values.shape)
+    if mean is not None:
+        values += mean[:, None]
+    if sigma2 > 0:
+        values += np.sqrt(sigma2) * rng.standard_normal(values.shape)
     truth = GroundTruth(phi_x=phi_x, phi_w=phi_w, lambda_x=lam_x, lambda_w=lam_w,
                         xi=xi, zeta=zeta, subject_ids=list(design.subject_ids),
-                        visit_counts=design.visit_counts.tolist(), sigma2=spec.sigma2,
-                        seed=spec.seed, score_law=law, block_coords=block_coords)
-    return DataPanel.from_array(values), design, truth
+                        visit_counts=design.visit_counts.tolist(), sigma2=sigma2,
+                        seed=seed, score_law=law, block_coords=block_coords)
+    return DataPanel.from_array(values), truth
 
 
 def generate_scenario1(spec: ScenarioSpec):
@@ -239,20 +250,9 @@ def generate_from_model(model: FittedModel, design: StudyDesign, *,
             raise ValidationError(f"{name} must be finite and nonnegative, got {values}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    xi = draw_scores(rng, lam_x, design.n_subjects, score_law)
-    zeta = draw_scores(rng, lam_w, design.n, score_law)
-    phi_x = tuple(panel.to_array() for panel in model.phi_x)
-    phi_w = model.phi_w.to_array()
-    values = _assemble(design, phi_x, phi_w, xi, zeta)
-    values += model.mean[:, None]
-    if sigma2 > 0:
-        values += np.sqrt(sigma2) * rng.standard_normal(values.shape)
-    truth = GroundTruth(phi_x=phi_x, phi_w=phi_w, lambda_x=lam_x, lambda_w=lam_w,
-                        xi=xi, zeta=zeta, subject_ids=list(design.subject_ids),
-                        visit_counts=design.visit_counts.tolist(), sigma2=sigma2, seed=seed,
-                        score_law=score_law)
-    return DataPanel.from_array(values), truth
+    *phi_x, phi_w = model.basis_arrays()
+    return _synthesize(np.random.default_rng(seed), design, tuple(phi_x), phi_w, lam_x, lam_w,
+                       score_law, sigma2, seed, mean=model.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +292,7 @@ def evaluate(truth: GroundTruth, model: FittedModel,
             f"truth ({truth.n_x}, {truth.n_w})")
     if model.p != truth.phi_w.shape[0]:
         raise ValidationError("model and truth disagree on p")
-    *est_x, est_w = [phi.to_array() for phi in (*model.phi_x, model.phi_w)]
-    for est, source in zip((*est_x, est_w), model.basis_sources()):
-        finite_row_sums(slice(0, model.p), est, source=source)
+    *est_x, est_w = model.basis_arrays()
     distances: dict[str, np.ndarray] = {}
     for k in range(model.q + 1):
         distances[f"x{k}"] = np.array([

@@ -83,6 +83,17 @@ class FittedModel:
         return [phi._path or name
                 for phi, name in zip([*self.phi_x, self.phi_w], basis_files(self.q))]
 
+    def check_bases(self, rows: slice, blocks) -> None:
+        """Refuse non-finite values in rows ``rows`` of the bases, read as
+        ``blocks`` in family order (see :func:`finite_row_sums`)."""
+        for block, source in zip(blocks, self.basis_sources()):
+            finite_row_sums(rows, block, source=source)
+
+    def basis_arrays(self) -> list[np.ndarray]:
+        """The bases read whole, in family order, each refused unless finite."""
+        return [finite_values(phi, source)
+                for phi, source in zip((*self.phi_x, self.phi_w), self.basis_sources())]
+
     def in_model_units(self, design: StudyDesign) -> StudyDesign:
         """A design in original units through the stored scaling; refused unless q matches."""
         if design.q != self.q:
@@ -129,7 +140,7 @@ def save_model(model: FittedModel, outdir) -> None:
                          (model.mean[:, None], MEAN_FILE)):
         write_panel(DataPanel.from_array(matrix), outdir / name)
     for phi, name in zip([*model.phi_x, model.phi_w], basis_files(model.q)):
-        if not (phi.file_backed and phi._path == outdir / name):
+        if phi._path != outdir / name:
             write_panel(phi, outdir / name)
     payload = {
         **{name: getattr(model, name) for name in _SIZES},
@@ -177,11 +188,11 @@ def load_model(model_dir) -> FittedModel:
                         ("n_w", lambda_w.size, "values in 'lambda_w'")))
     a_x = _checked_panel(model_dir / A_X_FILE, meta.path, (q + 1) * r, sizes["n_x"],
                          "(q+1) r x n_x")
-    a_x, a_w = (_finite_matrix(panel) for panel in (a_x, a_w))
+    a_x, a_w = (finite_values(panel) for panel in (a_x, a_w))
     scaling = meta.value("covariate_scaling",
                          lambda entries: tuple(_covariate_scale(s, q) for s in entries))
     scalars = {key: meta.value(key, _finite) for key in ("sigma2", "trace_x", "trace_w")}
-    mean = _finite_matrix(_checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1"))[:, 0]
+    mean = finite_values(_checked_panel(model_dir / MEAN_FILE, meta.path, p, 1, "p x 1"))[:, 0]
     *phi_x, phi_w = [_checked_panel(model_dir / name, meta.path, p, sizes[key], f"p x {key}")
                      for name, key in zip(basis_files(q), ["n_x"] * (q + 1) + ["n_w"])]
     return FittedModel(n=sizes["n"], a_x=a_x, a_w=a_w, lambda_x=lambda_x, lambda_w=lambda_w,
@@ -190,10 +201,11 @@ def load_model(model_dir) -> FittedModel:
                        mean=mean, covariate_scaling=scaling)
 
 
-def _finite_matrix(panel: DataPanel) -> np.ndarray:
-    """The values of a stored model file, refused by the file's name unless finite."""
+def finite_values(panel: DataPanel, source=None) -> np.ndarray:
+    """A stored matrix read whole, refused by ``source`` (the panel's file
+    when None) and the first bad row unless finite (see :func:`finite_row_sums`)."""
     values = panel.to_array()
-    finite_row_sums(slice(0, panel.p), values, source=panel._path)
+    finite_row_sums(slice(0, panel.p), values, source=source or panel._path)
     return values
 
 
@@ -263,7 +275,6 @@ class _CheckedJson:
             if sizes[key] != got:
                 raise ValidationError(f"{self.path}: {key!r} is {sizes[key]}, "
                                       f"but there are {got} {what}")
-
 
 
 def _checked_panel(path: Path, json_path: Path, rows: int, cols: int, shape: str) -> DataPanel:
@@ -425,9 +436,8 @@ def load_truth(truth_dir) -> GroundTruth:
     naming the file and the key, when ``truth.json`` does not parse, lacks
     one of its keys or holds a value of the wrong kind (``lambda_x`` and
     ``lambda_w`` must hold n_x and n_w finite values), when a basis file
-    is not p x n_x (p x n_w for Phi_w; only the basis headers are read
-    before that), or when ``scores.csv`` does not hold n_x xi and n_w zeta
-    components. ``block_coords`` is optional."""
+    is not p x n_x (p x n_w for Phi_w) or not finite, or when ``scores.csv``
+    does not hold n_x xi and n_w zeta components. ``block_coords`` is optional."""
     truth_dir = Path(truth_dir)
     meta = _CheckedJson(truth_dir / TRUTH_FILE, _TRUTH_KEYS)
     sizes = {key: meta.value(key, _size) for key in ("p", "n_x", "n_w")}
@@ -439,7 +449,7 @@ def load_truth(truth_dir) -> GroundTruth:
         raise ValidationError(f"no {basis_file(0)} in {truth_dir}")
     panels = [_checked_panel(truth_dir / name, meta.path, sizes["p"], sizes[key], f"p x {key}")
               for name, key in zip(names + [basis_file()], ["n_x"] * len(names) + ["n_w"])]
-    *phi_x, phi_w = [panel.to_array() for panel in panels]
+    *phi_x, phi_w = [finite_values(panel) for panel in panels]
     scores = read_checked_scores(truth_dir / SCORES_FILE, sizes["n_x"], sizes["n_w"],
                                  meta.path.name)
     return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w, lambda_x=lambda_x, lambda_w=lambda_w,

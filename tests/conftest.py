@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lfpca import StudyDesign
+from lfpca import DataPanel, StudyDesign, read_panel, write_panel
 
 try:
     from hypothesis import settings
@@ -16,6 +16,14 @@ else:
     # fixed examples and no example database, so runs are reproducible
     settings.register_profile("lfpca", derandomize=True, deadline=None, database=None)
     settings.load_profile("lfpca")
+
+
+def poison_basis(model_dir, row):
+    """Write an inf into row ``row`` of a saved model's ``phi_w.lfpb``."""
+    path = Path(model_dir) / "phi_w.lfpb"
+    arr = read_panel(path).to_array()
+    arr[row, 0] = np.inf
+    write_panel(DataPanel.from_array(arr), path)
 
 
 def make_design(rng, n_subjects=8, visits=4, q=1, spread=2.0):

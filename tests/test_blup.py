@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import design_of, make_design, reordered, subject_rows
+from conftest import design_of, make_design, poison_basis, reordered, subject_rows
 from lfpca import (DataPanel, NumericalError, ValidationError, apply_covariate_scaling,
-                   fit_panel, generate_from_model, read_scores_csv, reconstruct, score_blups,
-                   score_new_panel, write_scores_csv)
+                   fit_panel, generate_from_model, load_model, read_scores_csv, reconstruct,
+                   save_model, score_blups, score_new_panel, write_scores_csv)
 from lfpca import panel as panel_module
 from oracle import oracle_basis_matrix, oracle_scores
 
@@ -176,6 +176,17 @@ def test_reconstruct_exact_model_data(rng):
         col = design.column_of(i, j)
         err = np.linalg.norm(rec - arr[:, col])
         assert err <= 1e-8 * max(np.linalg.norm(arr[:, col]), 1e-30)
+
+
+def test_reconstruct_refuses_a_nonfinite_stored_basis(rng, tmp_path):
+    # the bases are checked as the scoring pass checks them, by file and
+    # row, not assembled into a non-finite observation
+    res, design = fitted_model(rng)
+    save_model(res.model, tmp_path)
+    poison_basis(tmp_path, 9)
+    with pytest.raises(ValidationError, match=r"phi_w\.lfpb: non-finite values in rows "
+                                              r"\[0, 60\), first at row 9$"):
+        reconstruct(load_model(tmp_path), res.scores, design, 0, 0)
 
 
 def test_reconstruct_rejects_unknown_visit(rng):

@@ -578,6 +578,9 @@ TRUTH_CORRUPTIONS = {
                       r"scores\.csv has 3 xi and 4 zeta components, but truth\.json gives n_x = 4"),
     "no-phi_x_0": (lambda truth_dir: (truth_dir / "phi_x_0.lfpb").unlink(),
                    r"no phi_x_0\.lfpb in .*truth"),
+    "phi_w-nan": (_edit_panel("phi_w.lfpb",
+                              lambda a: np.where(np.arange(len(a))[:, None] == 3, np.nan, a)),
+                  r"truth/phi_w\.lfpb: non-finite values in rows \[0, 200\), first at row 3$"),
 }
 
 
@@ -619,6 +622,25 @@ OUTPUT_PATH_ERRORS = {
     "convert-missing-csv": (lambda rep, fit, tmp: [
         "convert", "--to-panel", str(tmp / "missing.csv"), str(tmp / "p.lfpb")], "missing.csv"),
 }
+
+
+@pytest.mark.parametrize("taken, reps", [("rep_000", 1), ("rep_001", 2),
+                                          ("rep_000/truth", 1)])
+def test_simulate_refuses_a_file_where_it_writes_a_directory(tmp_path, capsys, taken, reps):
+    # every replication directory is checked before the first is generated:
+    # a file in the way is an error line naming it, and nothing is written
+    out = tmp_path / "sim"
+    (out / taken).parent.mkdir(parents=True)
+    (out / taken).write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run("simulate", "--scenario", "1", "--p", "20", "--reps", str(reps),
+               "--out", str(out)) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    assert f"{out / taken} is not a directory" in errors[0], errors
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (out / taken).read_text() == "kept"
 
 
 def _rep_inputs(rep_dir):

@@ -795,19 +795,20 @@ def test_one_slice_panel_is_fitted_in_budget_blocks(rng, tmp_path, monkeypatch):
 
 
 def test_fit_and_scores_leave_an_in_memory_panel_unchanged(rng, tmp_path, monkeypatch):
-    # the passes shift and centre a file read in place but an in-memory
-    # block only in a copy, since that block is a view of the caller's
-    # array; both give the same bits
+    # the passes shift and centre a writeable block in place but an
+    # in-memory block only in a copy, since that block is a read-only view
+    # of the caller's array; both give the same bits
     monkeypatch.setattr(panel_module, "BLOCK_BYTES", 4 * 8 * 32)  # 4-row blocks
     design = make_design(rng, n_subjects=8, visits=4)
     arr = rng.standard_normal((30, design.n)) + 5.0
     before = arr.tobytes()
     panel = DataPanel.from_array(arr, n_slices=3)
-    assert panel._array is arr and not panel.fresh_reads
+    assert panel._array is arr and not panel.read_rows(0, 4).flags.writeable
     path = tmp_path / "p.lfpb"
     write_panel(panel, path)
     filed = read_panel(path)
-    assert filed.fresh_reads and center_panel(panel, np.zeros(30)).fresh_reads
+    assert filed.read_rows(0, 4).flags.writeable
+    assert center_panel(panel, np.zeros(30)).read_rows(0, 4).flags.writeable
     results = [fit_panel(source, design, n_x=2, n_w=2) for source in (panel, filed)]
     scores = [score_new_panel(results[0].model, source, design) for source in (panel, filed)]
     assert arr.tobytes() == before

@@ -32,6 +32,26 @@ def test_file_round_trip_is_byte_exact(rng, tmp_path):
     np.testing.assert_array_equal(read_panel(first).to_array(), arr)
 
 
+def test_a_pass_cannot_write_into_an_in_memory_panel(rng, tmp_path):
+    # an in-memory block is a read-only view of the caller's array, so a
+    # pass that writes into it fails instead of changing that array; a file
+    # read is a new array the pass may change
+    arr = rng.standard_normal((12, 3))
+    before = arr.copy()
+
+    def double(rows, blocks, outs):
+        blocks[0] *= 2
+
+    with pytest.raises(ValueError, match="read-only"):
+        stream([DataPanel.from_array(arr, n_slices=2)], double)
+    np.testing.assert_array_equal(arr, before)
+    view = DataPanel.from_array(arr).to_array()
+    assert np.shares_memory(view, arr) and not view.flags.writeable and arr.flags.writeable
+    write_panel(DataPanel.from_array(arr), tmp_path / "p.lfpb")
+    stream([read_panel(tmp_path / "p.lfpb")], double)
+    np.testing.assert_array_equal(arr, before)
+
+
 def test_file_backed_reslicing_reads_same_rows(rng, tmp_path):
     arr = rng.standard_normal((31, 4))
     write_panel(DataPanel.from_array(arr, n_slices=2), tmp_path / "p.lfpb")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_design
+from conftest import make_design, poison_basis
 from lfpca import (DataPanel, ScenarioSpec, ValidationError, aligned_sq_distance, curve_bases,
                    default_eigenvalues, evaluate, fit_panel, generate_from_model,
-                   generate_scenario1, generate_scenario2, load_truth, save_truth)
+                   generate_scenario1, generate_scenario2, load_model, load_truth, save_model,
+                   save_truth)
 from lfpca.simulate import block_layout, draw_mixture_scores, draw_scores
 
 
@@ -182,6 +183,78 @@ def test_from_model_refuses_negative_seed(rng):
                     n_x=2, n_w=2)
     with pytest.raises(ValidationError, match="seed"):
         generate_from_model(res.model, design, seed=-1)
+
+
+def test_from_model_refuses_a_nonfinite_stored_basis(rng, tmp_path):
+    # a stored basis is checked by file and row before it is drawn from, not
+    # turned into a non-finite panel
+    design = make_design(rng, n_subjects=6, visits=3)
+    res = fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n))), design,
+                    n_x=2, n_w=2)
+    save_model(res.model, tmp_path)
+    poison_basis(tmp_path, 9)
+    with pytest.raises(ValidationError, match=r"phi_w\.lfpb: non-finite values in rows "
+                                              r"\[0, 40\), first at row 9$"):
+        generate_from_model(load_model(tmp_path), design, seed=1)
+
+
+def _hand_scores(rng, lambdas, count, law):
+    """Scores drawn straight from ``rng``, component by component."""
+    half = [np.sqrt(lam / 2.0) for lam in lambdas]
+    if law == "mixture":
+        return np.column_stack([h * (2 * rng.integers(0, 2, count) - 1)
+                                + h * rng.standard_normal(count) for h in half])
+    return np.column_stack([np.sqrt(lam) * rng.standard_normal(count) for lam in lambdas])
+
+
+def _hand_signal(design, phi_x, phi_w, xi, zeta):
+    """sum_k Phi_xk (z_k xi_i) + Phi_w zeta_c, column by column."""
+    z = design.stacked_z()
+    subject = np.repeat(np.arange(design.n_subjects), design.visit_counts)
+    return np.column_stack([sum(phi @ (z[c, k] * xi[subject[c]]) for k, phi in enumerate(phi_x))
+                            + phi_w @ zeta[c] for c in range(design.n)])
+
+
+@pytest.mark.parametrize("scenario, sigma2", [(1, 0.0), (1, 0.3), (2, 0.0)])
+def test_scenarios_draw_design_then_xi_then_zeta_then_noise(scenario, sigma2):
+    # the generators' outputs are pinned to draws made by hand from the seed
+    if scenario == 1:
+        panel, design, truth = generate_scenario1(ScenarioSpec.curves(
+            p=40, sigma2=sigma2, seed=11, n_subjects=5, n_visits=3))
+    else:
+        panel, design, truth = generate_scenario2(ScenarioSpec.blocks(
+            seed=11, n_subjects=5, n_visits=3, lattice=(2, 8, 2)))
+    law = {1: "mixture", 2: "normal"}[scenario]
+    rng = np.random.default_rng(11)
+    times = np.cumsum(rng.uniform(0, 1, (5, 3)), axis=1).ravel()
+    xi = _hand_scores(rng, truth.lambda_x, 5, law)
+    zeta = _hand_scores(rng, truth.lambda_w, 15, law)
+    noise = np.sqrt(sigma2) * rng.standard_normal((panel.p, 15))
+    z1 = design.stacked_z()[:, 1]
+    np.testing.assert_allclose(z1, (times - times.mean()) / times.std(ddof=1), atol=1e-12)
+    np.testing.assert_array_equal(truth.xi, xi)
+    np.testing.assert_array_equal(truth.zeta, zeta)
+    signal = _hand_signal(design, truth.phi_x, truth.phi_w, xi, zeta)
+    np.testing.assert_allclose(panel.to_array(), signal + noise, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("law", ["mixture", "normal"])
+@pytest.mark.parametrize("sigma2", [0.0, 0.5])
+def test_from_model_draws_xi_then_zeta_then_noise(rng, law, sigma2):
+    # as for the scenarios, but no design is drawn and the mean comes before the noise
+    design = make_design(rng, n_subjects=6, visits=3)
+    res = fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n)) + 3.0), design,
+                    n_x=2, n_w=2)
+    panel, truth = generate_from_model(res.model, design, score_law=law, sigma2=sigma2, seed=5)
+    hand = np.random.default_rng(5)
+    xi = _hand_scores(hand, res.model.lambda_x, 6, law)
+    zeta = _hand_scores(hand, res.model.lambda_w, 18, law)
+    noise = np.sqrt(sigma2) * hand.standard_normal((40, 18))
+    np.testing.assert_array_equal(truth.xi, xi)
+    np.testing.assert_array_equal(truth.zeta, zeta)
+    signal = _hand_signal(res.model.in_model_units(design), truth.phi_x, truth.phi_w, xi, zeta)
+    np.testing.assert_allclose(panel.to_array(), res.model.mean[:, None] + signal + noise,
+                               rtol=0, atol=1e-12)
 
 
 def test_from_model_round_trip_subspace(rng):
