@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import shutil
 import sys
 import tempfile
@@ -33,9 +34,9 @@ from .limits import (BLUP_CONDITION_LIMIT, EIGEN_RESIDUAL_TOL, EIGEN_VECTOR_TOL,
 from .panel import (DataPanel, digest_panel, panel_from_csv, panel_to_csv, read_panel,
                     write_panel)
 from .simulate import ScenarioSpec, evaluate, generate_scenario1, generate_scenario2
-from .store import (MODEL_FILE, SCORES_FILE, TRUTH_DIR, TRUTH_FILE, V_FILE, load_model,
-                    load_truth, phi_x_files_in, read_checked_scores, save_model, save_truth,
-                    write_scores_csv)
+from .store import (MODEL_FILE, SCORES_FILE, TRUTH_DIR, TRUTH_FILE, V_FILE, basis_files,
+                    load_model, load_truth, phi_x_files_in, read_checked_scores, save_model,
+                    save_truth, write_scores_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -169,6 +170,7 @@ def cmd_fit(args) -> int:
             },
             "input_hashes": {args.data: data_hash, args.meta: _sha256(args.meta)},
             "timing_seconds": round(time.monotonic() - t0, 6),
+            "peak_rss_mb": _peak_rss_mb(),
             "p": model.p, "n": model.n, "q": model.q, "r": model.r,
             "clipped_count": model.clipped_count,
             "sigma2": model.sigma2,
@@ -228,12 +230,18 @@ def _output_dir(path) -> Path:
 def _output_file(path) -> Path:
     """``path`` as an output file, refused before any work when it is a
     directory or its directory does not exist."""
-    path = Path(path)
-    if path.is_dir():
-        raise ValidationError(f"cannot write output file {path}: it is a directory")
+    path = _not_a_directory(path)
     if not path.parent.is_dir():
         raise ValidationError(f"cannot write output file {path}: "
                               f"no directory {path.parent}")
+    return path
+
+
+def _not_a_directory(path) -> Path:
+    """``path`` as an output file, refused before any work when it is a directory."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValidationError(f"cannot write output file {path}: it is a directory")
     return path
 
 
@@ -254,6 +262,13 @@ def _write_eigenvalues(path, model) -> None:
             writer.writerow(["x", c, f"{v:.17g}"])
         for c, v in enumerate(model.lambda_w):
             writer.writerow(["w", c, f"{v:.17g}"])
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far in MB (2^20 bytes), from
+    ``getrusage``, which reports it in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 3)
 
 
 def _sha256(path) -> str:
@@ -277,8 +292,13 @@ def cmd_simulate(args) -> int:
     generate = {1: generate_scenario1, 2: generate_scenario2}[args.scenario]
     outdir = Path(args.out)
     rep_dirs = [outdir / f"rep_{rep:03d}" for rep in range(args.reps)]
-    for rep_dir in rep_dirs:  # every directory written, refused before the first draw
+    # every path written, refused before the first draw; both scenarios have q = 1
+    truth_files = [TRUTH_FILE, SCORES_FILE, *basis_files(1)]
+    for rep_dir in rep_dirs:
         _output_dir(rep_dir / TRUTH_DIR)
+        for path in [rep_dir / "panel.lfpb", rep_dir / "meta.csv",
+                     *(rep_dir / TRUTH_DIR / name for name in truth_files)]:
+            _not_a_directory(path)
     for spec, rep_dir in zip(specs, rep_dirs):
         panel, design, truth = generate(spec)
         rep_dir.mkdir(parents=True, exist_ok=True)

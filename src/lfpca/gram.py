@@ -24,6 +24,7 @@ KRYLOV_BLOCK = 8  # columns of the start block of top_eigenpairs
 GIVE_UP_STEP = 6  # top_eigenpairs judges its acceptance ratio from this step (or half its budget)
 RITZ_LEAD = 2  # steps before its predicted acceptance that top_eigenpairs solves again
 RITZ_MAX_GAP = 5  # most steps from one Rayleigh-Ritz solve of top_eigenpairs to the next
+PANEL_BYTES = 1 << 20  # about the most a whole-matrix step copies of an n x n matrix at once
 
 
 @dataclass
@@ -139,7 +140,8 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
     bounds the error of their span, is at most EIGEN_VECTOR_TOL. The
     record is then ``{"path": "krylov", "steps": ..., "rayleigh_ritz": ...,
     "residual": ...}``: the steps, the Rayleigh-Ritz solves among them, and
-    the largest accepted residual relative to ||K||_1.
+    the largest accepted residual relative to ||K||_1. ||K||_1 is taken over
+    the column panels of :func:`matrix_panels`, so no copy of K is made whole.
 
     Rayleigh-Ritz runs only where it could accept: at every step until the
     larger acceptance ratio has fallen between two solves, then RITZ_LEAD
@@ -164,7 +166,7 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
     width = KRYLOV_BLOCK if k is None else max(KRYLOV_BLOCK, check_count("k", k, n) + 1)
     if width > budget:
         return _dense_eigenpairs(matrix)
-    norm = float(np.abs(matrix).sum(axis=0).max())
+    norm = max(float(np.abs(matrix[:, cols]).sum(axis=0).max()) for cols in matrix_panels(n))
     floor = EIGEN_RESIDUAL_TOL * norm
     basis, images = np.empty((n, budget)), np.empty((n, budget))
     proj = np.empty((budget, budget))  # basis' K basis
@@ -217,6 +219,16 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
             due = steps + min(RITZ_MAX_GAP, max(1, math.ceil(left) - RITZ_LEAD))
         last_step, last_excess = steps, excess
     return _dense_eigenpairs(matrix)
+
+
+def matrix_panels(n: int) -> list[slice]:
+    """Slices cutting range(n) into the fewest nearly equal panels of an
+    n x n float64 matrix's rows or columns that hold about PANEL_BYTES each,
+    and at least 2 wide: numpy sums a one-column panel along axis 0 in
+    another order, so only then does a column sum over panels keep the bits
+    of the same sum over the whole matrix."""
+    count = max(1, min(n // 2, -(-8 * n * n // PANEL_BYTES)))
+    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
 def _start_block(n: int, width: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentifiabilityError, NumericalError, ValidationError
-from .gram import IntrinsicDecomposition
+from .gram import IntrinsicDecomposition, matrix_panels
 from .limits import FF_CONDITION_LIMIT
 
 
@@ -147,7 +147,8 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     k_x, k_w, traces = _weighted_products(coords, mom, design, gram)
     trace_x = float(np.trace(traces[:d - 1].reshape(q + 1, q + 1)))
     trace_w = float(traces[d - 1])
-    if not (np.all(np.isfinite(k_x)) and np.all(np.isfinite(k_w))):
+    # min and max propagate NaN and reach any infinity: no boolean copy is made
+    if not all(np.isfinite((k.min(), k.max())).all() for k in (k_x, k_w)):
         raise NumericalError("intrinsic covariance accumulation produced non-finite values")
     return IntrinsicCovariances(k_x=k_x, k_w=k_w, trace_x_raw=trace_x, trace_w_raw=trace_w)
 
@@ -158,8 +159,8 @@ def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign"
     sum(W_l * G) per column. Swapping the visits of every pair swaps the
     rows (k, s) and (s, k) of F, so W_ks = W_sk': a k_x block below the
     diagonal is the transpose of its mirror, not a product of its own, and
-    a block on the diagonal and k_w are symmetrized as (K + K') / 2 in
-    place. The (n, r) work arrays are freed on return."""
+    a block on the diagonal and k_w are symmetrized in place by
+    :func:`_symmetrize`. The (n, r) work arrays are freed on return."""
     q, r = mom.q, coords.shape[0]
     d = mom.n_rows
     groups = []
@@ -183,8 +184,20 @@ def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign"
         out = k_w if l == d - 1 else k_x[k * r:(k + 1) * r, s * r:(s + 1) * r]
         np.matmul(coords, t, out=out)
         if k == s or l == d - 1:
-            out[...] = (out + out.T) / 2
+            _symmetrize(out)
     return k_x, k_w, traces
+
+
+def _symmetrize(matrix: np.ndarray) -> None:
+    """matrix = (matrix + matrix') / 2 in place, one row panel of
+    :func:`matrix_panels` and its mirrored column panel at a time: each pair
+    is (x + y) / 2, the bits of the whole-matrix form, with no whole-size
+    temporary. A panel reads only entries that no earlier panel wrote."""
+    for rows in matrix_panels(matrix.shape[0]):
+        half = np.add(matrix[rows, rows.start:], matrix[rows.start:, rows].T)
+        half /= 2
+        matrix[rows, rows.start:] = half
+        matrix[rows.start:, rows] = half.T
 
 
 @dataclass

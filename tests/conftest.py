@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lfpca import DataPanel, StudyDesign, read_panel, write_panel
+from lfpca import (DataPanel, StudyDesign, intrinsic_covariances, normalize_covariates,
+                   read_panel, write_panel)
 
 try:
     from hypothesis import settings
@@ -24,6 +25,15 @@ def poison_basis(model_dir, row):
     arr = read_panel(path).to_array()
     arr[row, 0] = np.inf
     write_panel(DataPanel.from_array(arr), path)
+
+
+def fit_covariances(result, design):
+    """The intrinsic covariances of ``result``, a fit of ``design``: a fit
+    keeps none, so they are rebuilt from its decomposition, weights and Gram
+    matrix with the design it fitted (standardised when it normalised)."""
+    if result.options["normalize"]:
+        design = normalize_covariates(design)[0]
+    return intrinsic_covariances(result.decomposition, result.mom, design, gram=result.gram)
 
 
 def make_design(rng, n_subjects=8, visits=4, q=1, spread=2.0):

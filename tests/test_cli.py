@@ -75,8 +75,9 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["nx"] == 4 and manifest["config"]["nw"] == 4
     assert set(manifest["input_hashes"]) == {str(sim / "rep_000" / "panel.lfpb"),
                                              str(sim / "rep_000" / "meta.csv")}
-    for key in ("timing_seconds", "r", "clipped_count", "sigma2", "version"):
+    for key in ("timing_seconds", "peak_rss_mb", "r", "clipped_count", "sigma2", "version"):
         assert key in manifest
+    assert manifest["peak_rss_mb"] > 0
     from lfpca.limits import BLUP_CONDITION_LIMIT, FF_CONDITION_LIMIT, RANK_EPS
     assert manifest["config"]["condition_limit_ff"] == FF_CONDITION_LIMIT
     assert manifest["config"]["condition_limit_blup"] == BLUP_CONDITION_LIMIT
@@ -282,6 +283,7 @@ def test_interrupted_refit_never_loads_a_mix_of_two_fits(tmp_path, monkeypatch):
         if "manifest.json" in files:
             manifest = json.loads(files["manifest.json"])
             manifest.pop("timing_seconds")
+            manifest.pop("peak_rss_mb")  # the process's peak so far: it can grow between fits
             files["manifest.json"] = manifest
         return files
 
@@ -625,22 +627,30 @@ OUTPUT_PATH_ERRORS = {
 
 
 @pytest.mark.parametrize("taken, reps", [("rep_000", 1), ("rep_001", 2),
-                                          ("rep_000/truth", 1)])
+                                          ("rep_000/truth", 1), ("rep_000/panel.lfpb", 1),
+                                          ("rep_001/meta.csv", 2),
+                                          ("rep_000/truth/phi_x_1.lfpb", 1)])
 def test_simulate_refuses_a_file_where_it_writes_a_directory(tmp_path, capsys, taken, reps):
-    # every replication directory is checked before the first is generated:
-    # a file in the way is an error line naming it, and nothing is written
+    # every path written is checked before the first replication is
+    # generated: a file where a directory goes, or a directory where a file
+    # (with a suffix) goes, is an error line naming it, and nothing is written
     out = tmp_path / "sim"
-    (out / taken).parent.mkdir(parents=True)
-    (out / taken).write_text("kept")
+    is_file = "." in taken  # a path that simulate writes as a file
+    if is_file:
+        (out / taken).mkdir(parents=True)
+    else:
+        (out / taken).parent.mkdir(parents=True)
+        (out / taken).write_text("kept")
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run("simulate", "--scenario", "1", "--p", "20", "--reps", str(reps),
                "--out", str(out)) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: "), errors
-    assert f"{out / taken} is not a directory" in errors[0], errors
+    want = "it is a directory" if is_file else f"{out / taken} is not a directory"
+    assert str(out / taken) in errors[0] and want in errors[0], errors
     assert sorted(tmp_path.rglob("*")) == before
-    assert (out / taken).read_text() == "kept"
+    assert (out / taken).is_dir() if is_file else (out / taken).read_text() == "kept"
 
 
 def _rep_inputs(rep_dir):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_design, map_times, reordered, subject_rows
+from conftest import fit_covariances, make_design, map_times, reordered, subject_rows
 from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
                    accumulate_gram, build_design_matrix, compute_weights, decompose_intrinsic,
                    eigen_gram, estimate_sigma2, fit_panel, generate_from_model, load_model,
@@ -228,9 +228,11 @@ def test_stacked_orthonormality(rng):
 
 
 def test_eigenvalues_match_dense_eigh_of_covariances(rng):
-    res, _ = fit_and_oracle(rng)
-    for matrix, lam in ((res.covariances.k_x, res.model.lambda_x),
-                        (res.covariances.k_w, res.model.lambda_w)):
+    design = make_design(rng, n_subjects=6, visits=3)
+    res = fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n))), design,
+                    n_x=3, n_w=3, normalize=False)
+    covs = fit_covariances(res, design)
+    for matrix, lam in ((covs.k_x, res.model.lambda_x), (covs.k_w, res.model.lambda_w)):
         dense = np.maximum(np.linalg.eigvalsh(matrix)[::-1][:lam.size], 0.0)
         np.testing.assert_allclose(lam, dense, rtol=1e-8, atol=1e-12)
 
@@ -472,12 +474,15 @@ def test_interrupted_save_never_loads_a_mix_of_two_models(rng, tmp_path, monkeyp
 def test_model_json_with_full_spectra_still_scores(rng, tmp_path):
     # model.json files written before spectrum_x/spectrum_w were dropped
     # carry both; they load and score as before
-    res, _ = fit_and_oracle(rng, n_x=2, n_w=2)
+    design = make_design(rng, n_subjects=6, visits=3)
+    res = fit_panel(DataPanel.from_array(rng.standard_normal((40, design.n))), design,
+                    n_x=2, n_w=2, normalize=False)
+    covs = fit_covariances(res, design)
     save_model(res.model, tmp_path)
     meta = json.loads((tmp_path / "model.json").read_text())
     assert not {"spectrum_x", "spectrum_w"} & set(meta)
-    meta["spectrum_x"] = np.linalg.eigvalsh(res.covariances.k_x)[::-1].tolist()
-    meta["spectrum_w"] = np.linalg.eigvalsh(res.covariances.k_w)[::-1].tolist()
+    meta["spectrum_x"] = np.linalg.eigvalsh(covs.k_x)[::-1].tolist()
+    meta["spectrum_w"] = np.linalg.eigvalsh(covs.k_w)[::-1].tolist()
     (tmp_path / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     design = make_design(rng, n_subjects=6, visits=3)
     new = DataPanel.from_array(rng.standard_normal((40, design.n)))
@@ -838,6 +843,54 @@ def test_file_backed_passes_hold_one_buffer_per_block(rng, tmp_path, monkeypatch
         tracemalloc.stop()
         bound = 8 * p + budget + 256 * 1024
         assert peak < bound, (name, peak, bound)
+
+
+def test_intrinsic_stage_copies_no_k_x_and_the_lift_holds_none(monkeypatch):
+    # a noisy curves fit at n = 400 keeps r = 399: k_x is 798 square (5.1 MB)
+    # and an n x r or r x r array a quarter of it. Traced: the growth of each
+    # intrinsic step over what is live when it starts, and the largest
+    # allocation live when the lift starts
+    from lfpca import ScenarioSpec, generate_scenario1
+    from lfpca.gram import PANEL_BYTES
+    panel, design, _ = generate_scenario1(ScenarioSpec.curves(p=750, sigma2=1e-2, seed=4))
+    seen = {}
+
+    def traced(name):
+        inner = getattr(fit_module, name)
+
+        def call(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = inner(*args, **kwargs)
+            seen[name] = tracemalloc.get_traced_memory()[1] - start
+            return out
+        monkeypatch.setattr(fit_module, name, call)
+
+    def lift(*args):
+        seen["lift"] = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        return lift_basis(*args)
+
+    traced("intrinsic_covariances")
+    traced("decompose_intrinsic")
+    lift_basis = fit_module._lift_basis
+    monkeypatch.setattr(fit_module, "_lift_basis", lift)
+    tracemalloc.start()
+    try:
+        res = fit_panel(panel, design, n_x=4, n_w=4)
+    finally:
+        tracemalloc.stop()
+    n, r = design.n, res.decomposition.r
+    k_x = 8 * (2 * r) ** 2
+    assert r == 399 and res.eigensolvers["k_x"]["path"] == "krylov"
+    # k_x and k_w, the coordinates, their per-group copies and W_l C' (n x r
+    # each), numpy's buffer for a product into a k_x block, and less than a
+    # panel for the symmetrisation: a second k_x would pass the bound
+    bound = k_x + 8 * r * r + 3 * 8 * n * r + 8 * r * r + PANEL_BYTES
+    assert seen["intrinsic_covariances"] < bound < 2.5 * k_x, (seen, bound)
+    # the Krylov basis of k_x and the dense vectors of k_w, but no |k_x|
+    assert seen["decompose_intrinsic"] < k_x, (seen, k_x)
+    # the n x n Gram matrix is the largest: k_x and k_w are freed
+    assert seen["lift"] <= 8 * n * n < k_x, seen
 
 
 def outputs(result):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fit_covariances
 from lfpca import (DataPanel, IntrinsicCovariances, IntrinsicDecomposition, ScenarioSpec,
                    ValidationError, accumulate_gram, center_panel, decompose_intrinsic,
                    eigen_gram, fit_panel, generate_scenario1, generate_scenario2,
@@ -133,7 +134,7 @@ def assert_matches_dense(evals, evecs, matrix):
 def test_top_eigenpairs_accepts_krylov_on_curves_k_x():
     spec = ScenarioSpec.curves(p=750, sigma2=1e-4, seed=4)
     panel, design, _ = generate_scenario1(spec)
-    k_x = fit_panel(panel, design, n_x=4, n_w=4).covariances.k_x
+    k_x = fit_covariances(fit_panel(panel, design, n_x=4, n_w=4), design).k_x
     evals, evecs, solver = top_eigenpairs(k_x, k=4)
     assert solver["path"] == "krylov" and evals.size == 4
     assert solver["steps"] * 8 <= k_x.shape[0] // 4 and solver["residual"] <= 1e-13
@@ -141,14 +142,16 @@ def test_top_eigenpairs_accepts_krylov_on_curves_k_x():
 
 
 def noisy_curves_fit(seed):
+    """A noisy curves fit and its intrinsic covariances."""
     panel, design, _ = generate_scenario1(ScenarioSpec.curves(p=750, sigma2=1e-2, seed=seed))
-    return fit_panel(panel, design, n_x=4, n_w=4)
+    fit = fit_panel(panel, design, n_x=4, n_w=4)
+    return fit, fit_covariances(fit, design)
 
 
 def test_top_eigenpairs_certifies_noisy_k_x_with_fewer_rayleigh_ritz_solves():
     # a noisy k_x (798 square) takes 15-19 steps; Rayleigh-Ritz runs only
     # at the steps that could accept, and the pairs are dense's
-    k_x = noisy_curves_fit(seed=4).covariances.k_x
+    k_x = noisy_curves_fit(seed=4)[1].k_x
     evals, evecs, solver = top_eigenpairs(k_x, k=4)
     assert solver["path"] == "krylov" and solver["rayleigh_ritz"] < solver["steps"]
     np.testing.assert_allclose(evals, np.linalg.eigvalsh(k_x)[::-1][:4], rtol=1e-12, atol=0)
@@ -162,8 +165,8 @@ def test_top_eigenpairs_gives_up_early_where_it_cannot_certify(monkeypatch, matr
     # residual cannot reach the floor within the budget. The attempt gives
     # up by step GIVE_UP_STEP (each step makes one new block) and returns
     # dense eigh's bits.
-    fit = noisy_curves_fit(seed=3)
-    matrix = fit.covariances.k_w if matrix == "k_w" else fit.gram
+    fit, covs = noisy_curves_fit(seed=3)
+    matrix = covs.k_w if matrix == "k_w" else fit.gram
     steps = []
     new_directions = gram_module._new_directions
     monkeypatch.setattr(gram_module, "_new_directions",
