@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .gram import IntrinsicDecomposition, stack_coefficients
 from .limits import BLUP_CONDITION_LIMIT
 from .panel import DataPanel, center_panel, finite_row_sums, stream
-from .store import FittedModel, ScorePanel
+from .store import FittedModel, ScorePanel, check_pairing
 from .store import read_scores_csv  # lfbench imports it as lfpca.blup.read_scores_csv
 
 
@@ -114,12 +114,13 @@ def score_new_panel(model: FittedModel, panel: DataPanel, design: StudyDesign) -
 def reconstruct(model: FittedModel, scores: ScorePanel, design: StudyDesign,
                 subject_index: int, visit_index: int) -> np.ndarray:
     """Fitted observation for one visit, assembled slice by slice, from ``scores``
-    and the design they were solved under, in original units; the bases are
-    checked as in :func:`panel_projections`."""
+    and the design they were solved under, in original units. ValidationError
+    for a design of another q than the model's, for scores of other component
+    counts than the model's or other subject ids or visit counts than the
+    design's (:func:`check_pairing`), for a subject or visit the design lacks,
+    and for a non-finite basis value (as in :func:`panel_projections`)."""
     design = model.in_model_units(design)
-    if (list(design.subject_ids) != scores.subject_ids
-            or design.visit_counts.tolist() != scores.visit_counts):
-        raise ValidationError("design and scores disagree on subject ids or visit counts")
+    check_pairing(scores, model.n_x, model.n_w, "the model", design, "the design")
     if not 0 <= subject_index < design.n_subjects:
         raise ValidationError(f"no subject index {subject_index}")
     col = design.column_of(subject_index, visit_index)

@@ -35,7 +35,7 @@ from .panel import (DataPanel, digest_panel, panel_from_csv, panel_to_csv, read_
                     write_panel)
 from .simulate import ScenarioSpec, evaluate, generate_scenario1, generate_scenario2
 from .store import (MODEL_FILE, SCORES_FILE, TRUTH_DIR, TRUTH_FILE, V_FILE, basis_files,
-                    load_model, load_truth, phi_x_files_in, read_checked_scores, save_model,
+                    load_model, load_truth, phi_x_files_in, read_scores_csv, save_model,
                     save_truth, write_scores_csv)
 
 EXIT_OK = 0
@@ -335,32 +335,6 @@ def _find_pairs(truth_root: Path, fit_root: Path):
     return pairs
 
 
-def _checked_pair(truth_dir: Path, fit_dir: Path):
-    """The truth, the model and the fit's scores (None without a scores file),
-    refused by the fit's file name unless the model's q is the truth's and the
-    scores hold the model's components for the truth's subjects and visits,
-    subject by subject in the truth's order."""
-    truth, model = load_truth(truth_dir), load_model(fit_dir)
-    if model.q != len(truth.phi_x) - 1:
-        raise ValidationError(f"{fit_dir / MODEL_FILE}: 'q' is {model.q}, but the truth in "
-                              f"{truth_dir} has q = {len(truth.phi_x) - 1}")
-    path = fit_dir / SCORES_FILE
-    if not path.is_file():
-        return truth, model, None
-    scores = read_checked_scores(path, model.n_x, model.n_w, MODEL_FILE)
-    rows, want = (len(scores.xi), len(scores.zeta)), (len(truth.xi), len(truth.zeta))
-    if rows != want:
-        raise ValidationError(f"{path} has scores for {rows[0]} subjects and {rows[1]} visits, "
-                              f"but the truth in {truth_dir} has {want[0]} and {want[1]}")
-    pairs = zip(scores.subject_ids, scores.visit_counts, truth.subject_ids, truth.visit_counts)
-    for i, (sid, count, want_sid, want_count) in enumerate(pairs):
-        if (sid, count) != (want_sid, want_count):
-            raise ValidationError(f"{path}: subject {i + 1} is {sid} with {count} visits, but "
-                                  f"in the truth in {truth_dir} it is {want_sid} with "
-                                  f"{want_count}")
-    return truth, model, scores
-
-
 def cmd_evaluate(args) -> int:
     out = _output_file(args.out)
     truth_root, fit_root = Path(args.truth), Path(args.fit)
@@ -368,8 +342,15 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(f"truth directory not found: {truth_root}")
     if not fit_root.is_dir():
         raise ValidationError(f"fit directory not found: {fit_root}")
-    per_rep = [(name, evaluate(*_checked_pair(truth_dir, fit_dir)))
-               for name, truth_dir, fit_dir in _find_pairs(truth_root, fit_root)]
+    per_rep = []
+    for name, truth_dir, fit_dir in _find_pairs(truth_root, fit_root):
+        truth, model = load_truth(truth_dir), load_model(fit_dir)
+        path = fit_dir / SCORES_FILE
+        scores = read_scores_csv(path) if path.is_file() else None
+        try:
+            per_rep.append((name, evaluate(truth, model, scores)))
+        except ValidationError as exc:
+            raise ValidationError(f"{fit_dir}: {exc}") from None
 
     quant_names = ["score_q005", "score_q05", "score_q50", "score_q95", "score_q995"]
     header = (["kind", "replication", "family", "component", "evec_sq_dist", "lambda_rel_err"]

@@ -209,11 +209,11 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     n x r U. A pass holds one block of ``BLOCK_BYTES`` and the n x n sums
     (the Gram pass shifts a writeable block in place and a read-only one in
     a copy). The intrinsic stage holds ``k_x`` and ``k_w``, (q+1)^2 r^2 +
-    r^2 float64 values, three n x r work arrays and one r x r product
-    buffer; it copies neither matrix whole and frees both before the lift.
-    Measured peak RSS of ``lfpca fit``: 76 MB at p = 100,000, n = 600
-    (r = 591), where the intrinsic stage sets it, and 248 MB at
-    p = 20,000, n = 1600. With ``write_v``
+    r^2 float64 values, three n x r work arrays and one visit-count group's
+    batched weight product; it copies neither matrix whole and frees both
+    before the lift. Measured peak RSS of ``lfpca fit``: 76 MB at
+    p = 100,000, n = 600 (r = 591, 12 MB slices), where the lift sets it,
+    and 248 MB at p = 20,000, n = 1600. With ``write_v``
     the left singular vectors V = Y F, with F from :func:`left_factor`, are
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.

@@ -65,7 +65,6 @@ def accumulate_gram(panel: DataPanel) -> tuple[np.ndarray, np.ndarray]:
         return (block.T @ block,)
 
     (gram,), (sums,) = stream([panel], _slice, [(None, None)])
-    gram = (gram + gram.T) / 2
     col = gram.mean(axis=0)
     gram -= col[:, None] + col[None, :] - col.mean()
     return gram, sums / panel.n

@@ -214,11 +214,3 @@ class IntrinsicCovariances:
     k_w: np.ndarray
     trace_x_raw: float
     trace_w_raw: float
-
-    @property
-    def q(self) -> int:
-        return self.k_x.shape[0] // self.k_w.shape[0] - 1
-
-    @property
-    def r(self) -> int:
-        return self.k_w.shape[0]

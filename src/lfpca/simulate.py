@@ -19,7 +19,7 @@ import numpy as np
 from .design import StudyDesign, normalize_covariates
 from .errors import ValidationError
 from .panel import DataPanel
-from .store import FittedModel, GroundTruth, ScorePanel
+from .store import FittedModel, GroundTruth, ScorePanel, check_pairing
 
 LATTICE_DIMS = (38, 72, 11)
 
@@ -285,13 +285,20 @@ def aligned_sq_distance(truth: np.ndarray, estimate: np.ndarray) -> float:
 
 def evaluate(truth: GroundTruth, model: FittedModel,
              scores: ScorePanel | None = None) -> EvaluationResult:
-    """Compare a fitted model (and optionally its scores) to the truth."""
-    if model.n_x != truth.n_x or model.n_w != truth.n_w:
+    """Compare a fitted model (and optionally its scores, subject by subject)
+    to the truth. ValidationError, naming the values that disagree, for a
+    model of another q, n_x, n_w or p than the truth's, and for scores of
+    other component counts than the model's or other subject ids or visit
+    counts than the truth's (:func:`check_pairing`)."""
+    sizes = {"q": len(truth.phi_x) - 1, "n_x": truth.n_x, "n_w": truth.n_w,
+             "p": truth.phi_w.shape[0]}
+    differ = [key for key, size in sizes.items() if getattr(model, key) != size]
+    if differ:
         raise ValidationError(
-            f"component count mismatch: model ({model.n_x}, {model.n_w}) vs "
-            f"truth ({truth.n_x}, {truth.n_w})")
-    if model.p != truth.phi_w.shape[0]:
-        raise ValidationError("model and truth disagree on p")
+            "model has " + ", ".join(f"{key} = {getattr(model, key)}" for key in differ)
+            + ", but the truth has " + ", ".join(f"{key} = {sizes[key]}" for key in differ))
+    if scores is not None:
+        check_pairing(scores, model.n_x, model.n_w, "the model", truth, "the truth")
     *est_x, est_w = model.basis_arrays()
     distances: dict[str, np.ndarray] = {}
     for k in range(model.q + 1):

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -369,14 +370,29 @@ def read_scores_csv(path) -> ScorePanel:
                       rank_deficient=np.zeros(len(ids), dtype=bool))
 
 
-def read_checked_scores(path, n_x: int, n_w: int, source: str) -> ScorePanel:
-    """:func:`read_scores_csv`, refused unless the scores hold the ``n_x`` xi
-    and ``n_w`` zeta components that the file named ``source`` gives."""
-    scores = read_scores_csv(path)
-    if (scores.xi.shape[1], scores.zeta.shape[1]) != (n_x, n_w):
-        raise ValidationError(f"{path} has {scores.xi.shape[1]} xi and {scores.zeta.shape[1]} "
-                              f"zeta components, but {source} gives n_x = {n_x} and n_w = {n_w}")
-    return scores
+def check_pairing(scores: ScorePanel, n_x: int, n_w: int, source: str,
+                  owner=None, owner_name: str = "") -> None:
+    """The one pairing check of scores: ValidationError unless they hold the
+    ``n_x`` xi and ``n_w`` zeta components that ``source`` gives and, with an
+    ``owner`` (a design or a truth), its subject ids with its visit counts, in
+    its order. The message names the first subject that differs."""
+    got = (scores.xi.shape[1], scores.zeta.shape[1])
+    if got != (n_x, n_w):
+        raise ValidationError(f"scores have {got[0]} xi and {got[1]} zeta components, but "
+                              f"{source} has n_x = {n_x} and n_w = {n_w}")
+    if owner is None:
+        return
+    mine, theirs = ([(sid, int(count)) for sid, count in zip(record.subject_ids,
+                                                              record.visit_counts)]
+                    for record in (scores, owner))
+    if mine != theirs:
+        i = next(i for i, (a, b) in enumerate(zip_longest(mine, theirs)) if a != b)
+        at_i = [f"{pairs[i][0]} with {pairs[i][1]} visits" if i < len(pairs) else "missing"
+                for pairs in (mine, theirs)]
+        raise ValidationError(
+            f"scores hold {len(mine)} subjects and {sum(c for _, c in mine)} visits and "
+            f"{owner_name} {len(theirs)} and {sum(c for _, c in theirs)}; subject {i + 1} is "
+            f"{at_i[0]} in the scores and {at_i[1]} in {owner_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +466,8 @@ def load_truth(truth_dir) -> GroundTruth:
     panels = [_checked_panel(truth_dir / name, meta.path, sizes["p"], sizes[key], f"p x {key}")
               for name, key in zip(names + [basis_file()], ["n_x"] * len(names) + ["n_w"])]
     *phi_x, phi_w = [finite_values(panel) for panel in panels]
-    scores = read_checked_scores(truth_dir / SCORES_FILE, sizes["n_x"], sizes["n_w"],
-                                 meta.path.name)
+    scores = read_scores_csv(truth_dir / SCORES_FILE)
+    check_pairing(scores, sizes["n_x"], sizes["n_w"], str(meta.path))
     return GroundTruth(phi_x=tuple(phi_x), phi_w=phi_w, lambda_x=lambda_x, lambda_w=lambda_w,
                        xi=scores.xi, zeta=scores.zeta, subject_ids=scores.subject_ids,
                        visit_counts=scores.visit_counts, sigma2=meta.value("sigma2", _finite),

@@ -204,14 +204,34 @@ def test_reconstruct_rejects_design_of_other_q(rng):
         reconstruct(res.model, res.scores, other, 0, 0)
 
 
-def test_reconstruct_rejects_design_the_scores_were_not_solved_under(rng):
-    # 6-subject scores under a 9-subject design: subject 0 would read the
-    # wrong scores and subject 8 has none
-    res, design = fitted_model(rng, n_subjects=6)
-    larger = make_design(rng, n_subjects=9, visits=3)
-    for subject in (0, 8):
-        with pytest.raises(ValidationError, match="disagree"):
-            reconstruct(res.model, res.scores, larger, subject, 0)
+RECONSTRUCT_MISMATCHES = {
+    "orders": r"scores have 3 xi and 2 zeta components, but the model has n_x = 4 and n_w = 4$",
+    "more-subjects": (r"scores hold 6 subjects and 18 visits and the design 9 and 27; subject 7 "
+                      r"is missing in the scores and s006 with 3 visits in the design$"),
+    "visit-count": (r"scores hold 6 subjects and 18 visits and the design 6 and 19; subject 3 "
+                    r"is s002 with 3 visits in the scores and s002 with 4 visits in the design$"),
+}
+
+
+@pytest.mark.parametrize("case, message", RECONSTRUCT_MISMATCHES.items(),
+                         ids=list(RECONSTRUCT_MISMATCHES))
+def test_reconstruct_refuses_scores_that_do_not_pair(rng, case, message):
+    # scores of a fit of other orders, or solved under another design, are
+    # refused by name: not ended by a matmul error inside the stream, and
+    # never read by position (subject 0 would read the wrong scores, and
+    # subject 8 of a 9-subject design has none)
+    res, design = fitted_model(rng, n_x=4, n_w=4)
+    scores, under = res.scores, design
+    if case == "orders":
+        other = DataPanel.from_array(rng.standard_normal((60, design.n)))
+        scores = fit_panel(other, design, n_x=3, n_w=2).scores
+    elif case == "more-subjects":
+        under = make_design(rng, n_subjects=9, visits=3)
+    else:
+        under = make_design(rng, visits=[3, 3, 4, 3, 3, 3])
+    for subject in (0, under.n_subjects - 1):
+        with pytest.raises(ValidationError, match=message):
+            reconstruct(res.model, scores, under, subject, 0)
 
 
 def test_scores_csv_round_trip(rng, tmp_path):

@@ -577,7 +577,8 @@ TRUTH_CORRUPTIONS = {
     "phi_x_1-columns": (_edit_panel("phi_x_1.lfpb", lambda a: a[:, :3]),
                         r"phi_x_1\.lfpb is 200 x 3, but truth\.json gives p x n_x = 200 x 4"),
     "xi-components": (_drop_lines("scores.csv", ",xi,,3,"),
-                      r"scores\.csv has 3 xi and 4 zeta components, but truth\.json gives n_x = 4"),
+                      r"scores have 3 xi and 4 zeta components, but .*truth/truth\.json has "
+                      r"n_x = 4 and n_w = 4$"),
     "no-phi_x_0": (lambda truth_dir: (truth_dir / "phi_x_0.lfpb").unlink(),
                    r"no phi_x_0\.lfpb in .*truth"),
     "phi_w-nan": (_edit_panel("phi_w.lfpb",
@@ -695,14 +696,16 @@ def test_malformed_scores_row_exits_2_from_evaluate(saved_fit, tmp_path, capsys)
     capsys.readouterr()
     assert run("evaluate", "--truth", str(rep_dir), "--fit", str(tmp_path / "fit"),
                "--out", str(tmp_path / "m.csv")) == 2
-    assert f"scores.csv:{len(lines) + 1}:" in capsys.readouterr().err
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and f"scores.csv:{len(lines) + 1}:" in errors[0], errors
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("marker, message", [
-    (",xi,,3,", r"fit/scores\.csv has 3 xi and 4 zeta components, "
-                r"but model\.json gives n_x = 4 and n_w = 4"),
-    ("subj0019,", r"fit/scores\.csv has scores for 19 subjects and 76 visits, "
-                  r"but the truth in .* has 20 and 80"),
+    (",xi,,3,", r"fit: scores have 3 xi and 4 zeta components, "
+                r"but the model has n_x = 4 and n_w = 4$"),
+    ("subj0019,", r"fit: scores hold 19 subjects and 76 visits and the truth 20 and 80; "
+                  r"subject 20 is missing in the scores and subj0019 with 4 visits in the truth$"),
 ], ids=["xi-component", "subject"])
 def test_evaluate_checks_fit_scores_against_model_and_truth(saved_fit, tmp_path, capsys,
                                                             marker, message):
@@ -732,8 +735,9 @@ def test_evaluate_pairs_fit_scores_with_truth_by_subject(saved_fit, tmp_path, ca
                "--out", str(tmp_path / "m.csv")) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and re.search(
-        r"fit/scores\.csv: subject 4 is subj0004 with 4 visits, but in the truth in .* "
-        r"it is subj0003 with 4$", errors[0]), errors
+        r"fit: scores hold 20 subjects and 80 visits and the truth 20 and 80; subject 4 is "
+        r"subj0004 with 4 visits in the scores and subj0003 with 4 visits in the truth$",
+        errors[0]), errors
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -788,7 +792,7 @@ def test_evaluate_checks_fit_q_against_truth(saved_fit, tmp_path, capsys):
                "--out", str(tmp_path / "m.csv")) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and re.search(
-        r"fit/model\.json: 'q' is 2, but the truth in .* has q = 1", errors[0]), errors
+        r"fit: model has q = 2, but the truth has q = 1$", errors[0]), errors
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -958,14 +962,20 @@ def test_evaluate_empty_fit_dir_exits_2(tmp_path):
                "--out", str(tmp_path / "m.csv")) == 2
 
 
-def test_evaluate_mismatched_orders_exits_2(tmp_path):
+def test_evaluate_mismatched_orders_exits_2(tmp_path, capsys):
     sim = simulate_small(tmp_path, reps=1)
     out = tmp_path / "fit3" / "rep_000"
     assert run("fit", "--data", str(sim / "rep_000" / "panel.lfpb"),
                "--meta", str(sim / "rep_000" / "meta.csv"),
                "--nx", "3", "--nw", "3", "--out", str(out)) == 0
+    capsys.readouterr()
     assert run("evaluate", "--truth", str(sim), "--fit", str(tmp_path / "fit3"),
                "--out", str(tmp_path / "m.csv")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and re.search(
+        r"fit3/rep_000: model has n_x = 3, n_w = 3, but the truth has n_x = 4, n_w = 4$",
+        errors[0]), errors
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_bad_rank_flag_exits_2(tmp_path):

@@ -9,6 +9,7 @@ from lfpca import (DataPanel, IntrinsicCovariances, IntrinsicDecomposition, Scen
                    eigen_gram, fit_panel, generate_scenario1, generate_scenario2,
                    write_panel, read_panel)
 from lfpca import gram as gram_module
+from lfpca import panel as panel_module
 from lfpca.gram import fix_signs, left_factor, top_eigenpairs
 
 
@@ -46,11 +47,21 @@ def test_gram_matches_dense_product(rng):
     assert np.abs(gram - centered(arr).T @ centered(arr)).max() <= 1e-12
 
 
-def test_gram_invariant_to_slice_count(rng):
+def test_gram_invariant_to_slice_count(rng, tmp_path, monkeypatch):
     arr = rng.standard_normal((40, 9))
     grams = [gram_of(arr, n_slices=l) for l in (1, 3, 7, 40)]
     for gram in grams[1:]:
         assert np.abs(gram - grams[0]).max() <= 1e-12
+    # each block product b.T @ b takes numpy's syrk path, so the summed Gram
+    # is exactly symmetric with no symmetrising step (a general product of
+    # 200-row blocks is not): in memory over 3 blocks, file-backed, and in
+    # blocks of one row
+    tall = rng.standard_normal((600, 33))
+    write_panel(panel(tall, n_slices=3), tmp_path / "p.lfpb")
+    tall_grams = [gram_of(tall, n_slices=3), accumulate_gram(read_panel(tmp_path / "p.lfpb"))[0]]
+    monkeypatch.setattr(panel_module, "BLOCK_BYTES", 1)
+    for gram in tall_grams + [gram_of(tall)]:
+        np.testing.assert_array_equal(gram, gram.T)
 
 
 def test_gram_trace_equals_frobenius(rng):

@@ -105,7 +105,7 @@ def test_lifted_covariances_match_dense_oracle(rng):
 def lifted(panel, decomp, covs):
     """k_x and k_w lifted to voxel space through V = Y J U S^{-1/2}."""
     v = panel.to_array() @ left_factor(decomp)
-    blocks = np.kron(np.eye(covs.q + 1), v)
+    blocks = np.kron(np.eye(covs.k_x.shape[0] // covs.k_w.shape[0]), v)  # q+1 blocks of V
     return blocks @ covs.k_x @ blocks.T, v @ covs.k_w @ v.T
 
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_design, poison_basis
-from lfpca import (DataPanel, ScenarioSpec, ValidationError, aligned_sq_distance, curve_bases,
-                   default_eigenvalues, evaluate, fit_panel, generate_from_model,
+from lfpca import (DataPanel, ScenarioSpec, StudyDesign, ValidationError, aligned_sq_distance,
+                   curve_bases, default_eigenvalues, evaluate, fit_panel, generate_from_model,
                    generate_scenario1, generate_scenario2, load_model, load_truth, save_model,
                    save_truth)
 from lfpca.simulate import block_layout, draw_mixture_scores, draw_scores
@@ -317,12 +319,59 @@ def test_distance_symmetric_under_sign_flips(rng):
     assert aligned_sq_distance(a, -b) == pytest.approx(base)
 
 
-def test_evaluate_rejects_mismatched_counts(rng):
+def _mismatched(case, panel, design, res):
+    """(model, scores) of the fit ``res`` of ``panel``, with the one mismatch
+    that ``case`` names."""
+    scores, ids, counts = res.scores, list(res.scores.subject_ids), list(design.visit_counts)
+    if case == "q":
+        z = np.column_stack([design.stacked_z(), np.linspace(-1.0, 1.0, design.n)])
+        other = StudyDesign(design.subject_ids, design.visit_counts, z)
+        return fit_panel(panel, other, n_x=4, n_w=4).model, None
+    if case == "orders":
+        return fit_panel(panel, design, n_x=3, n_w=2).model, None
+    if case == "p":
+        fewer_rows = DataPanel.from_array(panel.to_array()[:30])
+        return fit_panel(fewer_rows, design, n_x=4, n_w=4).model, None
+    if case == "xi-components":
+        return res.model, replace(scores, xi=scores.xi[:, :3])
+    if case == "no-subject":
+        ids, counts = ids[:-1], counts[:-1]
+    elif case == "swapped-ids":
+        ids[3], ids[4] = ids[4], ids[3]
+    elif case == "visit-count":
+        counts[2] = 3
+    return res.model, replace(scores, subject_ids=ids, visit_counts=counts,
+                              xi=scores.xi[:len(ids)], zeta=scores.zeta[:sum(counts)])
+
+
+EVALUATE_MISMATCHES = {
+    "q": r"model has q = 2, but the truth has q = 1$",
+    "orders": r"model has n_x = 3, n_w = 2, but the truth has n_x = 4, n_w = 4$",
+    "p": r"model has p = 30, but the truth has p = 40$",
+    "no-subject": (r"scores hold 14 subjects and 56 visits and the truth 15 and 60; subject 15 "
+                   r"is missing in the scores and subj0014 with 4 visits in the truth$"),
+    "swapped-ids": (r"scores hold 15 subjects and 60 visits and the truth 15 and 60; subject 4 "
+                    r"is subj0004 with 4 visits in the scores and subj0003 with 4 visits in "
+                    r"the truth$"),
+    "visit-count": (r"scores hold 15 subjects and 59 visits and the truth 15 and 60; subject 3 "
+                    r"is subj0002 with 3 visits in the scores and subj0002 with 4 visits in "
+                    r"the truth$"),
+    "xi-components": (r"scores have 3 xi and 4 zeta components, but the model has n_x = 4 "
+                      r"and n_w = 4$"),
+}
+
+
+@pytest.mark.parametrize("case, message", EVALUATE_MISMATCHES.items(),
+                         ids=list(EVALUATE_MISMATCHES))
+def test_evaluate_refuses_what_does_not_pair_with_the_truth(case, message):
+    # a model of other sizes, or scores of other components, subjects or
+    # visits, is refused by name before anything is compared: not ended by
+    # an IndexError or a broadcast error, and never paired by position
     spec = ScenarioSpec.curves(p=40, sigma2=1e-4, seed=2, n_subjects=15, n_visits=4)
     panel, design, truth = generate_scenario1(spec)
-    res = fit_panel(panel, design, n_x=3, n_w=4)
-    with pytest.raises(ValidationError, match="component count"):
-        evaluate(truth, res.model)
+    model, scores = _mismatched(case, panel, design, fit_panel(panel, design, n_x=4, n_w=4))
+    with pytest.raises(ValidationError, match=message):
+        evaluate(truth, model, scores)
 
 
 def test_evaluate_score_quantiles_shape(rng):
