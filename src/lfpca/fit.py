@@ -62,7 +62,8 @@ def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: 
     (``eigvalsh``) that hold ``threshold`` of its positive mass, at most
     ORDER_CAP (``threshold`` is :func:`fit_panel`'s ``order_threshold``), and
     an automatic ``n_w`` is below ``p`` when given, as :func:`estimate_sigma2`
-    needs; the pairs come from :func:`top_eigenpairs`. Eigenvector columns are
+    needs; the pairs come from :func:`top_eigenpairs`, which forms an operator
+    of :func:`intrinsic_covariances` only on its dense path. Eigenvector columns are
     sign-normalized so their largest-magnitude entry is positive, which makes
     outputs reproducible across platforms.
     """
@@ -74,11 +75,14 @@ def decompose_intrinsic(cov: IntrinsicCovariances, n_x: int | None = None, n_w: 
                           solvers={"k_x": solver_x, "k_w": solver_w})
 
 
-def _top_eigen(matrix: np.ndarray, count: int | None, name: str, threshold: float, cap: int):
+def _top_eigen(matrix, count: int | None, name: str, threshold: float, cap: int):
     """Leading ``count`` pairs of ``matrix`` (automatic ones at most ``cap``),
-    sign-fixed and clipped at 0, with the number clipped and the solver record."""
+    sign-fixed and clipped at 0, with the number clipped and the solver record.
+    An automatic count needs every eigenvalue, so the matrix is formed once
+    for ``eigvalsh`` and the pairs; an explicit one leaves it as given."""
     if count is None:
         share = check_share("order_threshold", threshold)
+        matrix = np.asarray(matrix, dtype=float)
         count = min(mass_count(np.linalg.eigvalsh(matrix)[::-1], share), cap)
     evals, evecs, solver = top_eigenpairs(matrix, k=check_count(name, count, matrix.shape[0]))
     top, vecs = evals[:count], np.array(evecs[:, :count])
@@ -164,7 +168,9 @@ def variance_explained(model: FittedModel) -> VarianceTable:
 class FitResult:
     """Fit outputs plus the intermediates tests and the CLI report on. The
     intrinsic covariances are not kept: :func:`intrinsic_covariances` of
-    ``decomposition``, ``mom`` and ``gram`` with the fitted design rebuilds them."""
+    ``decomposition``, ``mom`` and ``gram`` with the fitted design rebuilds
+    them as operators, and ``np.asarray`` of its ``k_x`` or ``k_w`` forms
+    that matrix for inspection."""
 
     model: FittedModel
     decomposition: IntrinsicDecomposition
@@ -208,12 +214,18 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     then the larger of two stages, each beside the n x n Gram matrix and the
     n x r U. A pass holds one block of ``BLOCK_BYTES`` and the n x n sums
     (the Gram pass shifts a writeable block in place and a read-only one in
-    a copy). The intrinsic stage holds ``k_x`` and ``k_w``, (q+1)^2 r^2 +
-    r^2 float64 values, three n x r work arrays and one visit-count group's
-    batched weight product; it copies neither matrix whole and frees both
-    before the lift. Measured peak RSS of ``lfpca fit``: 76 MB at
-    p = 100,000, n = 600 (r = 591, 12 MB slices), where the lift sets it,
-    and 248 MB at p = 20,000, n = 1600. With ``write_v``
+    a copy). The intrinsic stage holds ``k_x`` and ``k_w`` as operators
+    (:func:`intrinsic_covariances`): the n x r coordinates and the pair
+    weights, and while one matrix's eigenpairs are sought its Krylov basis
+    and images, 2 (q+1)r x (q+1)r/4 values, half of a formed ``k_x``. A
+    matrix is formed, (q+1)^2 r^2 or r^2 values beside one n x r work
+    array, only when its Krylov attempt gives up or its order is
+    automatic; all of it is freed before the lift. On a noisy curves fit
+    (n = 400, r = 399) the stage's traced growth is 4.7 MB, below the
+    5.1 MB of one ``k_x``. Measured peak RSS of one fit in a fresh process
+    (p = 3000, 4 visits, in memory, ``n_x = n_w = 4``): 61, 103, 198 and
+    531 MB at n = 400, 800, 1600 and 3200; at n = 3200 the dense ``eigh``
+    of the Gram matrix sets it. With ``write_v``
     the left singular vectors V = Y F, with F from :func:`left_factor`, are
     one more output of the lift's pass (``workdir/v.lfpb`` or in memory, as
     ``FitResult.v``); the panel is still read twice.
@@ -256,7 +268,7 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     basis = decompose_intrinsic(covs, n_x, n_w, threshold=order_threshold, p=panel.p)
     sigma2 = estimate_sigma2(covs, basis.lambda_w, panel.p)
     trace_x, trace_w = covs.trace_x_raw, covs.trace_w_raw
-    del covs  # k_x and k_w are read no more: the lift runs without them
+    del covs  # the coordinates and weights are read no more: the lift runs without them
 
     phi_x, phi_w, v = _lift_basis(panel, decomp, basis, design.q, workdir, write_v)
     model = FittedModel(n=panel.n, a_x=basis.a_x, a_w=basis.a_w,

@@ -24,7 +24,6 @@ KRYLOV_BLOCK = 8  # columns of the start block of top_eigenpairs
 GIVE_UP_STEP = 6  # top_eigenpairs judges its acceptance ratio from this step (or half its budget)
 RITZ_LEAD = 2  # steps before its predicted acceptance that top_eigenpairs solves again
 RITZ_MAX_GAP = 5  # most steps from one Rayleigh-Ritz solve of top_eigenpairs to the next
-PANEL_BYTES = 1 << 20  # about the most a whole-matrix step copies of an n x n matrix at once
 
 
 @dataclass
@@ -122,25 +121,30 @@ def check_share(name: str, share: float) -> float:
     return share
 
 
-def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
+def top_eigenpairs(matrix, k: int | None = None,
                    mass: float | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """Leading eigenpairs of a symmetric matrix K by algebraic value,
-    descending, and a record of the path that found them.
+    descending, and a record of the path that found them. K is an n x n
+    array or an operator with ``shape`` and ``K @ block`` that
+    ``np.asarray`` forms (:class:`~lfpca.mom.CovarianceOperator`): the
+    Krylov loop reads K only through ``@``, and only the dense path forms it.
 
     Exactly one of ``k`` (the number of pairs) and ``mass`` (the fewest
     leading pairs whose eigenvalues sum to at least it) is given. Block
     Krylov from a fixed pseudo-random start block (:func:`_start_block`),
     with full reorthogonalisation and Rayleigh-Ritz: a step adds K times
     the newest block, less its part in the basis; directions of norm at most
-    EIGEN_RESIDUAL_TOL * ||K||_1 are dependent and dropped. The wanted
+    the floor EIGEN_RESIDUAL_TOL * ||K|| are dependent and dropped. ||K|| is
+    the lower bound on ||K||_1 of :func:`_one_norm_estimate`, from a few
+    products of K with single vectors, so the floor is never above
+    EIGEN_RESIDUAL_TOL * ||K||_1 and no entry of K is read. The wanted
     pairs are accepted with the next one when every residual
-    ||K x - theta x|| is at most EIGEN_RESIDUAL_TOL * ||K||_1 and the
+    ||K x - theta x|| is at most the floor and the
     wanted pairs' residual over the gap to the next Ritz value, which
     bounds the error of their span, is at most EIGEN_VECTOR_TOL. The
     record is then ``{"path": "krylov", "steps": ..., "rayleigh_ritz": ...,
     "residual": ...}``: the steps, the Rayleigh-Ritz solves among them, and
-    the largest accepted residual relative to ||K||_1. ||K||_1 is taken over
-    the column panels of :func:`matrix_panels`, so no copy of K is made whole.
+    the largest accepted residual relative to ||K||.
 
     Rayleigh-Ritz runs only where it could accept: at every step until the
     larger acceptance ratio has fallen between two solves, then RITZ_LEAD
@@ -155,17 +159,26 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
     the ratio: from step GIVE_UP_STEP or half the budget, whichever comes
     first, at the rate it fell since the last solve, more than three times
     the steps left (early steps converge slowest). The record is then
-    ``{"path": "dense"}`` and all n pairs are returned.
+    ``{"path": "dense"}`` and all n pairs are returned; the Krylov arrays
+    are freed before K is formed.
     """
     if (k is None) == (mass is None):
         raise ValidationError("top_eigenpairs takes exactly one of k and mass")
-    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    width = KRYLOV_BLOCK if k is None else max(KRYLOV_BLOCK, check_count("k", k, n) + 1)
+    found = _krylov_eigenpairs(matrix, k, mass, width) if width <= n // 4 else None
+    if found is not None:
+        return found
+    evals, evecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    return evals[::-1].copy(), evecs[:, ::-1], {"path": "dense"}
+
+
+def _krylov_eigenpairs(matrix, k: int | None, mass: float | None, width: int):
+    """The Krylov attempt of :func:`top_eigenpairs`: its result, or None
+    when it gives up."""
     n = matrix.shape[0]
     budget = n // 4
-    width = KRYLOV_BLOCK if k is None else max(KRYLOV_BLOCK, check_count("k", k, n) + 1)
-    if width > budget:
-        return _dense_eigenpairs(matrix)
-    norm = max(float(np.abs(matrix[:, cols]).sum(axis=0).max()) for cols in matrix_panels(n))
+    norm = _one_norm_estimate(matrix)
     floor = EIGEN_RESIDUAL_TOL * norm
     basis, images = np.empty((n, budget)), np.empty((n, budget))
     proj = np.empty((budget, budget))  # basis' K basis
@@ -186,7 +199,7 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
         captured = np.trace(proj[:m, :m])
         if mass is not None and captured < mass:
             if steps > 1 and mass - captured > 2 * (captured - last_mass) * (budget - m) / c:
-                break  # at the last step's gain, more than twice the steps left
+                return None  # at the last step's gain, more than twice the steps left
             last_mass = captured
             continue
         judged = steps >= GIVE_UP_STEP or 2 * m >= budget
@@ -214,20 +227,31 @@ def top_eigenpairs(matrix: np.ndarray, k: int | None = None,
             rate = np.log(last_excess / excess) / (steps - last_step)  # per step
             left = np.log(excess) / rate  # steps to acceptance at that rate
             if judged and left > 3 * (budget - m) / c:
-                break
+                return None
             due = steps + min(RITZ_MAX_GAP, max(1, math.ceil(left) - RITZ_LEAD))
         last_step, last_excess = steps, excess
-    return _dense_eigenpairs(matrix)
+    return None
 
 
-def matrix_panels(n: int) -> list[slice]:
-    """Slices cutting range(n) into the fewest nearly equal panels of an
-    n x n float64 matrix's rows or columns that hold about PANEL_BYTES each,
-    and at least 2 wide: numpy sums a one-column panel along axis 0 in
-    another order, so only then does a column sum over panels keep the bits
-    of the same sum over the whole matrix."""
-    count = max(1, min(n // 2, -(-8 * n * n // PANEL_BYTES)))
-    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+def _one_norm_estimate(matrix) -> float:
+    """A lower bound on ||K||_1 from products of K with single vectors
+    (Hager's estimate, Higham, ACM TOMS 14(4), 1988): the largest ||K x||_1
+    over the x of unit 1-norm that its ascent visits, from x = 1/n, then
+    the unit vector where K' sign(K x) peaks (K' = K), while that beats
+    the last x; at most five steps of two products each."""
+    n = matrix.shape[0]
+    x = np.full((n, 1), 1.0 / n)
+    estimate = 0.0
+    for _ in range(5):
+        y = matrix @ x
+        estimate = max(estimate, float(np.abs(y).sum()))
+        z = (matrix @ np.where(y < 0, -1.0, 1.0))[:, 0]
+        j = int(np.abs(z).argmax())
+        if abs(z[j]) <= z @ x[:, 0]:
+            break
+        x = np.zeros((n, 1))
+        x[j] = 1.0
+    return estimate
 
 
 def _start_block(n: int, width: int) -> np.ndarray:
@@ -252,11 +276,6 @@ def _new_directions(basis: np.ndarray, block: np.ndarray, floor: float) -> np.nd
     left = left[:, sizes > floor]
     left -= basis @ (basis.T @ left)
     return np.linalg.qr(left)[0]
-
-
-def _dense_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    evals, evecs = np.linalg.eigh(matrix)
-    return evals[::-1].copy(), evecs[:, ::-1], {"path": "dense"}
 
 
 def fix_signs(vectors: np.ndarray) -> None:

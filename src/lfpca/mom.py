@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentifiabilityError, NumericalError, ValidationError
-from .gram import IntrinsicDecomposition, matrix_panels
+from .gram import IntrinsicDecomposition
 from .limits import FF_CONDITION_LIMIT
+
+PANEL_BYTES = 1 << 20  # about the most _symmetrize copies of a formed matrix at once
 
 
 @dataclass
@@ -122,18 +124,22 @@ def compute_weights(mom: MomDesign) -> MomDesign:
 
 
 def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
-                          design: "StudyDesign", gram: np.ndarray):
-    """Covariance estimates in the r-dimensional singular basis.
+                          design: "StudyDesign", gram: np.ndarray) -> IntrinsicCovariances:
+    """Covariance estimates in the r-dimensional singular basis, as operators.
 
     With coordinates C = S^{1/2} U' (r x n), weight column l of H gives
     K_l = C W_l C', where W_l is the block-diagonal n x n matrix holding
-    each subject's J x J pair weights. W_l C' is formed one visit-count
-    group at a time and K_l is then a single r x n by n x r product written
-    into its block of k_x (or into k_w); W_l itself is never built, and a
-    block below the diagonal is its mirror transposed.
-    Raw traces are sum(W_l * G) over the diagonal blocks of the full Gram
-    matrix, so they keep the complete trace even when the rank was
-    truncated.
+    each subject's J x J pair weights. k_x (the K_l of the covariate pairs,
+    (q+1)r square) and k_w (r square) are kept as their factors in a
+    :class:`CovarianceOperator`: C, with the visits taken once in
+    visit-count-group order, and each group's symmetrised pair weights.
+    Neither matrix is formed here: ``k @ X`` is C (W (C' X)), and
+    ``np.asarray(k)`` forms it. The estimates hold the n x r coordinates and
+    (q+1)^2 + 1 weights per visit pair, where the formed matrices hold
+    (q+1)^2 r^2 + r^2 values (324 MB at n = 3200; :func:`~lfpca.fit.fit_panel`
+    gives the measured peaks). Raw traces are sum(W_l * G) over the diagonal
+    blocks of the full Gram matrix, so they keep the complete trace even
+    when the rank was truncated.
     """
     if mom.h is None:
         raise ValidationError("moment design has no weights; call compute_weights first")
@@ -143,57 +149,121 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     if gram.shape != (design.n, design.n):
         raise ValidationError(f"Gram matrix shape {gram.shape} does not match n={design.n}")
     q, d = mom.q, mom.n_rows
-    coords = np.sqrt(decomp.s)[:, None] * decomp.u.T  # (r, n)
-    k_x, k_w, traces = _weighted_products(coords, mom, design, gram)
-    trace_x = float(np.trace(traces[:d - 1].reshape(q + 1, q + 1)))
-    trace_w = float(traces[d - 1])
-    # min and max propagate NaN and reach any infinity: no boolean copy is made
-    if not all(np.isfinite((k.min(), k.max())).all() for k in (k_x, k_w)):
-        raise NumericalError("intrinsic covariance accumulation produced non-finite values")
-    return IntrinsicCovariances(k_x=k_x, k_w=k_w, trace_x_raw=trace_x, trace_w_raw=trace_w)
-
-
-def _weighted_products(coords: np.ndarray, mom: MomDesign, design: "StudyDesign",
-                       gram: np.ndarray):
-    """Symmetric k_x and k_w from C W_l C' for every weight column l, and
-    sum(W_l * G) per column. Swapping the visits of every pair swaps the
-    rows (k, s) and (s, k) of F, so W_ks = W_sk': a k_x block below the
-    diagonal is the transpose of its mirror, not a product of its own, and
-    a block on the diagonal and k_w are symmetrized in place by
-    :func:`_symmetrize`. The (n, r) work arrays are freed on return."""
-    q, r = mom.q, coords.shape[0]
-    d = mom.n_rows
-    groups = []
     traces = np.zeros(d)
+    order, groups_x, groups_w, start = [], [], [], 0
     for j, idx, cols in design.visit_groups():
         pairs = mom.pair_offsets[idx][:, None] + np.arange(j * j)
         weights = mom.h[pairs].reshape(idx.size, j, j, d)
-        c_g = coords.T[cols]  # (G, J, r)
         traces += np.einsum("gabd,gab->d", weights, gram[cols[:, :, None], cols[:, None, :]])
-        groups.append((cols, weights, c_g))
-    k_x = np.empty(((q + 1) * r, (q + 1) * r))
-    k_w = np.empty((r, r))
-    t = np.empty((design.n, r))  # W_l C'
-    for l in range(d):
-        k, s = divmod(l, q + 1)
-        if l < d - 1 and k > s:  # W_ks = W_sk': block (k, s) is block (s, k) transposed
-            k_x[k * r:(k + 1) * r, s * r:(s + 1) * r] = k_x[s * r:(s + 1) * r, k * r:(k + 1) * r].T
-            continue
-        for cols, weights, c_g in groups:
-            t[cols] = weights[..., l] @ c_g
-        out = k_w if l == d - 1 else k_x[k * r:(k + 1) * r, s * r:(s + 1) * r]
-        np.matmul(coords, t, out=out)
-        if k == s or l == d - 1:
-            _symmetrize(out)
-    return k_x, k_w, traces
+        stop = start + cols.size
+        groups_x.append((start, stop, _pair_weights(weights[..., :d - 1], q + 1)))
+        groups_w.append((start, stop, _pair_weights(weights[..., d - 1:], 1)))
+        order.append(cols.ravel())
+        start = stop
+    coords_t = decomp.u[np.concatenate(order)]  # C' with its rows in group order
+    coords_t *= np.sqrt(decomp.s)
+    return IntrinsicCovariances(k_x=CovarianceOperator(coords_t, groups_x, q + 1),
+                                k_w=CovarianceOperator(coords_t, groups_w, 1),
+                                trace_x_raw=float(np.trace(traces[:d - 1].reshape(q + 1, q + 1))),
+                                trace_w_raw=float(traces[d - 1]))
+
+
+def _pair_weights(weights: np.ndarray, width: int) -> np.ndarray:
+    """One visit-count group's weights, (G, J, J, width^2) with column
+    k * width + s holding W_ks, as the symmetric (G, J width, J width)
+    matrices of the operator: row a * width + k, column b * width + s holds
+    W_ks[a, b] for k < s, its mirror W_sk[b, a] for k > s (swapping the
+    visits of every pair swaps the rows (k, s) and (s, k) of F, so
+    W_ks = W_sk'), and their mean for k = s."""
+    g, j = weights.shape[:2]
+    upper = weights.reshape(g, j, j, width, width).transpose(0, 1, 3, 2, 4)  # [g, a, k, b, s]
+    lower = upper.transpose(0, 3, 4, 1, 2)  # [g, a, k, b, s] = upper[g, b, s, a, k]
+    k, s = np.ogrid[:width, :width]
+    above, below = (k < s)[:, None], (k > s)[:, None]  # over the axes (k, b, s)
+    weights = np.where(above, upper, np.where(below, lower, (upper + lower) / 2))
+    return weights.reshape(g, j * width, j * width)
+
+
+def _check_finite(array: np.ndarray) -> None:
+    # min and max propagate NaN and reach any infinity: no boolean copy is made
+    if not np.isfinite((array.min(), array.max())).all():
+        raise NumericalError("intrinsic covariance accumulation produced non-finite values")
+
+
+class CovarianceOperator:
+    """A symmetric intrinsic covariance K = C W C', (width r) square, kept
+    as its factors: ``coords_t`` is C' (n x r) with its rows in visit-count-
+    group order, and ``groups`` holds (start, stop, weights) per group, the
+    (G, J width, J width) symmetric weights of :func:`_pair_weights` for
+    the rows [start, stop). K has width x width blocks of r x r, ordered by
+    covariate index (width q + 1 for k_x, 1 for k_w).
+
+    ``K @ X`` is C (W (C' X)): one n x r product per side and one batched
+    product per group, whose rows of C' X and of W C' X are views, so K
+    is never formed and nothing of size n x r is allocated.
+    ``np.asarray(K)`` forms it with :func:`_weighted_products`: one r x n by
+    n x r product per block on or above the diagonal, exactly symmetric.
+    Both refuse non-finite results with NumericalError.
+    """
+
+    def __init__(self, coords_t: np.ndarray, groups: list, width: int):
+        self.coords_t, self.groups, self.width = coords_t, groups, width
+        self.shape = (width * coords_t.shape[1],) * 2
+
+    def __matmul__(self, block: np.ndarray) -> np.ndarray:
+        r, width, b = self.coords_t.shape[1], self.width, block.shape[1]
+        # X_0, ..., X_q side by side, so a visit's row of C' X holds them in covariate order
+        t = self.coords_t @ block.reshape(width, r, b).transpose(1, 0, 2).reshape(r, width * b)
+        wt = np.empty_like(t)
+        for start, stop, weights in self.groups:
+            shape = weights.shape[0], -1, b
+            np.matmul(weights, t[start:stop].reshape(shape), out=wt[start:stop].reshape(shape))
+        image = (self.coords_t.T @ wt).reshape(r, width, b).transpose(1, 0, 2)
+        _check_finite(image)
+        return image.reshape(width * r, b)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        matrix = _weighted_products(self.coords_t, self.groups, self.width)
+        return matrix if dtype is None else matrix.astype(dtype, copy=False)
+
+
+def _weighted_products(coords_t: np.ndarray, groups: list, width: int) -> np.ndarray:
+    """The formed K of a :class:`CovarianceOperator`. A block (k, s) with
+    k <= s is C W_ks C', W_ks C' taken one visit-count group at a time in an
+    n x r work array and the product written straight into the block. Once
+    the work array is freed, a block below the diagonal is its mirror
+    transposed, and a block on the diagonal is symmetrized in place by
+    :func:`_symmetrize`."""
+    n, r = coords_t.shape
+    matrix = np.empty((width * r, width * r))
+    block = [[matrix[k * r:(k + 1) * r, s * r:(s + 1) * r] for s in range(width)]
+             for k in range(width)]
+    upper = [(k, s) for k in range(width) for s in range(k, width)]
+    t = np.empty((n, r))  # W_ks C'
+    for k, s in upper:
+        for start, stop, weights in groups:
+            g, j = weights.shape[0], weights.shape[1] // width
+            np.matmul(weights.reshape(g, j, width, j, width)[:, :, k, :, s],
+                      coords_t[start:stop].reshape(g, j, r), out=t[start:stop].reshape(g, j, r))
+        np.matmul(coords_t.T, t, out=block[k][s])
+    del t
+    for k, s in upper:
+        if k == s:
+            _symmetrize(block[k][k])
+        else:
+            block[s][k][:] = block[k][s].T
+    _check_finite(matrix)
+    return matrix
 
 
 def _symmetrize(matrix: np.ndarray) -> None:
-    """matrix = (matrix + matrix') / 2 in place, one row panel of
-    :func:`matrix_panels` and its mirrored column panel at a time: each pair
-    is (x + y) / 2, the bits of the whole-matrix form, with no whole-size
+    """matrix = (matrix + matrix') / 2 in place, one row panel of about
+    PANEL_BYTES and its mirrored column panel at a time: each pair is
+    (x + y) / 2, the bits of the whole-matrix form, with no whole-size
     temporary. A panel reads only entries that no earlier panel wrote."""
-    for rows in matrix_panels(matrix.shape[0]):
+    n = matrix.shape[0]
+    count = max(1, min(n, -(-8 * n * n // PANEL_BYTES)))
+    for rows in (slice(n * k // count, n * (k + 1) // count) for k in range(count)):
         half = np.add(matrix[rows, rows.start:], matrix[rows.start:, rows].T)
         half /= 2
         matrix[rows, rows.start:] = half
@@ -205,12 +275,15 @@ class IntrinsicCovariances:
     """Symmetric intrinsic covariance estimates and their raw traces.
 
     k_x is ((q+1)r, (q+1)r) with r x r blocks ordered by covariate index;
-    k_w is (r, r). The raw traces are recorded before any eigenvalue
+    k_w is (r, r). Each is a :class:`CovarianceOperator` when it comes from
+    :func:`intrinsic_covariances` (``np.asarray(k_x)`` forms the matrix for
+    inspection) or a symmetric array; :func:`~lfpca.gram.top_eigenpairs`
+    takes either. The raw traces are recorded before any eigenvalue
     clipping (trace_w_raw houses the trace of the visit-level estimator,
     which includes any white-noise mass).
     """
 
-    k_x: np.ndarray
-    k_w: np.ndarray
+    k_x: CovarianceOperator | np.ndarray
+    k_w: CovarianceOperator | np.ndarray
     trace_x_raw: float
     trace_w_raw: float

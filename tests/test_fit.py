@@ -845,35 +845,37 @@ def test_file_backed_passes_hold_one_buffer_per_block(rng, tmp_path, monkeypatch
         assert peak < bound, (name, peak, bound)
 
 
-def test_intrinsic_stage_copies_no_k_x_and_the_lift_holds_none(monkeypatch):
+def test_intrinsic_stage_holds_less_than_k_x_and_the_lift_holds_none(monkeypatch):
     # a noisy curves fit at n = 400 keeps r = 399: k_x is 798 square (5.1 MB)
-    # and an n x r or r x r array a quarter of it. Traced: the growth of each
-    # intrinsic step over what is live when it starts, and the largest
-    # allocation live when the lift starts
+    # and an n x r or r x r array a quarter of it. Traced: the growth of the
+    # whole intrinsic stage, covariances and decomposition, over what is live
+    # when it starts, and the largest allocation live when the lift starts
     from lfpca import ScenarioSpec, generate_scenario1
-    from lfpca.gram import PANEL_BYTES
     panel, design, _ = generate_scenario1(ScenarioSpec.curves(p=750, sigma2=1e-2, seed=4))
-    seen = {}
+    seen, formed = {}, []
+    covariances, decompose = fit_module.intrinsic_covariances, fit_module.decompose_intrinsic
+    lift_basis, weighted_products = fit_module._lift_basis, mom_module._weighted_products
 
-    def traced(name):
-        inner = getattr(fit_module, name)
+    def start(*args, **kwargs):
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return covariances(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = inner(*args, **kwargs)
-            seen[name] = tracemalloc.get_traced_memory()[1] - start
-            return out
-        monkeypatch.setattr(fit_module, name, call)
+    def finish(*args, **kwargs):
+        out = decompose(*args, **kwargs)
+        seen["stage"] = tracemalloc.get_traced_memory()[1] - seen["start"]
+        return out
 
     def lift(*args):
         seen["lift"] = max(trace.size for trace in tracemalloc.take_snapshot().traces)
         return lift_basis(*args)
 
-    traced("intrinsic_covariances")
-    traced("decompose_intrinsic")
-    lift_basis = fit_module._lift_basis
+    monkeypatch.setattr(fit_module, "intrinsic_covariances", start)
+    monkeypatch.setattr(fit_module, "decompose_intrinsic", finish)
     monkeypatch.setattr(fit_module, "_lift_basis", lift)
+    monkeypatch.setattr(mom_module, "_weighted_products",
+                        lambda coords_t, groups, width: formed.append(width)
+                        or weighted_products(coords_t, groups, width))
     tracemalloc.start()
     try:
         res = fit_panel(panel, design, n_x=4, n_w=4)
@@ -881,16 +883,36 @@ def test_intrinsic_stage_copies_no_k_x_and_the_lift_holds_none(monkeypatch):
         tracemalloc.stop()
     n, r = design.n, res.decomposition.r
     k_x = 8 * (2 * r) ** 2
-    assert r == 399 and res.eigensolvers["k_x"]["path"] == "krylov"
-    # k_x and k_w, the coordinates, their per-group copies and W_l C' (n x r
-    # each), numpy's buffer for a product into a k_x block, and less than a
-    # panel for the symmetrisation: a second k_x would pass the bound
-    bound = k_x + 8 * r * r + 3 * 8 * n * r + 8 * r * r + PANEL_BYTES
-    assert seen["intrinsic_covariances"] < bound < 2.5 * k_x, (seen, bound)
-    # the Krylov basis of k_x and the dense vectors of k_w, but no |k_x|
-    assert seen["decompose_intrinsic"] < k_x, (seen, k_x)
-    # the n x n Gram matrix is the largest: k_x and k_w are freed
+    solvers = res.eigensolvers
+    assert r == 399 and solvers["k_x"]["path"] == "krylov" and solvers["k_w"]["path"] == "dense"
+    # the coordinates (n x r), the Krylov basis and images of k_x (half of
+    # it), then the formed k_w, its n x r work array and its dense vectors:
+    # a formed k_x would pass the bound
+    assert seen["stage"] < k_x, (seen, k_x)
+    # with explicit orders a matrix is formed only when its Krylov attempt
+    # gives up: k_w (width 1) once, k_x (width 2) never
+    assert formed == [1]
+    # the n x n Gram matrix is the largest: the operators are freed
     assert seen["lift"] <= 8 * n * n < k_x, seen
+
+
+def test_matrices_are_formed_only_for_automatic_orders(monkeypatch):
+    # k_x and k_w of this curves fit both certify on the Krylov path, so with
+    # explicit orders neither is formed; an automatic order forms its matrix
+    # once, for eigvalsh and the pairs
+    from lfpca import ScenarioSpec, generate_scenario1
+    panel, design, _ = generate_scenario1(ScenarioSpec.curves(p=750, sigma2=1e-4, seed=4))
+    formed = []
+    weighted_products = mom_module._weighted_products
+    monkeypatch.setattr(mom_module, "_weighted_products",
+                        lambda coords_t, groups, width: formed.append(width)
+                        or weighted_products(coords_t, groups, width))
+    for orders, want in ((dict(n_x=4, n_w=4), []), (dict(n_x=4), [1]), (dict(n_w=4), [2]),
+                         ({}, [2, 1])):
+        formed.clear()
+        solvers = fit_panel(panel, design, **orders).eigensolvers
+        assert solvers["k_x"]["path"] == solvers["k_w"]["path"] == "krylov", (orders, solvers)
+        assert formed == want, orders
 
 
 def outputs(result):

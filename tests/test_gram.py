@@ -189,6 +189,32 @@ def test_top_eigenpairs_gives_up_early_where_it_cannot_certify(monkeypatch, matr
     np.testing.assert_array_equal(evecs, dense_vecs[:, ::-1])
 
 
+def test_top_eigenpairs_floor_is_never_above_the_exact_one_norm(monkeypatch):
+    # the floor is EIGEN_RESIDUAL_TOL times a lower bound on ||K||_1 from
+    # products of K with single vectors, so it can only be tighter than
+    # one from the formed matrix: on indefinite arrays, a Gram matrix
+    # (whose columns sum to 0, so the start vector 1/n finds nothing) and
+    # the operator. Here it is also at least ||K||_2, the largest |Ritz
+    # value| can reach
+    estimates = []
+    one_norm_estimate = gram_module._one_norm_estimate
+    monkeypatch.setattr(gram_module, "_one_norm_estimate",
+                        lambda matrix: estimates.append(one_norm_estimate(matrix)) or estimates[-1])
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((120, 120))
+    fit, covs = noisy_curves_fit(seed=4)
+    matrices = [with_spectrum(np.r_[[6.0, 4.0, 2.5], rng.uniform(-3.0, 1.0, 157)], seed=2),
+                with_spectrum(np.r_[[5.0, 3.0, -0.1, -0.7], np.linspace(-100.0, -99.99, 196)]),
+                raw + raw.T, fit.gram, covs.k_x, covs.k_w]
+    for matrix in matrices:
+        estimates.clear()
+        top_eigenpairs(matrix, k=3)
+        formed = np.asarray(matrix)
+        one_norm = np.abs(formed).sum(axis=0).max()
+        two_norm = np.abs(np.linalg.eigvalsh(formed)).max()
+        assert len(estimates) == 1 and two_norm <= estimates[0] <= one_norm * (1 + 1e-12)
+
+
 def test_top_eigenpairs_falls_back_on_tie_at_cut():
     # lambda_4 = lambda_5: no gap bounds the vectors of the top four
     matrix = with_spectrum(np.r_[[9.0, 7.0, 5.0, 3.0, 3.0], np.full(195, 0.1)])

@@ -5,6 +5,7 @@ from conftest import design_of, make_design, reordered, subject_rows
 from lfpca import (DataPanel, IdentifiabilityError, accumulate_gram, build_design_matrix,
                    compute_weights, eigen_gram, intrinsic_covariances)
 from lfpca.gram import left_factor
+from lfpca.mom import CovarianceOperator
 from oracle import oracle_covariances, oracle_design_matrix, oracle_pair_columns
 
 
@@ -81,8 +82,8 @@ def fit_covs(rng, p, design, n_slices=1):
 def test_output_exactly_symmetric(rng):
     design = make_design(rng, n_subjects=5, visits=3)
     _, _, _, covs = fit_covs(rng, 20, design)
-    assert np.abs(covs.k_x - covs.k_x.T).max() == 0.0
-    assert np.abs(covs.k_w - covs.k_w.T).max() == 0.0
+    for formed in (np.asarray(covs.k_x), np.asarray(covs.k_w)):
+        assert np.abs(formed - formed.T).max() == 0.0
 
 
 def test_lifted_covariances_match_dense_oracle(rng):
@@ -137,10 +138,10 @@ def test_block_weight_column_mapping(rng):
     expected = np.zeros((decomp.r, decomp.r))
     for idx, (c1, c2) in enumerate(oracle_pair_columns(subject_rows(design))):
         expected += np.outer(coords[:, c1], coords[:, c2]) * mom.h[idx, 2]
-    r = decomp.r
-    np.testing.assert_allclose(covs.k_x[r:, :r], expected, atol=1e-12)
+    r, k_x = decomp.r, np.asarray(covs.k_x)
+    np.testing.assert_allclose(k_x[r:, :r], expected, atol=1e-12)
     # cross blocks are transposes of each other
-    np.testing.assert_allclose(covs.k_x[r:, :r], covs.k_x[:r, r:].T, atol=1e-15)
+    np.testing.assert_allclose(k_x[r:, :r], k_x[:r, r:].T, atol=1e-15)
 
 
 def every_block_covariances(decomp, mom, design):
@@ -165,9 +166,27 @@ def test_covariance_blocks_match_every_block_reference(rng, q):
     design = make_design(rng, n_subjects=6, visits=[1, 3, 2, 5, 1, 4], q=q)
     _, _, decomp, covs = fit_covs(rng, 40, design)
     mom = compute_weights(build_design_matrix(design))
-    k_x, k_w = every_block_covariances(decomp, mom, design)
-    assert np.abs(covs.k_x - k_x).max() <= 1e-14 * np.abs(k_x).max()
-    assert np.abs(covs.k_w - k_w).max() <= 1e-14 * np.abs(k_w).max()
+    for op, want in zip((covs.k_x, covs.k_w), every_block_covariances(decomp, mom, design)):
+        assert np.abs(np.asarray(op) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_operator_applies_the_formed_matrix(rng, q):
+    # k @ X is C (W (C' X)) from the factors, in visit-count-group order; it
+    # must be the formed matrix times X, and the formed matrix stays exactly
+    # symmetric (groups of 3, 4 and 5 visits, interleaved in the design)
+    design = make_design(rng, n_subjects=9, visits=[3, 4, 5] * 3, q=q)
+    _, _, decomp, covs = fit_covs(rng, 60, design)
+    mom = compute_weights(build_design_matrix(design))
+    assert isinstance(covs.k_x, CovarianceOperator) and isinstance(covs.k_w, CovarianceOperator)
+    for op, reference in zip((covs.k_x, covs.k_w), every_block_covariances(decomp, mom, design)):
+        formed = np.asarray(op)
+        assert op.shape == formed.shape == reference.shape
+        np.testing.assert_array_equal(formed, formed.T)
+        for x in (rng.standard_normal((formed.shape[0], 8)), np.eye(formed.shape[0])[:, :3]):
+            want = reference @ x
+            assert np.abs(op @ x - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(formed @ x - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_estimates_invariant_to_subject_order(rng):
