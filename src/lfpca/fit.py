@@ -220,8 +220,9 @@ def fit_panel(panel: DataPanel, design: StudyDesign, *, n_x: int | None = None,
     and images, 2 (q+1)r x (q+1)r/4 values, half of a formed ``k_x``. A
     matrix is formed, (q+1)^2 r^2 or r^2 values beside one n x r work
     array, only when its Krylov attempt gives up or its order is
-    automatic; all of it is freed before the lift. On a noisy curves fit
-    (n = 400, r = 399) the stage's traced growth is 4.7 MB, below the
+    automatic; it is symmetric up to rounding, and ``eigh`` and
+    ``eigvalsh`` read its lower triangle. All of it is freed before the
+    lift. On a noisy curves fit (n = 400, r = 399) the stage's traced growth is 4.7 MB, below the
     5.1 MB of one ``k_x``. Measured peak RSS of one fit in a fresh process
     (p = 3000, 4 visits, in memory, ``n_x = n_w = 4``): 61, 103, 198 and
     531 MB at n = 400, 800, 1600 and 3200; at n = 3200 the dense ``eigh``

@@ -86,8 +86,7 @@ def eigen_gram(gram: np.ndarray, rank: int | None = None,
         check_share("var_threshold", var_threshold)
     else:
         check_count("rank", rank, gram.shape[0])
-    if not np.all(np.isfinite(gram)):
-        raise NumericalError("Gram matrix contains non-finite entries")
+    check_finite(gram, "Gram matrix contains non-finite entries")
     trace = float(np.trace(gram))
     evals, evecs, solver = top_eigenpairs(
         gram, k=rank, mass=None if rank is not None else var_threshold * trace)
@@ -100,6 +99,14 @@ def eigen_gram(gram: np.ndarray, rank: int | None = None,
     u = evecs[:, :r]
     fix_signs(u)
     return IntrinsicDecomposition(u=u, s=evals[:r], total_gram_trace=trace, solver=solver)
+
+
+def check_finite(array: np.ndarray, message: str) -> None:
+    """The one finiteness check of a formed matrix: NumericalError with
+    ``message`` unless every entry is finite. min and max propagate NaN and
+    reach any infinity, so no boolean copy is made."""
+    if array.size and not np.isfinite((array.min(), array.max())).all():
+        raise NumericalError(message)
 
 
 def check_count(name: str, count: int, limit: int) -> int:
@@ -128,6 +135,9 @@ def top_eigenpairs(matrix, k: int | None = None,
     array or an operator with ``shape`` and ``K @ block`` that
     ``np.asarray`` forms (:class:`~lfpca.mom.CovarianceOperator`): the
     Krylov loop reads K only through ``@``, and only the dense path forms it.
+    K need be symmetric only up to rounding: the dense ``eigh`` reads the
+    lower triangle of K, and the Krylov loop fills and reads only the lower
+    triangle of its Rayleigh-Ritz matrix basis' K basis.
 
     Exactly one of ``k`` (the number of pairs) and ``mass`` (the fewest
     leading pairs whose eigenvalues sum to at least it) is given. Block
@@ -181,7 +191,7 @@ def _krylov_eigenpairs(matrix, k: int | None, mass: float | None, width: int):
     norm = _one_norm_estimate(matrix)
     floor = EIGEN_RESIDUAL_TOL * norm
     basis, images = np.empty((n, budget)), np.empty((n, budget))
-    proj = np.empty((budget, budget))  # basis' K basis
+    proj = np.empty((budget, budget))  # basis' K basis, its lower triangle only
     block = _start_block(n, width)
     m = steps = solves = 0
     last_mass, last_step, last_excess = 0.0, 0, np.inf
@@ -189,9 +199,7 @@ def _krylov_eigenpairs(matrix, k: int | None, mass: float | None, width: int):
     while block.shape[1] and m + block.shape[1] <= budget:
         c = block.shape[1]
         basis[:, m:m + c], images[:, m:m + c] = block, matrix @ block
-        proj[:m + c, m:m + c] = basis[:, :m + c].T @ images[:, m:m + c]
-        proj[m:m + c, :m] = proj[:m, m:m + c].T
-        proj[m:m + c, m:m + c] = (proj[m:m + c, m:m + c] + proj[m:m + c, m:m + c].T) / 2
+        proj[m:m + c, :m + c] = images[:, m:m + c].T @ basis[:, :m + c]  # the rows eigh reads
         m, steps = m + c, steps + 1
         block = _new_directions(basis[:, :m], images[:, m - c:m], floor)
         grows = block.shape[1] and m + block.shape[1] <= budget  # another step follows
@@ -237,8 +245,11 @@ def _one_norm_estimate(matrix) -> float:
     """A lower bound on ||K||_1 from products of K with single vectors
     (Hager's estimate, Higham, ACM TOMS 14(4), 1988): the largest ||K x||_1
     over the x of unit 1-norm that its ascent visits, from x = 1/n, then
-    the unit vector where K' sign(K x) peaks (K' = K), while that beats
-    the last x; at most five steps of two products each."""
+    the unit vector where K sign(K x) peaks, while that beats the last x;
+    at most five steps of two products each. Each ||K x||_1 is at most
+    ||K||_1, so the bound holds for any K; the ascent steers by K in place
+    of K', which for a K symmetric up to rounding changes only where it
+    looks."""
     n = matrix.shape[0]
     x = np.full((n, 1), 1.0 / n)
     estimate = 0.0

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, NumericalError, ValidationError
-from .gram import IntrinsicDecomposition
+from .errors import IdentifiabilityError, ValidationError
+from .gram import IntrinsicDecomposition, check_finite
 from .limits import FF_CONDITION_LIMIT
-
-PANEL_BYTES = 1 << 20  # about the most _symmetrize copies of a formed matrix at once
 
 
 @dataclass
@@ -132,9 +130,10 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
     each subject's J x J pair weights. k_x (the K_l of the covariate pairs,
     (q+1)r square) and k_w (r square) are kept as their factors in a
     :class:`CovarianceOperator`: C, with the visits taken once in
-    visit-count-group order, and each group's symmetrised pair weights.
-    Neither matrix is formed here: ``k @ X`` is C (W (C' X)), and
-    ``np.asarray(k)`` forms it. The estimates hold the n x r coordinates and
+    visit-count-group order, and each group's pair weights as H gives
+    them, so each matrix is symmetric up to rounding. Neither matrix is
+    formed here: ``k @ X`` is C (W (C' X)), and ``np.asarray(k)`` forms
+    it. The estimates hold the n x r coordinates and
     (q+1)^2 + 1 weights per visit pair, where the formed matrices hold
     (q+1)^2 r^2 + r^2 values (324 MB at n = 3200; :func:`~lfpca.fit.fit_panel`
     gives the measured peaks). Raw traces are sum(W_l * G) over the diagonal
@@ -170,48 +169,46 @@ def intrinsic_covariances(decomp: IntrinsicDecomposition, mom: MomDesign,
 
 def _pair_weights(weights: np.ndarray, width: int) -> np.ndarray:
     """One visit-count group's weights, (G, J, J, width^2) with column
-    k * width + s holding W_ks, as the symmetric (G, J width, J width)
+    k * width + s holding W_ks, laid out as the (G, J width, J width)
     matrices of the operator: row a * width + k, column b * width + s holds
-    W_ks[a, b] for k < s, its mirror W_sk[b, a] for k > s (swapping the
-    visits of every pair swaps the rows (k, s) and (s, k) of F, so
-    W_ks = W_sk'), and their mean for k = s."""
+    W_ks[a, b] as H gives it. Swapping the visits of every pair swaps the
+    rows (k, s) and (s, k) of F, so W_ks = W_sk' and each matrix is
+    symmetric up to rounding."""
     g, j = weights.shape[:2]
-    upper = weights.reshape(g, j, j, width, width).transpose(0, 1, 3, 2, 4)  # [g, a, k, b, s]
-    lower = upper.transpose(0, 3, 4, 1, 2)  # [g, a, k, b, s] = upper[g, b, s, a, k]
-    k, s = np.ogrid[:width, :width]
-    above, below = (k < s)[:, None], (k > s)[:, None]  # over the axes (k, b, s)
-    weights = np.where(above, upper, np.where(below, lower, (upper + lower) / 2))
-    return weights.reshape(g, j * width, j * width)
-
-
-def _check_finite(array: np.ndarray) -> None:
-    # min and max propagate NaN and reach any infinity: no boolean copy is made
-    if not np.isfinite((array.min(), array.max())).all():
-        raise NumericalError("intrinsic covariance accumulation produced non-finite values")
+    layout = weights.reshape(g, j, j, width, width).transpose(0, 1, 3, 2, 4)  # [g, a, k, b, s]
+    # contiguous, so the batched products of the operator run in BLAS
+    return np.ascontiguousarray(layout.reshape(g, j * width, j * width))
 
 
 class CovarianceOperator:
-    """A symmetric intrinsic covariance K = C W C', (width r) square, kept
-    as its factors: ``coords_t`` is C' (n x r) with its rows in visit-count-
-    group order, and ``groups`` holds (start, stop, weights) per group, the
-    (G, J width, J width) symmetric weights of :func:`_pair_weights` for
-    the rows [start, stop). K has width x width blocks of r x r, ordered by
-    covariate index (width q + 1 for k_x, 1 for k_w).
+    """An intrinsic covariance K = C W C', (width r) square, kept as its
+    factors: ``coords_t`` is C' (n x r) with its rows in visit-count-group
+    order, and ``groups`` holds (start, stop, weights) per group, the
+    (G, J width, J width) weights of :func:`_pair_weights` for the rows
+    [start, stop). K has width x width blocks of r x r, ordered by
+    covariate index (width q + 1 for k_x, 1 for k_w). K is symmetric up to
+    rounding: a consumer reads one triangle of it, as ``eigh`` does.
 
-    ``K @ X`` is C (W (C' X)): one n x r product per side and one batched
-    product per group, whose rows of C' X and of W C' X are views, so K
-    is never formed and nothing of size n x r is allocated.
-    ``np.asarray(K)`` forms it with :func:`_weighted_products`: one r x n by
-    n x r product per block on or above the diagonal, exactly symmetric.
-    Both refuse non-finite results with NumericalError.
+    ``K @ X`` is C (W (C' X)) for a block X of K's row count or a vector:
+    one n x r product per side and one batched product per group, whose
+    rows of C' X and of W C' X are views, so K is never formed and nothing
+    of size n x r is allocated. ``np.asarray(K)`` forms it with
+    :func:`_weighted_products`: one r x n by n x r product per block on or
+    above the diagonal. Both refuse non-finite results with NumericalError.
     """
 
     def __init__(self, coords_t: np.ndarray, groups: list, width: int):
         self.coords_t, self.groups, self.width = coords_t, groups, width
         self.shape = (width * coords_t.shape[1],) * 2
 
-    def __matmul__(self, block: np.ndarray) -> np.ndarray:
-        r, width, b = self.coords_t.shape[1], self.width, block.shape[1]
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[0]:
+            raise ValidationError(f"cannot apply a covariance operator of shape {self.shape} "
+                                  f"to an array of shape {x.shape}")
+        r, width = self.coords_t.shape[1], self.width
+        block = x.reshape(x.shape[0], -1)
+        b = block.shape[1]
         # X_0, ..., X_q side by side, so a visit's row of C' X holds them in covariate order
         t = self.coords_t @ block.reshape(width, r, b).transpose(1, 0, 2).reshape(r, width * b)
         wt = np.empty_like(t)
@@ -219,8 +216,8 @@ class CovarianceOperator:
             shape = weights.shape[0], -1, b
             np.matmul(weights, t[start:stop].reshape(shape), out=wt[start:stop].reshape(shape))
         image = (self.coords_t.T @ wt).reshape(r, width, b).transpose(1, 0, 2)
-        _check_finite(image)
-        return image.reshape(width * r, b)
+        check_finite(image, "intrinsic covariance accumulation produced non-finite values")
+        return image.reshape(x.shape)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         matrix = _weighted_products(self.coords_t, self.groups, self.width)
@@ -230,10 +227,8 @@ class CovarianceOperator:
 def _weighted_products(coords_t: np.ndarray, groups: list, width: int) -> np.ndarray:
     """The formed K of a :class:`CovarianceOperator`. A block (k, s) with
     k <= s is C W_ks C', W_ks C' taken one visit-count group at a time in an
-    n x r work array and the product written straight into the block. Once
-    the work array is freed, a block below the diagonal is its mirror
-    transposed, and a block on the diagonal is symmetrized in place by
-    :func:`_symmetrize`."""
+    n x r work array and the product written straight into the block; a
+    block below the diagonal is its mirror transposed."""
     n, r = coords_t.shape
     matrix = np.empty((width * r, width * r))
     block = [[matrix[k * r:(k + 1) * r, s * r:(s + 1) * r] for s in range(width)]
@@ -246,39 +241,22 @@ def _weighted_products(coords_t: np.ndarray, groups: list, width: int) -> np.nda
             np.matmul(weights.reshape(g, j, width, j, width)[:, :, k, :, s],
                       coords_t[start:stop].reshape(g, j, r), out=t[start:stop].reshape(g, j, r))
         np.matmul(coords_t.T, t, out=block[k][s])
-    del t
-    for k, s in upper:
-        if k == s:
-            _symmetrize(block[k][k])
-        else:
+        if s > k:
             block[s][k][:] = block[k][s].T
-    _check_finite(matrix)
+    check_finite(matrix, "intrinsic covariance accumulation produced non-finite values")
     return matrix
-
-
-def _symmetrize(matrix: np.ndarray) -> None:
-    """matrix = (matrix + matrix') / 2 in place, one row panel of about
-    PANEL_BYTES and its mirrored column panel at a time: each pair is
-    (x + y) / 2, the bits of the whole-matrix form, with no whole-size
-    temporary. A panel reads only entries that no earlier panel wrote."""
-    n = matrix.shape[0]
-    count = max(1, min(n, -(-8 * n * n // PANEL_BYTES)))
-    for rows in (slice(n * k // count, n * (k + 1) // count) for k in range(count)):
-        half = np.add(matrix[rows, rows.start:], matrix[rows.start:, rows].T)
-        half /= 2
-        matrix[rows, rows.start:] = half
-        matrix[rows.start:, rows] = half.T
 
 
 @dataclass
 class IntrinsicCovariances:
-    """Symmetric intrinsic covariance estimates and their raw traces.
+    """Intrinsic covariance estimates and their raw traces.
 
     k_x is ((q+1)r, (q+1)r) with r x r blocks ordered by covariate index;
     k_w is (r, r). Each is a :class:`CovarianceOperator` when it comes from
     :func:`intrinsic_covariances` (``np.asarray(k_x)`` forms the matrix for
-    inspection) or a symmetric array; :func:`~lfpca.gram.top_eigenpairs`
-    takes either. The raw traces are recorded before any eigenvalue
+    inspection) or an array; :func:`~lfpca.gram.top_eigenpairs` takes
+    either. Each is symmetric up to rounding, and what decomposes it reads
+    one triangle. The raw traces are recorded before any eigenvalue
     clipping (trace_w_raw houses the trace of the visit-level estimator,
     which includes any white-noise mass).
     """

@@ -45,9 +45,10 @@ _HEAD = struct.Struct("<4sIQQI")
 
 
 def slice_starts(p: int, n_slices: int) -> list[int]:
-    """Row boundaries for ``n_slices`` slices of ceil(p / L) rows each."""
-    if n_slices < 1:
-        raise ValidationError(f"slice count must be >= 1, got {n_slices}")
+    """Row boundaries for ``n_slices`` slices of ceil(p / L) rows each; a
+    count outside [1, p] raises ValidationError."""
+    if not 1 <= n_slices <= p:
+        raise ValidationError(f"slice count must be in [1, p] for p = {p} rows, got {n_slices}")
     height = math.ceil(p / n_slices)
     return [min(l * height, p) for l in range(n_slices + 1)]
 

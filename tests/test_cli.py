@@ -855,6 +855,8 @@ def test_threads_env_it_cannot_honour_exits_2_before_reading(tmp_path, monkeypat
     ("--rank", "1", "--nx", "3"),                            # n_x > (q+1) rank
     ("--rank", "0"),
     ("--rank", "-2"),
+    ("--slices", "0"),
+    ("--slices", "61"),                                      # p = 60: empty slices
 ])
 def test_option_the_fit_cannot_honour_exits_2_before_reading(tmp_path, monkeypatch, extra):
     assert _fit_reads_nothing(tmp_path, monkeypatch, *extra) == 2
@@ -1097,6 +1099,9 @@ def test_convert_round_trip(tmp_path, rng):
                str(tmp_path / "p.csv")) == 2
     assert not (tmp_path / "p.csv").exists()
     assert run("convert", "--to-csv", str(tmp_path / "p.lfpb"), str(tmp_path / "p.csv")) == 0
+    assert run("convert", "--to-panel", "--slices", "7", str(tmp_path / "p.csv"),
+               str(tmp_path / "q.lfpb")) == 2  # 7 slices of 6 rows
+    assert not (tmp_path / "q.lfpb").exists()
     assert run("convert", "--to-panel", str(tmp_path / "p.csv"), str(tmp_path / "q.lfpb")) == 0
     np.testing.assert_array_equal(read_panel(tmp_path / "q.lfpb").to_array(), arr)
 

@@ -11,6 +11,7 @@ from lfpca import (DataPanel, IntrinsicCovariances, IntrinsicDecomposition, Scen
 from lfpca import gram as gram_module
 from lfpca import panel as panel_module
 from lfpca.gram import fix_signs, left_factor, top_eigenpairs
+from lfpca.limits import EIGEN_VECTOR_TOL
 
 
 def panel(arr, n_slices=1):
@@ -110,10 +111,13 @@ def test_eigen_orthonormal_within_tolerance(rng):
 
 def test_eigen_rejects_nonfinite():
     from lfpca import NumericalError
-    gram = np.eye(3)
-    gram[0, 0] = np.nan
-    with pytest.raises(NumericalError):
-        eigen_gram(gram)
+    for value in (np.nan, np.inf, -np.inf):
+        gram = np.eye(3)
+        gram[0, 0] = value
+        with pytest.raises(NumericalError, match="Gram matrix contains non-finite entries"):
+            eigen_gram(gram)
+    with pytest.raises(ValidationError, match="no variance"):  # nothing to check is finite
+        eigen_gram(np.zeros((0, 0)))
 
 
 # --- top-k eigensolver ---------------------------------------------------------
@@ -167,6 +171,29 @@ def test_top_eigenpairs_certifies_noisy_k_x_with_fewer_rayleigh_ritz_solves():
     assert solver["path"] == "krylov" and solver["rayleigh_ritz"] < solver["steps"]
     np.testing.assert_allclose(evals, np.linalg.eigvalsh(k_x)[::-1][:4], rtol=1e-12, atol=0)
     assert_matches_dense(evals, evecs, k_x)
+
+
+@pytest.mark.parametrize("sigma2, paths", [(1e-2, ["krylov", "dense"]),
+                                           (1e-4, ["krylov", "krylov"])])
+def test_top_eigenpairs_of_a_formed_matrix_are_those_of_its_symmetrisation(sigma2, paths):
+    # a formed k_x or k_w is symmetric up to rounding, not bit for bit, and
+    # both paths read one triangle of what they are given: the pairs must be
+    # those of the exact symmetrisation (K + K')/2, on each path this fit takes
+    panel, design, _ = generate_scenario1(ScenarioSpec.curves(p=750, sigma2=sigma2, seed=4))
+    covs = fit_covariances(fit_panel(panel, design, n_x=4, n_w=4), design)
+    taken = []
+    for op in (covs.k_x, covs.k_w):
+        formed = np.asarray(op)
+        evals, evecs, solver = top_eigenpairs(formed, k=4)
+        sym_vals, sym_vecs, sym_solver = top_eigenpairs((formed + formed.T) / 2, k=4)
+        taken.append(solver["path"])
+        assert sym_solver["path"] == solver["path"]
+        # the four wanted pairs (the dense path returns all of them)
+        np.testing.assert_allclose(evals[:4], sym_vals[:4], rtol=1e-13, atol=0)
+        evecs, sym_vecs = evecs[:, :4], sym_vecs[:, :4]
+        # the sine of the largest angle between the two spans
+        assert np.linalg.norm(evecs - sym_vecs @ (sym_vecs.T @ evecs), 2) <= EIGEN_VECTOR_TOL
+    assert taken == paths
 
 
 @pytest.mark.parametrize("matrix, k", [("k_w", 4), ("gram", 10)])

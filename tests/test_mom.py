@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import design_of, make_design, reordered, subject_rows
-from lfpca import (DataPanel, IdentifiabilityError, accumulate_gram, build_design_matrix,
-                   compute_weights, eigen_gram, intrinsic_covariances)
-from lfpca.gram import left_factor
+from lfpca import (DataPanel, IdentifiabilityError, NumericalError, ValidationError,
+                   accumulate_gram, build_design_matrix, compute_weights, eigen_gram,
+                   intrinsic_covariances)
+from lfpca.gram import left_factor, top_eigenpairs
 from lfpca.mom import CovarianceOperator
 from oracle import oracle_covariances, oracle_design_matrix, oracle_pair_columns
 
@@ -79,11 +82,22 @@ def fit_covs(rng, p, design, n_slices=1):
     return arr, panel, decomp, covs
 
 
-def test_output_exactly_symmetric(rng):
+def test_dense_path_reads_only_the_lower_triangle(rng):
+    # a formed matrix is symmetric up to rounding, not bit for bit, and
+    # top_eigenpairs takes it as it is: on its dense path (these matrices
+    # are too small for the Krylov budget) LAPACK reads the lower triangle,
+    # so NaN in every entry above the diagonal leaves each bit of the pairs
     design = make_design(rng, n_subjects=5, visits=3)
     _, _, _, covs = fit_covs(rng, 20, design)
     for formed in (np.asarray(covs.k_x), np.asarray(covs.k_w)):
-        assert np.abs(formed - formed.T).max() == 0.0
+        poisoned = formed.copy()
+        poisoned[np.triu_indices_from(poisoned, 1)] = np.nan
+        evals, evecs, solver = top_eigenpairs(formed, k=4)
+        got_vals, got_vecs, got_solver = top_eigenpairs(poisoned, k=4)
+        assert solver == got_solver == {"path": "dense"}
+        assert np.isfinite(got_vals).all() and np.isfinite(got_vecs).all()
+        np.testing.assert_array_equal(got_vals, evals)
+        np.testing.assert_array_equal(got_vecs, evecs)
 
 
 def test_lifted_covariances_match_dense_oracle(rng):
@@ -173,8 +187,8 @@ def test_covariance_blocks_match_every_block_reference(rng, q):
 @pytest.mark.parametrize("q", [1, 2])
 def test_operator_applies_the_formed_matrix(rng, q):
     # k @ X is C (W (C' X)) from the factors, in visit-count-group order; it
-    # must be the formed matrix times X, and the formed matrix stays exactly
-    # symmetric (groups of 3, 4 and 5 visits, interleaved in the design)
+    # must be the formed matrix times X, a vector too (groups of 3, 4 and 5
+    # visits, interleaved in the design)
     design = make_design(rng, n_subjects=9, visits=[3, 4, 5] * 3, q=q)
     _, _, decomp, covs = fit_covs(rng, 60, design)
     mom = compute_weights(build_design_matrix(design))
@@ -182,11 +196,39 @@ def test_operator_applies_the_formed_matrix(rng, q):
     for op, reference in zip((covs.k_x, covs.k_w), every_block_covariances(decomp, mom, design)):
         formed = np.asarray(op)
         assert op.shape == formed.shape == reference.shape
-        np.testing.assert_array_equal(formed, formed.T)
-        for x in (rng.standard_normal((formed.shape[0], 8)), np.eye(formed.shape[0])[:, :3]):
+        n = formed.shape[0]
+        for x in (rng.standard_normal((n, 8)), np.eye(n)[:, :3], rng.standard_normal(n)):
             want = reference @ x
+            assert (op @ x).shape == x.shape
             assert np.abs(op @ x - want).max() <= 1e-14 * np.abs(want).max()
             assert np.abs(formed @ x - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_operator_refuses_an_array_of_other_rows(rng):
+    # an array whose rows are not K's is refused naming both shapes
+    design = make_design(rng, n_subjects=9, visits=[3, 4, 5] * 3)
+    _, _, _, covs = fit_covs(rng, 60, design)
+    for op in (covs.k_x, covs.k_w):
+        n = op.shape[0]
+        for bad in (np.ones((3, 3)), np.ones(n + 1), np.ones((n, 2, 2)), np.float64(1.0)):
+            shape = re.escape(str(np.shape(bad)))
+            with pytest.raises(ValidationError, match=rf"shape \({n}, {n}\).*shape {shape}"):
+                op @ bad
+
+
+def test_operator_refuses_non_finite_coordinates(rng):
+    design = make_design(rng, n_subjects=5, visits=3)
+    _, _, _, covs = fit_covs(rng, 20, design)
+    for op in (covs.k_x, covs.k_w):
+        for value in (np.nan, np.inf, -np.inf):
+            coords_t = op.coords_t.copy()
+            coords_t[4, 1] = value
+            bad = CovarianceOperator(coords_t, op.groups, op.width)
+            with np.errstate(invalid="ignore"):  # inf - inf in the products
+                with pytest.raises(NumericalError, match="produced non-finite values"):
+                    bad @ np.ones((bad.shape[0], 2))
+                with pytest.raises(NumericalError, match="produced non-finite values"):
+                    np.asarray(bad)
 
 
 def test_estimates_invariant_to_subject_order(rng):

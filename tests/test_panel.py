@@ -14,6 +14,25 @@ def test_slice_starts_cover_all_rows():
     assert slice_starts(5, 5) == [0, 1, 2, 3, 4, 5]
 
 
+def test_slice_count_outside_one_to_p_is_refused(tmp_path):
+    # a count above p makes empty slices and a larger slice table: each
+    # way to set one refuses it, a writer before it opens its file
+    arr = np.zeros((5, 2))
+    for count in (0, 6, 5000):
+        with pytest.raises(ValidationError, match="slice count"):
+            slice_starts(5, count)
+        with pytest.raises(ValidationError, match="slice count"):
+            DataPanel.from_array(arr, n_slices=count)
+        with pytest.raises(ValidationError, match="slice count"):
+            DataPanel.from_array(arr).with_slices(count)
+        with pytest.raises(ValidationError, match="slice count"):
+            PanelWriter(tmp_path / "w.lfpb", p=5, n=2, n_slices=count)
+        assert not (tmp_path / "w.lfpb").exists()
+    with pytest.raises(ValidationError,
+                       match=r"slice count must be in \[1, p\] for p = 5 rows, got 6"):
+        slice_starts(5, 6)
+
+
 def test_slices_reassemble_exactly(rng):
     arr = rng.standard_normal((17, 5))
     panel = DataPanel.from_array(arr, n_slices=4)
