@@ -90,7 +90,7 @@ def write_metadata(design: StudyDesign, path) -> None:
     """Write the sidecar table: subject_id,visit_index,col,Z0,...,Zq."""
     header = ["subject_id", "visit_index", "col"] + [f"Z{k}" for k in range(design.q + 1)]
     z = design.stacked_z()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         col = 0
@@ -101,48 +101,55 @@ def write_metadata(design: StudyDesign, path) -> None:
 
 
 def read_metadata(path) -> StudyDesign:
-    """Read the sidecar table back into a design, validating the column map."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"metadata file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"metadata file {path} is empty") from None
-        if header[:3] != ["subject_id", "visit_index", "col"]:
-            raise ValidationError(f"metadata header must start with subject_id,visit_index,col, got {header[:3]}")
-        z_names = header[3:]
-        if not z_names or z_names[0] != "Z0":
-            raise ValidationError("metadata must carry covariate columns Z0,Z1,...")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append((row[0], int(row[1]), int(row[2]), [float(v) for v in row[3:]]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    """Read the sidecar table, through :func:`read_csv_records`, back into a
+    design, validating the column map."""
+    header, records = read_csv_records(path, "metadata", ["subject_id", "visit_index", "col"],
+                                       lambda row: (row[0], int(row[1]), int(row[2]),
+                                                    [float(v) for v in row[3:]]))
+    if header[3:4] != ["Z0"]:
+        raise ValidationError(f"{path}: metadata must carry covariate columns Z0,Z1,...")
+    if not records:
         raise ValidationError(f"metadata file {path} has no visit rows")
-    rows.sort(key=lambda r: r[2])
-    ids, counts, seen = [], [], set()
+    rows = sorted((row for _, row in records), key=lambda r: r[2])
+    counts: dict[str, int] = {}  # visits so far of each subject, in column order
     for col, (sid, visit, col_idx, _) in enumerate(rows):
         if col_idx != col:
             raise ValidationError(f"metadata column indices must be 0..n-1; missing or duplicate col {col}")
-        if not ids or sid != ids[-1]:
-            if sid in seen:
-                raise ValidationError(f"subject {sid!r} occupies non-contiguous columns")
-            ids.append(sid)
-            counts.append(0)
-            seen.add(sid)
-        if visit != counts[-1]:
+        if sid in counts and sid != next(reversed(counts)):
+            raise ValidationError(f"subject {sid!r} occupies non-contiguous columns")
+        if visit != counts.get(sid, 0):
             raise ValidationError(f"subject {sid!r}: visit_index must run 0..J-1 in column order")
-        counts[-1] += 1
-    return StudyDesign(ids, counts, [z for *_, z in rows])
+        counts[sid] = visit + 1
+    return StudyDesign(list(counts), list(counts.values()), [z for *_, z in rows])
+
+
+def read_csv_records(path, what: str, header_start: list[str], parse) -> tuple[list, list]:
+    """The one read loop of lfpca's CSV records: the header of a UTF-8 file and
+    the (line, ``parse(row)``) pairs of its non-blank rows. ValidationError,
+    naming ``what`` and the file or ``path:line``, unless the path is a
+    non-empty file whose header starts with ``header_start`` and whose rows
+    have the header's field count, and for a ValueError from ``parse``."""
+    if not Path(path).is_file():
+        raise ValidationError(f"{what} file not found: {path}")
+    records = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{what} file {path} is empty")
+            if header[:len(header_start)] != header_start:
+                raise ValueError(f"{what} header must start with {','.join(header_start)}, "
+                                 f"got {header[:len(header_start)]}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                records.append((reader.line_num, parse(row)))
+    except UnicodeDecodeError:
+        raise ValidationError(f"{what} file {path} is not UTF-8 text") from None
+    except (ValueError, csv.Error) as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    return header, records
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ def slice_starts(p: int, n_slices: int) -> list[int]:
     return [min(l * height, p) for l in range(n_slices + 1)]
 
 
+def _check_row_starts(rs: list[int], p: int) -> None:
+    """Refuse slice boundaries that do not run from 0 to p without decreasing."""
+    if rs[0] != 0 or rs[-1] != p or any(b < a for a, b in zip(rs, rs[1:])):
+        raise ValidationError(f"invalid slice boundaries {rs} for p={p}")
+
+
 @dataclass
 class DataPanel:
     """A p x n float64 matrix exposed as ordered row slices.
@@ -74,9 +80,7 @@ class DataPanel:
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
             raise ValidationError(f"panel dimensions must be positive, got p={self.p}, n={self.n}")
-        rs = self.row_starts
-        if rs[0] != 0 or rs[-1] != self.p or any(b < a for a, b in zip(rs, rs[1:])):
-            raise ValidationError(f"invalid slice boundaries {rs} for p={self.p}")
+        _check_row_starts(self.row_starts, self.p)
         if (self._array is None) == (self._path is None):
             raise ValidationError("panel needs exactly one backing: array or path")
         if self.mean is not None and self.mean.shape != (self.p,):
@@ -93,6 +97,11 @@ class DataPanel:
     @property
     def n_slices(self) -> int:
         return len(self.row_starts) - 1
+
+    @property
+    def path(self) -> Path | None:
+        """The LFPB file backing the panel, None for an in-memory panel."""
+        return self._path
 
     @property
     def file_backed(self) -> bool:
@@ -146,8 +155,7 @@ class PanelWriter:
         self.path = Path(path)
         self.p, self.n = p, n
         self.row_starts = list(row_starts) if row_starts is not None else slice_starts(p, n_slices)
-        if self.row_starts[0] != 0 or self.row_starts[-1] != p:
-            raise ValidationError(f"invalid slice boundaries {self.row_starts} for p={p}")
+        _check_row_starts(self.row_starts, p)
         self._fh = open(self.path, "wb")
         self._fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, p, n, len(self.row_starts) - 1))
         self._fh.write(np.asarray(self.row_starts, dtype="<u8").tobytes())

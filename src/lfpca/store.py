@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import CovariateScale, StudyDesign, apply_covariate_scaling
+from .design import CovariateScale, StudyDesign, apply_covariate_scaling, read_csv_records
 from .errors import ValidationError
 from .panel import DataPanel, finite_row_sums, read_panel, write_panel
 
@@ -81,7 +81,7 @@ class FittedModel:
     def basis_sources(self) -> list:
         """What a refusal of each basis' values names, in family order: its
         file, or its file name in a model directory when held in memory."""
-        return [phi._path or name
+        return [phi.path or name
                 for phi, name in zip([*self.phi_x, self.phi_w], basis_files(self.q))]
 
     def check_bases(self, rows: slice, blocks) -> None:
@@ -141,7 +141,7 @@ def save_model(model: FittedModel, outdir) -> None:
                          (model.mean[:, None], MEAN_FILE)):
         write_panel(DataPanel.from_array(matrix), outdir / name)
     for phi, name in zip([*model.phi_x, model.phi_w], basis_files(model.q)):
-        if phi._path != outdir / name:
+        if phi.path != outdir / name:
             write_panel(phi, outdir / name)
     payload = {
         **{name: getattr(model, name) for name in _SIZES},
@@ -206,7 +206,7 @@ def finite_values(panel: DataPanel, source=None) -> np.ndarray:
     """A stored matrix read whole, refused by ``source`` (the panel's file
     when None) and the first bad row unless finite (see :func:`finite_row_sums`)."""
     values = panel.to_array()
-    finite_row_sums(slice(0, panel.p), values, source=source or panel._path)
+    finite_row_sums(slice(0, panel.p), values, source=source or panel.path)
     return values
 
 
@@ -313,60 +313,61 @@ class ScorePanel:
 _SCORES_HEADER = ["subject_id", "score_type", "visit_index", "component", "value"]
 
 
+def _score_rows(subject_ids, visit_counts, n_x: int, n_w: int):
+    """The scores CSV row order as (subject_id, score_type, visit_index, component)
+    keys: each subject's xi components, then its zeta components visit by visit."""
+    for sid, count in zip(subject_ids, visit_counts):
+        yield from ((sid, "xi", "", c) for c in range(n_x))
+        yield from ((sid, "zeta", j, c) for j in range(count) for c in range(n_w))
+
+
 def write_scores_csv(scores: ScorePanel, path) -> None:
-    starts = np.concatenate([[0], np.cumsum(scores.visit_counts, dtype=np.int64)])
-    with open(path, "w", newline="") as fh:
+    """Write one row per score, in the order of :func:`_score_rows`, each
+    value with 17 significant digits."""
+    values = {"xi": iter(scores.xi.ravel().tolist()), "zeta": iter(scores.zeta.ravel().tolist())}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SCORES_HEADER)
-        for i, sid in enumerate(scores.subject_ids):
-            for c, v in enumerate(scores.xi[i]):
-                writer.writerow([sid, "xi", "", c, f"{v:.17g}"])
-            for j, row in enumerate(scores.zeta[starts[i]:starts[i + 1]]):
-                for c, v in enumerate(row):
-                    writer.writerow([sid, "zeta", j, c, f"{v:.17g}"])
+        writer.writerows([*key, f"{next(values[key[1]]):.17g}"]
+                         for key in _score_rows(scores.subject_ids, scores.visit_counts,
+                                                scores.xi.shape[1], scores.zeta.shape[1]))
+
+
+def _score_row(row) -> tuple:
+    sid, kind, visit, comp, value = row
+    if kind not in ("xi", "zeta"):
+        raise ValueError(f"unknown score_type {kind!r}")
+    return (sid, kind, int(visit) if kind == "zeta" else visit, int(comp)), float(value)
 
 
 def read_scores_csv(path) -> ScorePanel:
-    """Read a scores CSV; no subject is flagged rank deficient. A row with
-    the wrong field count, an unknown score type or a value that does not
-    parse raises ValidationError naming ``path:line``."""
-    xi: dict[str, dict[int, float]] = {}
-    zeta: dict[str, dict[tuple[int, int], float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SCORES_HEADER:
-            raise ValidationError(f"unexpected scores header in {path}: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_SCORES_HEADER):
-                raise ValidationError(f"{path}:{lineno}: expected {len(_SCORES_HEADER)} fields, "
-                                      f"got {len(row)}")
-            sid, kind, visit, comp, value = row
-            xi_i, zeta_i = xi.setdefault(sid, {}), zeta.setdefault(sid, {})
-            try:
-                if kind == "xi":
-                    xi_i[int(comp)] = float(value)
-                elif kind == "zeta":
-                    zeta_i[(int(visit), int(comp))] = float(value)
-                else:
-                    raise ValueError(f"unknown score_type {kind!r}")
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    ids = list(xi)
-    n_x = 1 + max((c for sid in ids for c in xi[sid]), default=-1)
-    n_w = 1 + max((c for sid in ids for _, c in zeta[sid]), default=-1)
-    counts = [1 + max((j for j, _ in zeta[sid]), default=-1) for sid in ids]
-    for sid, count in zip(ids, counts):
-        if (xi[sid].keys() != set(range(n_x))
-                or zeta[sid].keys() != {(j, c) for j in range(count) for c in range(n_w)}):
-            raise ValidationError(f"{path}: subject {sid} does not have {n_x} xi components "
-                                  f"and {n_w} zeta components for each of its visits")
-    zeta_values = [v for sid in ids for _, v in sorted(zeta[sid].items())]
+    """Read a scores CSV through :func:`lfpca.design.read_csv_records`; no
+    subject is flagged rank deficient. Its subjects, visit counts and
+    component counts are read from the rows, which must then run in the order
+    :func:`write_scores_csv` writes: otherwise, or without rows, ValidationError
+    names the first row out of order and its subject."""
+    _, records = read_csv_records(path, "scores", _SCORES_HEADER, _score_row)
+    if not records:
+        raise ValidationError(f"scores file {path} has no score rows")
+    keys = [key for _, (key, _) in records]
+    ids = list(dict.fromkeys(sid for sid, *_ in keys))
+    n_x, n_w = (1 + max((c for _, kind, _, c in keys if kind == want), default=0)
+                for want in ("xi", "zeta"))
+    visits = {sid: j for sid, kind, j, _ in keys if kind == "zeta"}  # the last j, in write order
+    counts = [1 + visits.get(sid, 0) for sid in ids]
+    expected = list(_score_rows(ids, counts, n_x, n_w))
+    if keys != expected:
+        i, (found, want) = next((i, pair) for i, pair in enumerate(zip_longest(keys, expected))
+                                if pair[0] != pair[1])
+        where = f"{path}:{records[i][0]}" if found else str(path)
+        raise ValidationError(f"{where}: scores rows out of order at subject "
+                              f"{(found or want)[0]!r}: found {found or 'the end of the file'}, "
+                              f"expected {want or 'the end of the file'}")
+    values = np.array([value for _, (_, value) in records])
+    is_xi = np.array([key[1] == "xi" for key in keys])
     return ScorePanel(subject_ids=ids, visit_counts=counts,
-                      xi=np.array([[xi[sid][c] for c in range(n_x)] for sid in ids]),
-                      zeta=np.array(zeta_values).reshape(sum(counts), n_w),
+                      xi=values[is_xi].reshape(len(ids), n_x),
+                      zeta=values[~is_xi].reshape(sum(counts), n_w),
                       rank_deficient=np.zeros(len(ids), dtype=bool))
 
 
@@ -451,15 +452,18 @@ def load_truth(truth_dir) -> GroundTruth:
     """Open a truth directory, checked like a model directory: ValidationError,
     naming the file and the key, when ``truth.json`` does not parse, lacks
     one of its keys or holds a value of the wrong kind (``lambda_x`` and
-    ``lambda_w`` must hold n_x and n_w finite values), when a basis file
+    ``lambda_w`` must hold n_x and n_w finite positive values), when a basis file
     is not p x n_x (p x n_w for Phi_w) or not finite, or when ``scores.csv``
-    does not hold n_x xi and n_w zeta components. ``block_coords`` is optional."""
+    does not read or hold n_x xi and n_w zeta components. ``block_coords`` is optional."""
     truth_dir = Path(truth_dir)
     meta = _CheckedJson(truth_dir / TRUTH_FILE, _TRUTH_KEYS)
     sizes = {key: meta.value(key, _size) for key in ("p", "n_x", "n_w")}
     lambda_x, lambda_w = meta.vector("lambda_x"), meta.vector("lambda_w")
     meta.counts(sizes, (("n_x", lambda_x.size, "values in 'lambda_x'"),
                         ("n_w", lambda_w.size, "values in 'lambda_w'")))
+    for key, values in (("lambda_x", lambda_x), ("lambda_w", lambda_w)):
+        if np.any(values <= 0):
+            raise ValidationError(f"{meta.path}: {key!r} holds a value <= 0: {values.min():g}")
     names = phi_x_files_in(truth_dir)
     if not names:
         raise ValidationError(f"no {basis_file(0)} in {truth_dir}")

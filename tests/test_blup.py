@@ -277,6 +277,32 @@ def test_read_scores_csv_names_the_malformed_line(tmp_path, row, problem):
         read_scores_csv(path)
 
 
+SCORES_ORDER_REFUSALS = {
+    "duplicate-row": ("a,xi,,0,1.0\na,xi,,0,9.0\na,zeta,0,0,2\n",
+                      r"scores\.csv:3: .* subject 'a': found \('a', 'xi', '', 0\), "
+                      r"expected \('a', 'zeta', 0, 0\)$"),
+    "split-subject": ("a,xi,,0,1\na,zeta,0,0,2\nb,xi,,0,3\nb,zeta,0,0,4\na,zeta,1,0,5\n",
+                      r"scores\.csv:4: .* subject 'b': found \('b', 'xi', '', 0\), "
+                      r"expected \('a', 'zeta', 1, 0\)$"),
+    "no-visits": ("a,xi,,0,1\na,zeta,0,0,2\nb,xi,,0,3\n",
+                  r"scores\.csv: .* subject 'b': found the end of the file, "
+                  r"expected \('b', 'zeta', 0, 0\)$"),
+    "header-only": ("", r"scores\.csv has no score rows$"),
+}
+
+
+@pytest.mark.parametrize("body, message", SCORES_ORDER_REFUSALS.values(),
+                         ids=list(SCORES_ORDER_REFUSALS))
+def test_read_scores_csv_refuses_rows_out_of_write_order(tmp_path, body, message):
+    # the rows must run in the order write_scores_csv writes: a duplicate
+    # does not overwrite, a split subject is not merged, a subject without
+    # visits and a file without rows are not read as counts of 0
+    path = tmp_path / "scores.csv"
+    path.write_text("subject_id,score_type,visit_index,component,value\n" + body)
+    with pytest.raises(ValidationError, match=message):
+        read_scores_csv(path)
+
+
 def test_reconstruction_residual_tracks_noise_floor(rng):
     # noisy curves data: per-voxel mean squared residual of the fitted
     # reconstruction stays within a small multiple of the noise variance

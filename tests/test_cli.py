@@ -581,6 +581,10 @@ TRUTH_CORRUPTIONS = {
                       r"n_x = 4 and n_w = 4$"),
     "no-phi_x_0": (lambda truth_dir: (truth_dir / "phi_x_0.lfpb").unlink(),
                    r"no phi_x_0\.lfpb in .*truth"),
+    "zero-lambda_x": (_edit_truth_json(lambda m: m["lambda_x"].__setitem__(1, 0)),
+                      r"truth\.json: 'lambda_x' holds a value <= 0: 0$"),
+    "negative-lambda_w": (_edit_truth_json(lambda m: m["lambda_w"].__setitem__(0, -0.5)),
+                          r"truth\.json: 'lambda_w' holds a value <= 0: -0\.5$"),
     "phi_w-nan": (_edit_panel("phi_w.lfpb",
                               lambda a: np.where(np.arange(len(a))[:, None] == 3, np.nan, a)),
                   r"truth/phi_w\.lfpb: non-finite values in rows \[0, 200\), first at row 3$"),
@@ -600,6 +604,82 @@ def test_corrupt_truth_directory_exits_2(saved_fit, tmp_path, capsys, corrupt, m
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and re.search(message, errors[0]), errors
     assert not (tmp_path / "m.csv").exists()
+
+
+# The malformed-record corpus: each input file the CLI reads, as (argv from
+# copies of the replication and the fit and the temporary directory, the
+# file in those copies), and each fault that can spoil it.
+INPUT_FILES = {
+    "fit-meta": (lambda rep, fit, tmp: ["fit", *_rep_inputs(rep), "--out", str(tmp / "f")],
+                 lambda rep, fit: rep / "meta.csv"),
+    "scores-meta": (lambda rep, fit, tmp: ["scores", "--model", str(fit), *_rep_inputs(rep),
+                                           "--out", str(tmp / "s.csv")],
+                    lambda rep, fit: rep / "meta.csv"),
+    "fit-scores": (lambda rep, fit, tmp: ["evaluate", "--truth", str(rep), "--fit", str(fit),
+                                          "--out", str(tmp / "m.csv")],
+                   lambda rep, fit: fit / "scores.csv"),
+    "truth-scores": (lambda rep, fit, tmp: ["evaluate", "--truth", str(rep), "--fit", str(fit),
+                                            "--out", str(tmp / "m.csv")],
+                     lambda rep, fit: rep / "truth" / "scores.csv"),
+    "truth-json": (lambda rep, fit, tmp: ["evaluate", "--truth", str(rep / "truth"),
+                                          "--fit", str(fit), "--out", str(tmp / "m.csv")],
+                   lambda rep, fit: rep / "truth" / "truth.json"),
+    "model-json": (lambda rep, fit, tmp: ["scores", "--model", str(fit), *_rep_inputs(rep),
+                                          "--out", str(tmp / "s.csv")],
+                   lambda rep, fit: fit / "model.json"),
+    "data": (lambda rep, fit, tmp: ["fit", *_rep_inputs(rep), "--out", str(tmp / "f")],
+             lambda rep, fit: rep / "panel.lfpb"),
+}
+
+
+def _other_format(path):
+    # text where an LFPB file is read, and an LFPB file where text is read:
+    # its payload (-1.5 is 0xbff8000000000000) is not UTF-8
+    if path.suffix == ".lfpb":
+        path.write_text("subject_id,visit_index,col,Z0,Z1\n")
+    else:
+        write_panel(DataPanel.from_array(np.full((2, 2), -1.5)), path)
+
+
+def _header_only(path):
+    if path.suffix == ".lfpb":
+        panel = read_panel(path)
+        path.write_bytes(path.read_bytes()[:-8 * panel.p * panel.n])
+    else:
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
+INPUT_FAULTS = {
+    "missing": lambda path: path.unlink(),
+    "directory": lambda path: (path.unlink(), path.mkdir()),
+    "empty": lambda path: path.write_bytes(b""),
+    "other-format": _other_format,
+    "header-only": _header_only,
+}
+# Cases left out on purpose: evaluate reads a fit's scores.csv only when it
+# is a file, and a JSON file has no header.
+SKIPPED_INPUT_FAULTS = {("fit-scores", "missing"), ("fit-scores", "directory"),
+                        ("truth-json", "header-only"), ("model-json", "header-only")}
+INPUT_CASES = [(name, fault) for name in INPUT_FILES for fault in INPUT_FAULTS
+               if (name, fault) not in SKIPPED_INPUT_FAULTS]
+
+
+@pytest.mark.parametrize("name, fault", INPUT_CASES, ids=[f"{n}-{f}" for n, f in INPUT_CASES])
+def test_malformed_input_file_exits_2_naming_it(saved_fit, tmp_path, capsys, name, fault):
+    # every file the CLI reads is input from outside: a missing, misplaced,
+    # empty, wrongly encoded or header-only one is one error line naming it
+    rep_dir, fit_dir = saved_fit
+    rep, fit = tmp_path / "rep", tmp_path / "fit"
+    shutil.copytree(rep_dir, rep)
+    shutil.copytree(fit_dir, fit)
+    argv, target = INPUT_FILES[name]
+    path = target(rep, fit)
+    INPUT_FAULTS[fault](path)
+    capsys.readouterr()
+    assert run(*argv(rep, fit, tmp_path)) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    assert str(path.parent) in errors[0] and path.name in errors[0], errors
 
 
 OUTPUT_PATH_ERRORS = {

@@ -87,3 +87,31 @@ def test_no_module_imports_threading():
                           if name.split(".")[0] in ("threading", "_thread")
                           or name.startswith("concurrent.futures")]
     assert not offenders, offenders
+
+
+def _defined_names(tree):
+    """The names a module defines: its functions, classes, assigned names and
+    annotated fields, and the attributes it assigns on any object."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def test_no_module_reads_a_private_attribute_defined_elsewhere():
+    # obj._name reaches into the class that defines _name; a module other
+    # than that class's asks through a public name instead
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = _defined_names(tree)
+        offenders += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and _private(node.attr)
+                      and node.attr not in defined
+                      and not (isinstance(node.value, ast.Name)
+                               and node.value.id in ("self", "cls"))]
+    assert not offenders, offenders

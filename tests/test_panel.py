@@ -128,6 +128,24 @@ def test_writer_rejects_wrong_shape_and_incomplete(tmp_path):
         writer.close()
 
 
+def test_panel_path_is_its_file_or_none(rng, tmp_path):
+    write_panel(DataPanel.from_array(rng.standard_normal((3, 2))), tmp_path / "p.lfpb")
+    assert read_panel(tmp_path / "p.lfpb").path == tmp_path / "p.lfpb"
+    assert DataPanel.from_array(np.zeros((3, 2))).path is None
+
+
+@pytest.mark.parametrize("row_starts", [[0, 6, 4, 10], [1, 10], [0, 9]])
+def test_writer_and_reader_share_one_slice_boundary_rule(tmp_path, row_starts):
+    # boundaries that read_panel would refuse are refused by the writer,
+    # before it creates the file
+    path = tmp_path / "w.lfpb"
+    for make in (lambda: PanelWriter(path, p=10, n=2, row_starts=row_starts),
+                 lambda: DataPanel(p=10, n=2, row_starts=row_starts, _array=np.zeros((10, 2)))):
+        with pytest.raises(ValidationError, match="invalid slice boundaries"):
+            make()
+    assert not path.exists()
+
+
 def test_writer_takes_the_blocks_of_a_slice_in_order(rng, tmp_path):
     # stream writes each slice as one or more row blocks; a block may not run
     # past its slice, and the slice table is kept

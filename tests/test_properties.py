@@ -10,7 +10,13 @@ the visit scores; the slice count changes only the last bits. Designs are drawn 
 least one subject with 3 or more), or 40-48 subjects of 3-5 visits for
 the reordering, and q in {1, 2}; those the fit would refuse as
 unidentifiable are skipped.
+
+The scores CSV round-trips every score panel bit for bit, and a file with
+one row deleted, duplicated or moved is refused or does not pair with the
+panel it was written from.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -20,7 +26,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from conftest import (design_of, make_design, map_times, reordered,  # noqa: E402
                       subject_rows)
-from lfpca import DataPanel, fit_panel, normalize_covariates, validate_design  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+from lfpca import (DataPanel, ScorePanel, ValidationError, fit_panel,  # noqa: E402
+                   normalize_covariates, read_scores_csv, validate_design, write_scores_csv)
+from lfpca.store import check_pairing  # noqa: E402
 
 P = 40
 N_X, N_W = 2, 2
@@ -199,3 +208,56 @@ def test_slice_count_moves_only_the_last_bits(problem, slices):
     # the Gram sums one product per slice, so only the last bits may move
     for got, want in zip(outputs(sliced), outputs(base)):
         assert_rel(got, want, 1e-10)
+
+
+@st.composite
+def score_panels(draw):
+    """Score panels of 1-4 subjects, whose ids hold commas, quotes, line
+    breaks and non-ASCII text, with 1-4 visits and 1-3 components each."""
+    ids = draw(st.lists(st.text(st.one_of(st.sampled_from(',"\n\ré'), st.characters()),
+                                max_size=6), min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(ids), max_size=len(ids)))
+    n_x, n_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return ScorePanel(subject_ids=ids, visit_counts=counts,
+                      xi=draw(arrays(np.float64, (len(ids), n_x), elements=finite)),
+                      zeta=draw(arrays(np.float64, (sum(counts), n_w), elements=finite)),
+                      rank_deficient=np.zeros(len(ids), dtype=bool))
+
+
+@settings(max_examples=60)
+@given(score_panels())
+def test_scores_csv_round_trips_bits_and_bytes(tmp_path_factory, scores):
+    first, second = (tmp_path_factory.getbasetemp() / name for name in ("a.csv", "b.csv"))
+    write_scores_csv(scores, first)
+    back = read_scores_csv(first)
+    assert (back.subject_ids, back.visit_counts) == (scores.subject_ids, scores.visit_counts)
+    for got, want in ((back.xi, scores.xi), (back.zeta, scores.zeta)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    write_scores_csv(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=60)
+@given(score_panels(), st.sampled_from(["delete", "duplicate", "swap"]), st.data())
+def test_scores_csv_with_a_row_moved_is_refused_or_does_not_pair(tmp_path_factory, scores,
+                                                                 change, data):
+    path = tmp_path_factory.getbasetemp() / "scores.csv"
+    write_scores_csv(scores, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if change == "delete":
+        del rows[i]
+    elif change == "duplicate":
+        rows.insert(i, rows[i])
+    else:
+        j = data.draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+        rows[i], rows[j] = rows[j], rows[i]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    with pytest.raises(ValidationError):
+        # a deletion at a visit boundary parses, as a record of fewer visits
+        # or components, and then no longer pairs with the panel written
+        check_pairing(read_scores_csv(path), scores.xi.shape[1], scores.zeta.shape[1],
+                      "the panel written", scores, "the panel written")
